@@ -1,4 +1,4 @@
-// Ablation studies for the design choices documented in DESIGN.md: the
+// Ablation studies for three design choices of the adapted SSB solver: the
 // candidate-tightened elimination rule, the expansion step, and the
 // monotone-DAG shortest-path shortcut. Each variant is exact; the
 // benchmarks quantify what each refinement buys.
@@ -43,8 +43,8 @@ func TestAblationVariantsExact(t *testing.T) {
 	}
 }
 
-// TestTightenedEliminationReducesIterations: the DESIGN.md claim behind the
-// tightened rule — fewer (or equal) iterations on every instance, strictly
+// TestTightenedEliminationReducesIterations: the claim behind the
+// tightened rule (assign.Options.ConservativeElimination) — fewer (or equal) iterations on every instance, strictly
 // fewer somewhere.
 func TestTightenedEliminationReducesIterations(t *testing.T) {
 	rng := rand.New(rand.NewSource(607))

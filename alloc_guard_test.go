@@ -1,0 +1,81 @@
+package repro_test
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"repro"
+	"repro/internal/workload"
+)
+
+// randomSpec returns the spec of a seeded random instance with the given
+// number of processing CRUs and satellites.
+func randomSpec(seed int64, crus, sats int) *repro.Spec {
+	tree := workload.Random(rand.New(rand.NewSource(seed)), workload.DefaultRandomSpec(crus, sats))
+	return repro.ToSpec(tree, "alloc-guard")
+}
+
+// TestFromSpecAllocsSizeIndependent is the allocs/op regression guard on
+// tree construction: FromSpec presizes its slices and name maps, links
+// every Children list into one shared array and builds the subtree
+// satellite sets into another, so the number of allocations does not grow
+// with the tree (17 at every size on go1.24/amd64).
+func TestFromSpecAllocsSizeIndependent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
+	}
+	const ceiling = 32
+	var first float64
+	for i, crus := range []int{16, 48, 96} {
+		spec := randomSpec(int64(crus), crus, 4)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := repro.FromSpec(spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("FromSpec at %d CRUs: %.0f allocs/op", crus, allocs)
+		if allocs > ceiling {
+			t.Errorf("FromSpec at %d CRUs allocates %.0f objects/op, want at most %d", crus, allocs, ceiling)
+		}
+		if i == 0 {
+			first = allocs
+		} else if allocs != first {
+			t.Errorf("FromSpec at %d CRUs allocates %.0f objects/op, at 16 CRUs %.0f: want the same", crus, allocs, first)
+		}
+	}
+}
+
+// TestColdSolveAllocCeiling is the allocs/op regression guard on one
+// cache-missing adapted-SSB Service.Solve of a fresh 64-CRU tree: plan
+// compilation, fingerprinting, the SSB search with no trace recorded and
+// the Outcome. The ceiling is the count measured on go1.24/amd64, 170,
+// plus 10%.
+func TestColdSolveAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
+	}
+	const runs, ceiling = 20, 187
+	spec := randomSpec(64, 64, 4)
+	trees := make([]*repro.Tree, runs+1) // AllocsPerRun adds one warm-up call
+	for i := range trees {
+		tree, err := repro.FromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees[i] = tree
+	}
+	svc := repro.NewService(nil, 0) // no store: every call misses
+	ctx := context.Background()
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		out, status, err := svc.Solve(ctx, trees[next], repro.WithAlgorithm(repro.AdaptedSSB))
+		next++
+		if err != nil || out == nil || status != repro.CacheMiss {
+			t.Fatalf("cold solve: status %v, err %v", status, err)
+		}
+	})
+	if allocs > ceiling {
+		t.Fatalf("cold adapted-SSB Service.Solve allocates %.0f objects/op, want at most %d", allocs, ceiling)
+	}
+}

@@ -1,5 +1,5 @@
-// Benchmarks, one per reproduced paper artefact (see DESIGN.md §4 for the
-// experiment index). Each BenchmarkEn_* times the computational core of
+// Benchmarks, one per reproduced paper artefact (the experiments registered
+// in internal/bench). Each BenchmarkEn_* times the computational core of
 // experiment En; `go test -bench=. -benchmem` therefore sweeps the whole
 // evaluation. cmd/crbench renders the corresponding tables.
 package repro_test

@@ -1,8 +1,8 @@
 // Command crbench regenerates the paper's figures and the extension
 // studies: every experiment registered in internal/bench is run and its
-// table printed (plain text by default, markdown with -markdown, which is
-// how EXPERIMENTS.md is produced, or machine-readable JSON with -json for
-// dashboards and regression tracking).
+// table printed (plain text by default, markdown with -markdown for
+// reports, or machine-readable JSON with -json for dashboards and
+// regression tracking).
 //
 // Usage:
 //

@@ -3,10 +3,10 @@
 // that finds the minimum end-to-end-delay assignment of a CRU tree onto a
 // host–satellites system (§5.4).
 //
-// Construction (following Bokhari's dual-graph idea, refined as documented
-// in DESIGN.md): all sensors are merged into a dummy node A; with L sensors
-// the closed tree has L+1 faces, numbered 0 (the "S" terminal, left of the
-// tree) through L (the "T" terminal, right of the tree). Every
+// Construction (Bokhari's dual-graph idea, refined for colours): all
+// sensors are merged into a dummy node A; with L sensors the closed tree
+// has L+1 faces, numbered 0 (the "S" terminal, left of the tree) through L
+// (the "T" terminal, right of the tree). Every
 // non-conflicting tree edge whose child subtree covers leaf positions
 // [a, b] contributes one *directed* dual edge from face a to face b+1. A
 // monotone S→T path therefore crosses a set of tree edges whose leaf

@@ -14,7 +14,9 @@ func init() {
 		Exact:    true,
 		Weighted: true,
 		Summary:  "paper §5.4: coloured assignment graph + adapted SSB search with expansion",
-	}, graphSolver((*Graph).SolveAdaptedContext))
+	}, graphSolver(func(g *Graph, ctx context.Context, opt Options) (*Solution, error) {
+		return g.solveAdapted(ctx, opt, false)
+	}))
 	core.Register(core.LabelSearch, core.Capabilities{
 		Exact:    true,
 		Weighted: true,

@@ -68,7 +68,11 @@ type Solution struct {
 	Delay       float64        // S + B: the end-to-end delay (§3 objective)
 	Objective   float64        // WS·S + WB·B under the options' weights
 	Stats       Stats
-	Trace       []TraceEntry
+	// Trace is the per-iteration log of the adapted SSB loop. Only direct
+	// Graph.SolveAdapted/SolveAdaptedContext calls (Solve among them)
+	// record it; solves dispatched through the registry, and so every
+	// Solver and Service solve, leave it nil.
+	Trace []TraceEntry
 }
 
 // workEdge is a mutable copy of Edge inside the solver's shrinking graph.
@@ -247,6 +251,13 @@ func (g *Graph) SolveAdapted(opt Options) (*Solution, error) {
 // so deadlines stop the solve promptly. On cancellation the returned error
 // is the context's.
 func (g *Graph) SolveAdaptedContext(ctx context.Context, opt Options) (*Solution, error) {
+	return g.solveAdapted(ctx, opt, true)
+}
+
+// solveAdapted is SolveAdaptedContext with the per-iteration trace made
+// optional: the registry adapter serves solves whose trace nobody reads,
+// so it records none.
+func (g *Graph) solveAdapted(ctx context.Context, opt Options, trace bool) (*Solution, error) {
 	wts := opt.weights()
 	if !wts.Valid() {
 		return nil, dwg.ErrBadWeights
@@ -255,6 +266,11 @@ func (g *Graph) SolveAdaptedContext(ctx context.Context, opt Options) (*Solution
 	defer w.release()
 	sol := &Solution{Objective: math.Inf(1)}
 	var bestEdges []int
+	record := func(entry TraceEntry) {
+		if trace {
+			sol.Trace = append(sol.Trace, entry)
+		}
+	}
 
 	for iter := 1; ; iter++ {
 		if err := ctx.Err(); err != nil {
@@ -284,7 +300,7 @@ func (g *Graph) SolveAdaptedContext(ctx context.Context, opt Options) (*Solution
 			// Any remaining path has S ≥ s, so WS·S alone meets the
 			// candidate: optimal.
 			entry.Note = "stop: bound"
-			sol.Trace = append(sol.Trace, entry)
+			record(entry)
 			break
 		}
 		// Eliminate edges whose single β reaches the coloured bottleneck: a
@@ -316,14 +332,14 @@ func (g *Graph) SolveAdaptedContext(ctx context.Context, opt Options) (*Solution
 			if opt.DisableExpansion || bottleneck == model.NoSatellite ||
 				w.expanded[bottleneck] || !g.contiguous(bottleneck) {
 				entry.Note = "fallback"
-				sol.Trace = append(sol.Trace, entry)
+				record(entry)
 				sol.Stats.FellBack = true
 				return g.finishWithLabelSearch(ctx, w, sol, bestEdges, wts, opt)
 			}
 			created, ok := w.expandColour(g, bottleneck, opt.maxExpanded())
 			if !ok {
 				entry.Note = "fallback"
-				sol.Trace = append(sol.Trace, entry)
+				record(entry)
 				sol.Stats.FellBack = true
 				return g.finishWithLabelSearch(ctx, w, sol, bestEdges, wts, opt)
 			}
@@ -332,7 +348,7 @@ func (g *Graph) SolveAdaptedContext(ctx context.Context, opt Options) (*Solution
 			sol.Stats.SuperEdges += created
 			entry.ExpandedColour = bottleneck
 		}
-		sol.Trace = append(sol.Trace, entry)
+		record(entry)
 	}
 	sol.Stats.FinalEdges = w.enabledCount()
 	if math.IsInf(sol.Objective, 1) {

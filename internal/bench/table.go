@@ -89,7 +89,7 @@ func (t *Table) Render() string {
 	return sb.String()
 }
 
-// Markdown renders the table as GitHub-flavoured markdown (EXPERIMENTS.md).
+// Markdown renders the table as GitHub-flavoured markdown (crbench -markdown).
 func (t *Table) Markdown() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "### %s — %s\n\n", t.ID, t.Title)

@@ -9,8 +9,7 @@
 // (minimise max(S(P), B(P)), IEEE ToC 1988), which this package provides as
 // the baseline the paper compares its objective against.
 //
-// One deliberate deviation from the paper's prose, documented in DESIGN.md:
-// edges with β ≥ B(P) are eliminated, not only β > B(P). The strict rule can
+// One deliberate deviation from the paper's prose: edges with β ≥ B(P) are eliminated, not only β > B(P). The strict rule can
 // stall (no edge removed when the min-S path is its own bottleneck), while
 // the inclusive rule is equally sound — any path through a removed edge has
 // S ≥ S(P) and B ≥ B(P), so it cannot beat the recorded candidate — and it

@@ -9,9 +9,8 @@ import (
 )
 
 // figure4 reconstructs the DWG of the paper's Figure 4: three nodes S→M→T
-// with four parallel edges on each side. See DESIGN.md for the
-// reconstruction argument; this graph reproduces every number printed in
-// the figure.
+// with four parallel edges on each side. This graph reproduces every
+// number printed in the figure.
 func figure4() (*Graph, int, int) {
 	g := New(3)
 	const s, m, t = 0, 1, 2

@@ -96,17 +96,28 @@ func diffMembers(old, next []string) (joined, left []string) {
 // stable across a transition, so the moved set is proportional to the
 // membership change, not the keyspace.
 func MovedDest(old, next *cluster.Ring, self string) func(fingerprint string) string {
+	owner := ownerDest(next, self)
+	return func(fp string) string {
+		now := owner(fp)
+		if now != "" && old != nil && old.Owner(fp) == now {
+			return "" // owner unchanged: the holder keeps (or never had) it
+		}
+		return now
+	}
+}
+
+// ownerDest returns the push predicate for state pinned to self rather
+// than to its fingerprint's owner, such as sessions, which stay with the
+// node that opened them: it returns the fingerprint's owner in next
+// whenever that is not self, whether or not ownership moved.
+func ownerDest(next *cluster.Ring, self string) func(fingerprint string) string {
 	return func(fp string) string {
 		if fp == "" {
 			return ""
 		}
-		now := next.Owner(fp)
-		if now == "" || now == self {
-			return ""
+		if now := next.Owner(fp); now != self {
+			return now
 		}
-		if old != nil && old.Owner(fp) == now {
-			return "" // owner unchanged: the holder keeps (or never had) it
-		}
-		return now
+		return ""
 	}
 }

@@ -75,6 +75,41 @@ func TestElasticMovedDest(t *testing.T) {
 	}
 }
 
+// TestElasticOwnerDest checks the session push predicate of a leaving
+// node: every key goes to its owner in the new ring, including keys whose
+// owner did not change, which MovedDest would keep.
+func TestElasticOwnerDest(t *testing.T) {
+	members := []string{"http://a", "http://b", "http://c"}
+	old := cluster.NewRing(members, 64)
+	next := cluster.NewRing(members[1:], 64)
+	dest := ownerDest(next, "http://a")
+
+	if got := dest(""); got != "" {
+		t.Errorf("dest(\"\") = %q, want \"\"", got)
+	}
+	kept := 0
+	for i := 0; i < 2000; i++ {
+		fp := fmt.Sprintf("fingerprint-%d", i)
+		if got, want := dest(fp), next.Owner(fp); got != want {
+			t.Fatalf("dest(%q) = %q, want new owner %q", fp, got, want)
+		}
+		if old.Owner(fp) == next.Owner(fp) {
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Error("no key kept its owner across the leave; the case MovedDest drops is not covered")
+	}
+	// A node that stays in the ring keeps the keys it owns.
+	stay := ownerDest(old, "http://a")
+	for i := 0; i < 2000; i++ {
+		fp := fmt.Sprintf("fingerprint-%d", i)
+		if old.Owner(fp) == "http://a" && stay(fp) != "" {
+			t.Fatalf("dest(%q) = %q for a key self owns, want \"\"", fp, stay(fp))
+		}
+	}
+}
+
 // fakeFleet counts watcher actions behind adjustable pressure.
 type fakeFleet struct {
 	nodes          int

@@ -198,8 +198,10 @@ func contains(list []string, m string) bool {
 // pushState pushes this node's moved warm state under the new epoch,
 // before the routing flip: result-cache entries whose fingerprint
 // changed owner, proven bounds to every joining node, and — when this
-// node is leaving the view — its sessions to their fingerprints' new
-// owners. Push failures are logged and dropped: the state is a
+// node is leaving the view — every one of its sessions to its
+// fingerprint's owner in the new ring. Sessions are pinned by ID to this
+// node, not by fingerprint, so a session whose fingerprint kept its owner
+// must move too. Push failures are logged and dropped: the state is a
 // performance asset, not correctness, and the receiver re-proves
 // anything that did not arrive. Sessions are the exception — a session
 // is only forgotten locally after its destination acknowledged it.
@@ -234,7 +236,7 @@ func (m *Manager) pushState(epoch uint64, members []string, oldRing, newRing *cl
 		}
 	}
 	if ex := m.cfg.Exports.Sessions; ex != nil && !contains(members, self) {
-		for node, sessions := range ex(dest) {
+		for node, sessions := range ex(ownerDest(newRing, self)) {
 			if len(sessions) == 0 {
 				continue
 			}

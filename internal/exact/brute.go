@@ -161,7 +161,7 @@ func resetSubtree(t *model.Tree, asg *model.Assignment, root model.NodeID) {
 }
 
 // CountAssignments returns the number of feasible assignments of t without
-// materialising them — the search-space size reported in EXPERIMENTS.md.
+// materialising them — the search-space size the crbench experiments report.
 func CountAssignments(t *model.Tree) float64 {
 	// ways(v) = number of cuts of the subtree at v, counting "v goes to its
 	// satellite" (if monochromatic) plus the product of children's ways

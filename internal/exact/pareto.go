@@ -141,7 +141,7 @@ func ParetoContext(ctx context.Context, t *model.Tree, maxFrontier int) (*Result
 	if err != nil {
 		return nil, fmt.Errorf("exact: pareto assignment invalid: %w", err)
 	}
-	// The enumeration bound equals the achieved delay (see DESIGN.md): the
+	// The enumeration bound equals the achieved delay: the
 	// chosen B is the max load candidate; the realised max load may be
 	// smaller, making the realised delay ≤ bound; both are optimal.
 	if d > best+1e-9 {

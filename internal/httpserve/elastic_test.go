@@ -200,16 +200,70 @@ func TestElasticJoinMidLoadWarmReuse(t *testing.T) {
 	}
 }
 
+// holdsSession reports whether node n serves session id from its own
+// table (not through a relocation tombstone).
+func holdsSession(n *FleetNode, id string) bool {
+	s := n.Handler.server
+	s.sessMu.Lock()
+	defer s.sessMu.Unlock()
+	_, ok := s.sessions[id]
+	return ok
+}
+
+// sessionDrift is the weight update TestElasticSessionMigrationParity
+// applies: the last CRU's host time scaled by 1.5.
+func sessionDrift(spec *repro.Spec) (node string, hostTime float64) {
+	last := spec.CRUs[len(spec.CRUs)-1]
+	return last.Name, last.HostTime * 1.5
+}
+
+// driftedSpecOwnedBy returns a spec owned by node want whose drifted
+// revision (sessionDrift) is owned by node drifted, both in the current
+// ring.
+func driftedSpecOwnedBy(t *testing.T, f *Fleet, want, drifted int) *repro.Spec {
+	t.Helper()
+	for seed := int64(1); seed < 5000; seed++ {
+		spec := randomSpec(seed, 10)
+		if ownerIndex(t, f, spec) != want {
+			continue
+		}
+		moved := *spec
+		moved.CRUs = append([]repro.SpecCRU(nil), spec.CRUs...)
+		_, moved.CRUs[len(moved.CRUs)-1].HostTime = sessionDrift(spec)
+		if ownerIndex(t, f, &moved) == drifted {
+			return spec
+		}
+	}
+	t.Fatalf("no spec owned by node %d with its drift owned by node %d", want, drifted)
+	return nil
+}
+
 // TestElasticSessionMigrationParity walks a session across a membership
 // change: opened (and warmed) on a node that then leaves the fleet, it
-// keeps resolving under the same ID with its revision history intact —
-// through the new owner directly, and through the departed node's
-// relocation tombstone — and produces exactly the answers the original
-// owner gave.
+// moves to the survivor and keeps resolving under the same ID with its
+// revision history intact — through the new owner directly, and through
+// the departed node's relocation tombstone — and produces exactly the
+// answers the original owner gave. Sessions are pinned by ID to the node
+// that opened them, so the session must move whichever node owned its
+// mutated fingerprint before the leave: the leaver (ownership moves) or
+// the survivor (ownership unchanged, which a fingerprint-moved filter
+// would skip).
 func TestElasticSessionMigrationParity(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		driftOwnedBy int
+	}{
+		{"drift-owned-by-leaver", 1},
+		{"drift-owned-by-survivor", 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testSessionMigrationParity(t, tc.driftOwnedBy) })
+	}
+}
+
+func testSessionMigrationParity(t *testing.T, driftOwnedBy int) {
 	fleet := startTestFleet(t, 2, testFleetOptions())
 
-	spec := specOwnedBy(t, fleet, 1, 10)
+	spec := driftedSpecOwnedBy(t, fleet, 1, driftOwnedBy)
 	resp, body := post(t, fleet.Nodes[0].URL+"/v1/session", api.OpenSessionRequest{
 		SolveRequest: api.SolveRequest{Spec: spec},
 	})
@@ -222,9 +276,12 @@ func TestElasticSessionMigrationParity(t *testing.T) {
 	}
 	id := opened.Session.SessionID
 
+	if !holdsSession(fleet.Nodes[1], id) {
+		t.Fatalf("session %s was not opened on its fingerprint's owner", id)
+	}
+
 	// Mutate + resolve on the owner: revision 1, a warm outcome to carry.
-	drift := spec.CRUs[len(spec.CRUs)-1].HostTime * 1.5
-	node := spec.CRUs[len(spec.CRUs)-1].Name
+	node, drift := sessionDrift(spec)
 	resp, body = post(t, fleet.Nodes[0].URL+"/v1/session/"+id+"/mutate", api.MutateRequest{
 		Mutations: []api.Mutation{{Op: api.OpWeightUpdate, Node: node, HostTime: &drift}},
 		Resolve:   true,
@@ -241,6 +298,9 @@ func TestElasticSessionMigrationParity(t *testing.T) {
 	}
 	want := mutated.Response.Delay
 	wantFP := mutated.Session.Fingerprint
+	if got := fleet.Nodes[0].Cluster.Owner(wantFP); got != fleet.Nodes[driftOwnedBy].URL {
+		t.Fatalf("mutated fingerprint owned by %s, want node %d", got, driftOwnedBy)
+	}
 
 	// The owner leaves; its sessions are pushed to the survivors before
 	// its routing flips.
@@ -248,6 +308,12 @@ func TestElasticSessionMigrationParity(t *testing.T) {
 		t.Fatalf("leave: %v", err)
 	}
 	waitForEpoch(t, fleet, 2)
+	if !holdsSession(fleet.Nodes[0], id) {
+		t.Fatal("the surviving node does not hold the session after the leave")
+	}
+	if holdsSession(fleet.Nodes[1], id) {
+		t.Error("the leaver still holds the session after pushing it")
+	}
 
 	check := func(via string, label string) {
 		t.Helper()

@@ -175,16 +175,23 @@ type server struct {
 	// branches pruned, and bound-memoization hits/misses. Exposed as the
 	// "search" block of /debug/vars so a dashboard can watch the
 	// explored-per-solve trend fall as session bound caches warm up.
+	// replayed is the nodes of outcomes served from the result cache or a
+	// joined concurrent solve, counted at their original search: no
+	// search ran for them here.
 	explored, pruned       atomic.Int64
 	boundHits, boundMisses atomic.Int64
+	replayed               atomic.Int64
 }
 
 // recordOutcome folds a served outcome's node accounting into the search
-// counters; cache hits replay a stored outcome, so their counters recount
-// the original search (cheap, and the trend stays interpretable next to
-// the cache block's hit ratio).
-func (s *server) recordOutcome(out *repro.Outcome) {
+// counters. Only a miss ran a search; a hit or a shared result replays an
+// outcome another call searched for, so it counts into replayed alone.
+func (s *server) recordOutcome(out *repro.Outcome, status repro.CacheStatus) {
 	if out == nil {
+		return
+	}
+	if status != repro.CacheMiss {
+		s.replayed.Add(int64(out.Work))
 		return
 	}
 	s.explored.Add(int64(out.Work))
@@ -283,7 +290,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	s.recordOutcome(out)
+	s.recordOutcome(out, status)
 	s.stampSelf(w)
 	writeJSON(w, http.StatusOK, api.NewSolveResponse(tree, out, status))
 }
@@ -335,7 +342,7 @@ func (s *server) solveItem(ctx context.Context, item *api.SolveRequest) api.Batc
 	if err != nil {
 		return api.BatchItem{Error: api.FromError(err)}
 	}
-	s.recordOutcome(out)
+	s.recordOutcome(out, status)
 	return api.BatchItem{Response: api.NewSolveResponse(tree, out, status)}
 }
 
@@ -367,7 +374,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	s.recordOutcome(out)
+	s.recordOutcome(out, status)
 	res, err := repro.Simulate(tree, out.Assignment, simCfg)
 	if err != nil {
 		s.fail(w, err)
@@ -455,6 +462,7 @@ func (s *server) handleVars(w http.ResponseWriter, _ *http.Request) {
 			"pruned":       s.pruned.Load(),
 			"bound_hits":   s.boundHits.Load(),
 			"bound_misses": s.boundMisses.Load(),
+			"replayed":     s.replayed.Load(),
 		},
 		"sessions": map[string]int64{
 			"live":    int64(s.sessionCount()),

@@ -493,3 +493,55 @@ func TestVarsLatencyAndInflight(t *testing.T) {
 		t.Errorf("inflight = %d, want 0", vars.Crserve.Inflight)
 	}
 }
+
+// TestSearchCountersCountOnlyMisses checks that the "search" block of
+// /debug/vars counts only searches that ran: a cache hit leaves explored
+// unchanged and counts its stored outcome's nodes as replayed.
+func TestSearchCountersCountOnlyMisses(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	search := func() map[string]int64 {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/debug/vars")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var vars struct {
+			Crserve struct {
+				Search map[string]int64 `json:"search"`
+			} `json:"crserve"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+			t.Fatal(err)
+		}
+		return vars.Crserve.Search
+	}
+	solve := func(want bool) {
+		t.Helper()
+		resp, body := post(t, srv.URL+"/v1/solve", api.SolveRequest{Spec: testSpec("search")})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("solve: %d %s", resp.StatusCode, body)
+		}
+		var out api.SolveResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Cached != want {
+			t.Fatalf("solve cached = %v, want %v", out.Cached, want)
+		}
+	}
+
+	solve(false)
+	miss := search()
+	if miss["explored"] <= 0 || miss["replayed"] != 0 {
+		t.Fatalf("after a miss: %v, want explored > 0 and replayed 0", miss)
+	}
+	solve(true)
+	hit := search()
+	if hit["explored"] != miss["explored"] || hit["pruned"] != miss["pruned"] {
+		t.Errorf("a cache hit moved the search counters: %v -> %v", miss, hit)
+	}
+	if hit["replayed"] != miss["explored"] {
+		t.Errorf("replayed = %d after one hit, want the stored outcome's %d nodes", hit["replayed"], miss["explored"])
+	}
+}

@@ -125,7 +125,7 @@ func (s *server) handleSessionMutate(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, wire)
 			return
 		}
-		s.recordOutcome(out)
+		s.recordOutcome(out, status)
 		resp.Response = api.NewSolveResponse(tree, out, status)
 	}
 	resp.Session = api.NewSessionState(id, sess)
@@ -148,7 +148,7 @@ func (s *server) handleSessionResolve(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	s.recordOutcome(out)
+	s.recordOutcome(out, status)
 	// Render against the revision the outcome was solved on: a concurrent
 	// mutate may already have advanced sess.Tree().
 	s.stampSelf(w)

@@ -57,7 +57,7 @@ func (b *Builder) Child(parent NodeID, name string, hostTime, satTime, upComm fl
 	if !b.checkParent(parent, name) {
 		return None
 	}
-	id := b.addNode(Node{
+	return b.addNode(Node{
 		Name:      name,
 		Kind:      Processing,
 		Parent:    parent,
@@ -66,8 +66,6 @@ func (b *Builder) Child(parent NodeID, name string, hostTime, satTime, upComm fl
 		UpComm:    upComm,
 		Satellite: NoSatellite,
 	})
-	b.nodes[parent].Children = append(b.nodes[parent].Children, id)
-	return id
 }
 
 // Sensor creates a sensor leaf under parent, physically attached to sat.
@@ -77,15 +75,13 @@ func (b *Builder) Sensor(parent NodeID, name string, sat SatelliteID, rawComm fl
 	if !b.checkParent(parent, name) {
 		return None
 	}
-	id := b.addNode(Node{
+	return b.addNode(Node{
 		Name:      name,
 		Kind:      SensorKind,
 		Parent:    parent,
 		UpComm:    rawComm,
 		Satellite: sat,
 	})
-	b.nodes[parent].Children = append(b.nodes[parent].Children, id)
-	return id
 }
 
 // Build validates and returns the tree. The Builder must not be reused after
@@ -97,6 +93,7 @@ func (b *Builder) Build() (*Tree, error) {
 	if !b.rootSet {
 		return nil, ErrNoRoot
 	}
+	linkChildren(b.nodes)
 	t := &Tree{nodes: b.nodes, root: 0, satellites: b.satellites}
 	if err := t.Validate(); err != nil {
 		return nil, err
@@ -113,6 +110,38 @@ func (b *Builder) MustBuild() *Tree {
 		panic(err)
 	}
 	return t
+}
+
+// linkChildren fills every node's Children from the Parent links, in ID
+// order (the order the Builder created them), by a counting sort into one
+// shared array. Each list is capped at its length, so an append to one
+// (an Editor's Attach) copies it instead of writing over the next list.
+func linkChildren(nodes []Node) {
+	start := make([]int, len(nodes)+1) // start[p]: first slot of p's list
+	for i := range nodes {
+		if p := nodes[i].Parent; p != None {
+			start[p+1]++
+		}
+	}
+	for p := 1; p < len(start); p++ {
+		start[p] += start[p-1]
+	}
+	kids := make([]NodeID, start[len(nodes)])
+	for i := range nodes {
+		if p := nodes[i].Parent; p != None {
+			kids[start[p]] = NodeID(i)
+			start[p]++
+		}
+	}
+	// Filling advanced start[p] to the end of p's list, which is where
+	// p+1's list begins.
+	lo := 0
+	for p := range nodes {
+		if hi := start[p]; hi > lo {
+			nodes[p].Children = kids[lo:hi:hi]
+			lo = hi
+		}
+	}
 }
 
 func (b *Builder) addNode(n Node) NodeID {

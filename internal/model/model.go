@@ -3,7 +3,7 @@ package model
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -98,12 +98,11 @@ type Tree struct {
 	preorder  []NodeID        // DFS pre-order, children visited left-to-right
 	postorder []NodeID        // DFS post-order
 	leaves    []NodeID        // sensors in left-to-right (planar) order
-	leafIndex map[NodeID]int  // sensor -> position in leaves (0-based)
 	leafLo    []int           // per node: first leaf position in its subtree
 	leafHi    []int           // per node: last leaf position in its subtree
 	depth     []int           // per node: root has depth 0
 	subSat    []float64       // per node: Σ SatTime over its subtree
-	subSats   [][]SatelliteID // per node: sorted distinct satellites under it
+	subSats   [][]SatelliteID // per node: sorted distinct satellites under it, in one shared array
 
 	fpm atomic.Pointer[fpMemo]   // memoised Fingerprint state; cleared by refreshCaches
 	cpl atomic.Pointer[Compiled] // memoised Compile plan; cleared by refreshCaches
@@ -163,10 +162,10 @@ func (t *Tree) Leaves() []NodeID { return t.leaves }
 // LeafPosition returns the 0-based position of sensor id in the planar leaf
 // order, or -1 if id is not a sensor.
 func (t *Tree) LeafPosition(id NodeID) int {
-	if p, ok := t.leafIndex[id]; ok {
-		return p
+	if id < 0 || int(id) >= len(t.nodes) || t.nodes[id].Kind != SensorKind {
+		return -1
 	}
-	return -1
+	return t.leafLo[id]
 }
 
 // LeafRange returns the inclusive range [lo, hi] of leaf positions covered by
@@ -246,15 +245,11 @@ func (t *Tree) TotalHostTime() float64 {
 // refreshCaches via Builder if structure changes are needed.
 func (t *Tree) Clone() *Tree {
 	cp := &Tree{
-		nodes:      make([]Node, len(t.nodes)),
+		nodes:      slices.Clone(t.nodes),
 		root:       t.root,
-		satellites: append([]Satellite(nil), t.satellites...),
+		satellites: slices.Clone(t.satellites),
 	}
-	for i := range t.nodes {
-		n := t.nodes[i]
-		n.Children = append([]NodeID(nil), n.Children...)
-		cp.nodes[i] = n
-	}
+	packChildren(cp.nodes, nil)
 	cp.refreshCaches()
 	return cp
 }
@@ -302,75 +297,117 @@ func (t *Tree) Render() string {
 }
 
 // refreshCaches recomputes every derived index. It assumes the structural
-// invariants hold (call Validate first when in doubt).
+// invariants hold (call Validate first when in doubt). It allocates a fixed
+// number of objects whatever the tree's size: the per-node indices share
+// slabs, and the subtree-satellite sets share one array.
 func (t *Tree) refreshCaches() {
 	t.fpm.Store(nil)
 	t.cpl.Store(nil)
 	n := len(t.nodes)
-	t.preorder = make([]NodeID, 0, n)
-	t.postorder = make([]NodeID, 0, n)
-	t.leaves = t.leaves[:0]
-	t.leafIndex = make(map[NodeID]int)
-	t.leafLo = make([]int, n)
-	t.leafHi = make([]int, n)
-	t.depth = make([]int, n)
+	nleaves := 0
+	for i := range t.nodes {
+		if t.nodes[i].IsLeaf() {
+			nleaves++
+		}
+	}
+	ids := make([]NodeID, 2*n+nleaves)
+	t.preorder = ids[0:0:n]
+	t.postorder = ids[n : n : 2*n]
+	t.leaves = ids[2*n : 2*n : 2*n+nleaves]
+	ints := make([]int, 3*n)
+	t.leafLo, t.leafHi, t.depth = ints[0:n:n], ints[n:2*n:2*n], ints[2*n:]
 	t.subSat = make([]float64, n)
 	t.subSats = make([][]SatelliteID, n)
 
-	type frame struct {
-		id    NodeID
-		child int
-	}
-	stack := []frame{{t.root, 0}}
-	t.depth[t.root] = 0
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		node := &t.nodes[f.id]
-		if f.child == 0 {
-			t.preorder = append(t.preorder, f.id)
-			if node.IsLeaf() {
-				t.leafLo[f.id] = len(t.leaves)
-				t.leafHi[f.id] = len(t.leaves)
-				t.leafIndex[f.id] = len(t.leaves)
-				t.leaves = append(t.leaves, f.id)
-			}
+	// Stackless DFS along the parent links. Until a processing node is
+	// finished, its leafHi entry is the cursor of the next child to visit;
+	// finishing overwrites it with the real value.
+	visit := func(id NodeID) {
+		t.preorder = append(t.preorder, id)
+		if t.nodes[id].IsLeaf() {
+			t.leafLo[id] = len(t.leaves)
+			t.leafHi[id] = len(t.leaves)
+			t.leaves = append(t.leaves, id)
 		}
-		if f.child < len(node.Children) {
-			c := node.Children[f.child]
-			f.child++
-			t.depth[c] = t.depth[f.id] + 1
-			stack = append(stack, frame{c, 0})
+	}
+	id := t.root
+	visit(id)
+	for {
+		node := &t.nodes[id]
+		if k := t.leafHi[id]; k < len(node.Children) {
+			t.leafHi[id]++
+			c := node.Children[k]
+			t.depth[c] = t.depth[id] + 1
+			visit(c)
+			id = c
 			continue
 		}
-		stack = stack[:len(stack)-1]
-		t.postorder = append(t.postorder, f.id)
+		if k := len(node.Children); k > 0 {
+			t.leafLo[id] = t.leafLo[node.Children[0]]
+			t.leafHi[id] = t.leafHi[node.Children[k-1]]
+		}
+		t.postorder = append(t.postorder, id)
+		if id == t.root {
+			break
+		}
+		id = node.Parent
 	}
 
-	// Post-order accumulation of subtree data.
+	// A subtree's distinct satellites number at most its sensors and at
+	// most the satellite count, so this bound sizes the shared array once.
+	bound := 0
+	for i := range t.nodes {
+		bound += min(t.leafHi[i]-t.leafLo[i]+1, len(t.satellites))
+	}
+	sats := make([]SatelliteID, 0, bound)
+	mark := make([]NodeID, len(t.satellites)) // mark[s] == id+1: s is already in id's set
 	for _, id := range t.postorder {
 		node := &t.nodes[id]
 		t.subSat[id] = node.SatTime
+		lo := len(sats)
 		if node.Kind == SensorKind {
-			t.subSats[id] = []SatelliteID{node.Satellite}
-			continue
-		}
-		if len(node.Children) > 0 {
-			t.leafLo[id] = t.leafLo[node.Children[0]]
-			t.leafHi[id] = t.leafHi[node.Children[len(node.Children)-1]]
-		}
-		set := map[SatelliteID]bool{}
-		for _, c := range node.Children {
-			t.subSat[id] += t.subSat[c]
-			for _, s := range t.subSats[c] {
-				set[s] = true
+			sats = append(sats, node.Satellite)
+		} else {
+			for _, c := range node.Children {
+				t.subSat[id] += t.subSat[c]
+				for _, s := range t.subSats[c] {
+					if mark[s] != id+1 {
+						mark[s] = id + 1
+						sats = append(sats, s)
+					}
+				}
 			}
+			slices.Sort(sats[lo:])
 		}
-		sats := make([]SatelliteID, 0, len(set))
-		for s := range set {
-			sats = append(sats, s)
+		t.subSats[id] = sats[lo:len(sats):len(sats)]
+	}
+}
+
+// packChildren copies every node's Children into one fresh shared array,
+// keeping their order, mapping each child through remap (nil = identity)
+// and dropping those it maps to None. Each list is capped at its length
+// (see linkChildren).
+func packChildren(nodes []Node, remap []NodeID) {
+	total := 0
+	for i := range nodes {
+		total += len(nodes[i].Children)
+	}
+	kids := make([]NodeID, 0, total)
+	for i := range nodes {
+		n := &nodes[i]
+		lo := len(kids)
+		for _, c := range n.Children {
+			if remap != nil {
+				if c = remap[c]; c == None {
+					continue
+				}
+			}
+			kids = append(kids, c)
 		}
-		sort.Slice(sats, func(i, j int) bool { return sats[i] < sats[j] })
-		t.subSats[id] = sats
+		n.Children = nil
+		if hi := len(kids); hi > lo {
+			n.Children = kids[lo:hi:hi]
+		}
 	}
 }
 
@@ -398,6 +435,7 @@ func (t *Tree) Validate() error {
 		return ErrEmptyTree
 	}
 	roots := 0
+	listedBy := make([]NodeID, len(t.nodes)) // listedBy[c] == p+1: p's Children hold c
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		if n.ID != NodeID(i) {
@@ -411,15 +449,14 @@ func (t *Tree) Validate() error {
 		if !isFiniteNonNeg(n.HostTime) || !isFiniteNonNeg(n.SatTime) || !isFiniteNonNeg(n.UpComm) {
 			return fmt.Errorf("%w: node %q (h=%v s=%v c=%v)", ErrNegativeTime, n.Name, n.HostTime, n.SatTime, n.UpComm)
 		}
-		seen := map[NodeID]bool{}
 		for _, c := range n.Children {
 			if c < 0 || int(c) >= len(t.nodes) {
 				return fmt.Errorf("%w: node %q has out-of-range child %d", ErrBadLink, n.Name, c)
 			}
-			if seen[c] {
+			if listedBy[c] == n.ID+1 {
 				return fmt.Errorf("%w: node %q lists child %d twice", ErrDuplicateChild, n.Name, c)
 			}
-			seen[c] = true
+			listedBy[c] = n.ID + 1
 			if t.nodes[c].Parent != n.ID {
 				return fmt.Errorf("%w: node %q lists child %q whose parent is %d", ErrBadLink, n.Name, t.nodes[c].Name, t.nodes[c].Parent)
 			}
@@ -457,9 +494,12 @@ func (t *Tree) Validate() error {
 		return ErrRootIsSensor
 	}
 	// Reachability: every node must be reached from the root exactly once.
+	// Past the link checks each node sits in at most one Children list, so
+	// the stack never holds more than every node once.
 	visited := make([]bool, len(t.nodes))
 	count := 0
-	stack := []NodeID{t.root}
+	stack := make([]NodeID, 1, len(t.nodes))
+	stack[0] = t.root
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]

@@ -2,6 +2,7 @@ package model
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Editor stages edits against a base Tree and produces a new validated
@@ -27,20 +28,17 @@ type Editor struct {
 	err        error
 }
 
-// Edit returns an Editor staging changes against t.
+// Edit returns an Editor staging changes against t. The working nodes
+// share the base's Children lists: every Tree caps each list at its
+// length, so an Attach or Detach copies the list it changes and the base
+// is never written.
 func (t *Tree) Edit() *Editor {
-	e := &Editor{
+	return &Editor{
 		base:       t,
-		nodes:      make([]Node, len(t.nodes)),
-		satellites: append([]Satellite(nil), t.satellites...),
+		nodes:      slices.Clone(t.nodes),
+		satellites: slices.Clone(t.satellites),
 		removed:    make([]bool, len(t.nodes)),
 	}
-	for i := range t.nodes {
-		n := t.nodes[i]
-		n.Children = append([]NodeID(nil), n.Children...)
-		e.nodes[i] = n
-	}
-	return e
 }
 
 // Err returns the first recorded failure, or nil.
@@ -284,7 +282,7 @@ func (e *Editor) buildFast() (*Tree, error) {
 	// Shape is untouched: every structural cache carries over. The shared
 	// slices are immutable by the Tree contract.
 	t.preorder, t.postorder = b.preorder, b.postorder
-	t.leaves, t.leafIndex = b.leaves, b.leafIndex
+	t.leaves = b.leaves
 	t.leafLo, t.leafHi, t.depth = b.leafLo, b.leafHi, b.depth
 	t.subSats = b.subSats
 	if e.satDirty {
@@ -323,14 +321,8 @@ func (e *Editor) buildStructural() (*Tree, error) {
 		if n.Parent != None {
 			n.Parent = remap[n.Parent]
 		}
-		children := n.Children[:0]
-		for _, c := range n.Children {
-			if remap[c] != None {
-				children = append(children, remap[c])
-			}
-		}
-		n.Children = children
 	}
+	packChildren(nodes, remap)
 	root := remap[e.base.root]
 	if root == None {
 		return nil, ErrNoRoot

@@ -50,15 +50,19 @@ type SpecSensor struct {
 
 // FromSpec builds and validates a Tree from a Spec.
 func FromSpec(s *Spec) (*Tree, error) {
-	b := NewBuilder()
-	sats := map[string]SatelliteID{}
+	rows := len(s.CRUs) + len(s.Sensors)
+	b := &Builder{
+		nodes:      make([]Node, 0, rows),
+		satellites: make([]Satellite, 0, len(s.Satellites)),
+	}
+	sats := make(map[string]SatelliteID, len(s.Satellites))
 	for _, name := range s.Satellites {
 		if _, dup := sats[name]; dup {
 			return nil, fmt.Errorf("model: duplicate satellite %q", name)
 		}
 		sats[name] = b.Satellite(name)
 	}
-	ids := map[string]NodeID{}
+	ids := make(map[string]NodeID, rows)
 	for i, c := range s.CRUs {
 		if c.Name == "" {
 			return nil, fmt.Errorf("model: cru #%d has no name", i)

@@ -1,6 +1,6 @@
 // Package sim is the discrete-event simulator of the host–satellites
 // execution platform — the synthetic testbed substituting for the paper's
-// physical sensor boxes and mobile terminal (see DESIGN.md). Given a CRU
+// physical sensor boxes and mobile terminal. Given a CRU
 // tree and an assignment it simulates frames of context flowing bottom-up:
 // satellite CPUs execute their CRUs, uplinks ship cut-edge traffic to the
 // host, and the host CPU performs the final reasoning.

@@ -6,8 +6,8 @@
 // generators used by the property tests and the scaling experiments.
 //
 // The paper profiles real hardware ("analytical benchmarking or task
-// profiling techniques", §5.3); the numeric profiles here are the synthetic
-// substitute documented in DESIGN.md — chosen so that satellites are slower
+// profiling techniques", §5.3); the numeric profiles here are a synthetic
+// substitute, chosen so that satellites are slower
 // than the host (sensor boxes vs PDA) and raw sensor streams are bulkier
 // than processed context, which is the regime that makes the assignment
 // problem non-trivial.

@@ -10,7 +10,7 @@ var PaperSatellites = []string{"R", "Y", "B", "G"}
 
 // PaperTree reconstructs the 13-CRU tree of the paper's Figures 2/5/6/8
 // with realistic numeric profiles. The structure is fixed by the figure
-// evidence (see DESIGN.md):
+// evidence:
 //
 //	CRU1 ── CRU2 ── CRU4 ── CRU9/CRU10/CRU11 (sensors on R)
 //	   │       └── CRU5 (sensor on B)

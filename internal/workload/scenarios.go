@@ -35,7 +35,7 @@ func Figure4() (g *dwg.Graph, src, dst int) {
 //	└── activity ── acc-feat-1 ── accelerometer-1 sensor  @box-2
 //	           └─── acc-feat-2 ── accelerometer-2 sensor  @box-2
 //
-// Profile regime (synthetic, see DESIGN.md): the sensor boxes are ~4×
+// Profile regime (synthetic): the sensor boxes are ~4×
 // slower than the terminal, but raw bio-signals (256 Hz ECG, 3-axis
 // accelerometers) cost far more to ship than extracted features, so the
 // optimal assignment pushes feature extraction onto the boxes — the

@@ -174,3 +174,32 @@ func itoa(i int) string {
 	}
 	return string('0'+byte(i/10)) + string('0'+byte(i%10))
 }
+
+// TestFingerprintGolden pins the canonical fingerprints of the paper's
+// scenarios. They are cache keys and migration identity across nodes and
+// releases, so a change to tree storage must leave them byte-identical,
+// whichever way the tree was built.
+func TestFingerprintGolden(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tree *model.Tree
+		want string
+	}{
+		{"paper", PaperTree(), "cr2-513fd561d48329e75fff276601fdbb93"},
+		{"epilepsy", Epilepsy(), "cr2-67c37f262bfc9ff2ed43d053d8565ef7"},
+	} {
+		if got := model.Fingerprint(tc.tree); got != tc.want {
+			t.Errorf("%s: Fingerprint = %s, want %s", tc.name, got, tc.want)
+		}
+		rebuilt, err := model.FromSpec(model.ToSpec(tc.tree, tc.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := model.Fingerprint(rebuilt); got != tc.want {
+			t.Errorf("%s: Fingerprint after a spec round trip = %s, want %s", tc.name, got, tc.want)
+		}
+		if got := model.Fingerprint(tc.tree.Clone()); got != tc.want {
+			t.Errorf("%s: Fingerprint of a clone = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
