@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/exact"
 	"repro/internal/workload"
 )
 
@@ -77,5 +78,44 @@ func TestColdSolveAllocCeiling(t *testing.T) {
 	})
 	if allocs > ceiling {
 		t.Fatalf("cold adapted-SSB Service.Solve allocates %.0f objects/op, want at most %d", allocs, ceiling)
+	}
+}
+
+// TestBranchAndBoundAllocsSizeIndependent is the allocs/op regression
+// guard on the exact branch-and-bound at one worker: the search runs on
+// pooled scratch and starts no goroutine, deque or frame, so one solve
+// makes the same handful of allocations at any size (6 on go1.24/amd64).
+// Workers 0 and 1 are the same sequential search.
+func TestBranchAndBoundAllocsSizeIndependent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
+	}
+	const ceiling = 8
+	ctx := context.Background()
+	first := -1.0
+	for _, crus := range []int{14, 24} {
+		tree, err := repro.FromSpec(randomSpec(int64(crus), crus, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{0, 1} {
+			opts := exact.BnBOptions{Workers: workers}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := exact.BranchAndBoundOpts(ctx, tree, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			t.Logf("branch-and-bound at %d CRUs, workers %d: %.0f allocs/op", crus, workers, allocs)
+			if allocs > ceiling {
+				t.Errorf("branch-and-bound at %d CRUs, workers %d allocates %.0f objects/op, want at most %d",
+					crus, workers, allocs, ceiling)
+			}
+			if first < 0 {
+				first = allocs
+			} else if allocs != first {
+				t.Errorf("branch-and-bound at %d CRUs, workers %d allocates %.0f objects/op, at 14 CRUs %.0f: want the same",
+					crus, workers, allocs, first)
+			}
+		}
 	}
 }

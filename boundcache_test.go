@@ -24,7 +24,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/incremental"
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
@@ -100,7 +99,7 @@ func TestParityBoundCache(t *testing.T) {
 					seed, step, warm.Delay, got)
 			}
 			for _, w := range widths {
-				par, err := parallel.BranchAndBound(ctx, tree, parallel.Options{Workers: w, Bounds: bc})
+				par, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{Workers: w, Bounds: bc})
 				if err != nil {
 					t.Fatalf("seed %d step %d workers %d: %v", seed, step, w, err)
 				}

@@ -10,17 +10,17 @@ import (
 	"repro/internal/eval"
 	"repro/internal/exact"
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
-// P4ParallelCores measures the PR 8 parallel kernels: the work-stealing
-// branch-and-bound at increasing worker counts on one large instance
+// P4ParallelCores measures the parallel kernels: the branch-and-bound
+// engine at increasing worker counts on one large instance
 // (cores-vs-wall-time for a single solve), and the batch delay kernel's
 // per-assignment cost as the lane width grows (the amortisation the
-// genetic population and annealing pack ride on). The sequential
-// branch-and-bound is the 0-worker baseline row; every parallel solve is
-// checked against its delay, so the table doubles as an exactness probe.
+// genetic population and annealing pack ride on). The sequential search
+// is the 0-worker baseline row; every solve is checked against its delay
+// — bit for bit at one worker, to tolerance above — so the table doubles
+// as an exactness probe.
 //
 // Speedup is only observable when the host exposes >1 core; the
 // GOMAXPROCS note records the machine so single-core CI runs are not
@@ -31,7 +31,12 @@ func P4ParallelCores() (*Table, error) {
 	c := model.Compile(tree)
 	ctx := context.Background()
 
-	seq, err := exact.BranchAndBound(tree, 1<<28)
+	// Every row runs the one branch-and-bound engine; only the worker
+	// count differs. Workers 0 is the sequential search.
+	solve := func(workers int) (*exact.Result, error) {
+		return exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{Workers: workers, MaxNodes: 1 << 28})
+	}
+	seq, err := solve(0)
 	if err != nil {
 		return nil, fmt.Errorf("sequential reference: %w", err)
 	}
@@ -48,43 +53,39 @@ func P4ParallelCores() (*Table, error) {
 	if p := runtime.GOMAXPROCS(0); p > 4 {
 		counts = append(counts, p)
 	}
-	// The two implementations accumulate rounding residue in different
-	// exploration orders, so delays agree to relative precision, not bits.
+	// One worker is the sequential search, bit for bit. More workers
+	// snapshot rounding residue at fork points, so their delays agree to
+	// relative precision, not bits.
 	tol := 1e-9 * (1 + seq.Delay)
 	var solveErr error
-	seqBench := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := exact.BranchAndBound(tree, 1<<28); err != nil {
-				solveErr = err
-				return
-			}
-		}
-	})
-	if solveErr != nil {
-		return nil, solveErr
-	}
-	seqNS := float64(seqBench.T.Nanoseconds()) / float64(seqBench.N)
-	tbl.AddRow("bnb-sequential", 1, fmt.Sprintf("%.0f", seqNS), "1.0")
-	tbl.AddMetric("bnb/sequential/ns_op", seqNS, "ns/op")
-	for _, w := range counts {
-		w := w
+	timeSolves := func(workers int) float64 {
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := parallel.BranchAndBound(ctx, tree, parallel.Options{Workers: w, MaxNodes: 1 << 28})
+				res, err := solve(workers)
 				if err != nil {
 					solveErr = err
 					return
 				}
-				if d := res.Delay - seq.Delay; d > tol || d < -tol {
-					solveErr = fmt.Errorf("workers=%d delay %g != sequential %g", w, res.Delay, seq.Delay)
+				d := res.Delay - seq.Delay
+				if (workers <= 1 && d != 0) || d > tol || d < -tol {
+					solveErr = fmt.Errorf("workers=%d delay %g != sequential %g", workers, res.Delay, seq.Delay)
 					return
 				}
 			}
 		})
+		return float64(r.T.Nanoseconds()) / float64(r.N)
+	}
+	seqNS := timeSolves(0)
+	if solveErr != nil {
+		return nil, solveErr
+	}
+	tbl.AddRow("bnb-sequential", 1, fmt.Sprintf("%.0f", seqNS), "1.0")
+	tbl.AddMetric("bnb/sequential/ns_op", seqNS, "ns/op")
+	for _, w := range counts {
+		ns := timeSolves(w)
 		if solveErr != nil {
 			return nil, solveErr
 		}
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
 		tbl.AddRow("bnb-parallel", w, fmt.Sprintf("%.0f", ns), fmt.Sprintf("%.2f", seqNS/ns))
 		tbl.AddMetric(fmt.Sprintf("bnb/w%d/ns_op", w), ns, "ns/op")
 		tbl.AddMetric(fmt.Sprintf("bnb/w%d/speedup", w), seqNS/ns, "x")

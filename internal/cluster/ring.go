@@ -140,7 +140,12 @@ func (r *Ring) Replicas(key string, n int) []string {
 }
 
 // hashStrings is the ring's 64-bit hash: FNV-1a over the parts joined
-// with a NUL separator (so ("ab","c") and ("a","bc") hash apart).
+// with a NUL separator (so ("ab","c") and ("a","bc") hash apart), then
+// the murmur3 64-bit finalizer. FNV-1a alone barely moves the high bits
+// when only the last bytes differ — a member's virtual points "…#0",
+// "…#1", … and members on one host that differ only in their port —
+// so those points bunch into a few arcs and a member can own almost
+// nothing; the finalizer spreads every input bit over the whole word.
 func hashStrings(parts ...string) uint64 {
 	h := fnv.New64a()
 	for i, p := range parts {
@@ -149,7 +154,13 @@ func hashStrings(parts ...string) uint64 {
 		}
 		h.Write([]byte(p))
 	}
-	return h.Sum64()
+	x := h.Sum64()
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // Tag returns the short stable identifier of a node ID, used to encode

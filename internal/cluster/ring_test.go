@@ -131,3 +131,27 @@ func TestTagStableAndDistinct(t *testing.T) {
 		seen[tag] = n
 	}
 }
+
+// TestRingDistributionLoopbackPorts: fleet members started on one host
+// differ only in their trailing port digits, and each member's virtual
+// points differ only in their trailing index digits. Every member must
+// still own a fair share of the keys.
+func TestRingDistributionLoopbackPorts(t *testing.T) {
+	const keys = 4000
+	for set := 0; set < 20; set++ {
+		nodes := make([]string, 4)
+		for i := range nodes {
+			nodes[i] = fmt.Sprintf("http://127.0.0.1:%d", 32768+(set*4+i)*997%28000)
+		}
+		r := NewRing(nodes, 64)
+		counts := map[string]int{}
+		for i := 0; i < keys; i++ {
+			counts[r.Owner(fmt.Sprintf("cr2-%x", i*2654435761))]++
+		}
+		for _, n := range nodes {
+			if c := counts[n]; c < keys/10 {
+				t.Errorf("set %d: %s owns %d of %d keys, want at least %d (%v)", set, n, c, keys, keys/10, counts)
+			}
+		}
+	}
+}

@@ -41,6 +41,10 @@ import (
 // pre-memoization solver — same traversal, same explored count — which
 // is what the pointer/compiled parity tests pin.
 //
+// The same search also runs work-stealing across several workers
+// (BnBOptions.Workers, see steal.go); one worker is this sequential
+// search, node for node.
+//
 // maxNodes caps the number of search nodes (0 means 1<<22).
 func BranchAndBound(t *model.Tree, maxNodes int) (*Result, error) {
 	return BranchAndBoundContext(context.Background(), t, maxNodes)
@@ -77,13 +81,15 @@ func BranchAndBoundFrom(ctx context.Context, t *model.Tree, maxNodes int, warm *
 
 // BnBOptions parameterises one anytime branch-and-bound run.
 type BnBOptions struct {
-	// MaxNodes caps the number of search nodes (0 means 1<<22).
+	// MaxNodes caps the number of search nodes (0 means 1<<22). Above one
+	// worker the cap is enforced in per-worker strides, so the final
+	// explored count may overshoot by a few strides per worker.
 	MaxNodes int
 	// Warm optionally seeds the incumbent (see BranchAndBoundFrom).
 	Warm *model.Assignment
 	// OnIncumbent, when set, receives every incumbent improvement with a
-	// freshly cloned assignment and the global lower bound. It runs on the
-	// search goroutine between branches.
+	// freshly cloned assignment and the global lower bound. Calls are
+	// serialised and strictly decreasing in Delay at every worker count.
 	OnIncumbent func(core.Incumbent)
 	// BestEffort returns the incumbent with Result.Partial set — instead
 	// of ErrBudget or the context error — when the node budget or the
@@ -98,40 +104,64 @@ type BnBOptions struct {
 	// serving layers exclude it from cache identity. Nil disables
 	// memoization and the search is bit-identical to the plain solver.
 	Bounds *boundcache.Cache
+	// Workers is the number of concurrent search workers; 0 or 1 runs
+	// the sequential search. The count never changes the returned delay
+	// beyond rounding — only the wall time and which of several
+	// co-optimal assignments is reported.
+	Workers int
 }
 
-// bnbRun is one depth-first branch-and-bound over one subtree span: the
-// whole tree for a top-level solve, a single subtree for the
-// memoization pre-pass's standalone sub-solves. Runs belonging to one
-// solve share the explored/pruned counters, the node budget and the
-// pooled scratch vectors.
+// bnbState is the working state of one depth-first search: the partial
+// location vector, the decision stack, the per-satellite loads, the
+// running prefix maximum of memoized extras along the stack, and the two
+// incremental bound terms. A stealable frame of the work-stealing search
+// is a pooled snapshot of it.
+type bnbState struct {
+	loc   []model.Location
+	stack []int32
+	loads []float64
+	// exm[i] is the maximum of extra over stack[:i+1], maintained
+	// push-for-push with the stack; empty when bound memoization is off,
+	// leaving the bound exactly hostTime + forced + maxLoad.
+	exm             []float64
+	hostTime        float64
+	forcedRemaining float64
+}
+
+// bnbRun is one depth-first branch-and-bound: over the whole tree for a
+// top-level solve, over a single subtree span for the memoization
+// pre-pass's standalone sub-solves, or over stolen frames for one worker
+// of the work-stealing search. Runs belonging to one sequential solve
+// share the explored/pruned counters, the node budget and the pooled
+// scratch vectors.
 type bnbRun struct {
+	bnbState
 	ctx       context.Context
 	c         *model.Compiled
-	res       *Result // Explored/Pruned accumulate here across sub-solves
+	res       *Result // Explored/Pruned accumulate here (per worker when shared)
 	maxNodes  int
 	budgetHit bool
 	ctxErr    error
 
-	loc, best []model.Location
-	loads     []float64
-	stack     []int32
-
+	best []model.Location
 	// extra[p] is subtree p's proven standalone lower bound minus
 	// Forced[p] — the part of its future cost the forced-host term
-	// cannot see — and exm is the running prefix maximum of extra over
-	// the stack, maintained push-for-push with it. Both nil when bound
-	// memoization is off, leaving the bound exactly hostTime + forced +
-	// maxLoad as before.
+	// cannot see. Nil when bound memoization is off.
 	extra []float64
-	exm   []float64
 
-	hostTime        float64
-	forcedRemaining float64
-	bestDelay       float64
-	spanStart       int32
-	spanEnd         int32
-	onBetter        func() // top level only: publish res.Delay + stream
+	// bestDelay is the delay a branch must beat: the run's own incumbent,
+	// or for a worker the shared one as read on entry to the node.
+	bestDelay float64
+	spanStart int32
+	spanEnd   int32
+	onBetter  func(work int) // top level only: publish res.Delay + stream
+
+	// shared is the work-stealing search this run is one worker of; nil
+	// for the sequential search, which then never forks a frame.
+	shared *search
+	id     int   // the worker's deque
+	est    int64 // estimated global explored: shared count at last flush + local since
+	split  bool  // the next dfs entry publishes its state as a frame
 }
 
 // pushExtra appends extra e to the prefix-maximum stack exm.
@@ -142,7 +172,7 @@ func pushExtra(exm []float64, e float64) []float64 {
 	return append(exm, e)
 }
 
-func maxLoadOf(loads []float64) float64 {
+func maxLoad(loads []float64) float64 {
 	m := 0.0
 	for _, v := range loads {
 		if v > m {
@@ -156,24 +186,33 @@ func maxLoadOf(loads []float64) float64 {
 // solver when extra == nil (the parity tests pin its traversal), with
 // the memoized extras folded into the bound otherwise. The stack uses
 // explicit push/pop discipline (see BruteForce for why re-sliced
-// frontier arguments would alias).
+// frontier arguments would alias). A worker of the work-stealing search
+// differs in three places only: its node prologue (search.enter), how
+// it publishes a better assignment, and that it may split a decision,
+// publishing the second branch as a frame instead of searching it.
 func (r *bnbRun) dfs() {
-	if r.budgetHit || r.ctxErr != nil {
-		return
-	}
-	r.res.Explored++
-	if r.res.Explored > r.maxNodes {
-		r.budgetHit = true
-		return
-	}
-	if r.res.Explored&0xff == 0 {
-		if err := r.ctx.Err(); err != nil {
-			r.ctxErr = err
+	if r.shared != nil {
+		if !r.shared.enter(r) {
 			return
+		}
+	} else {
+		if r.budgetHit || r.ctxErr != nil {
+			return
+		}
+		r.res.Explored++
+		if r.res.Explored > r.maxNodes {
+			r.budgetHit = true
+			return
+		}
+		if r.res.Explored&0xff == 0 {
+			if err := r.ctx.Err(); err != nil {
+				r.ctxErr = err
+				return
+			}
 		}
 	}
 	c := r.c
-	load := maxLoadOf(r.loads)
+	load := maxLoad(r.loads)
 	lower := load
 	if n := len(r.exm); n > 0 && r.exm[n-1] > lower {
 		// Some pending subtree is proven to add more delay than any
@@ -187,23 +226,27 @@ func (r *bnbRun) dfs() {
 	if len(r.stack) == 0 {
 		// Complete assignment; the committed terms are now exact.
 		if d := r.hostTime + load; d < r.bestDelay {
+			if r.shared != nil {
+				r.shared.improve(r.loc, d)
+				return
+			}
 			r.bestDelay = d
 			copy(r.best[r.spanStart:r.spanEnd], r.loc[r.spanStart:r.spanEnd])
 			if r.onBetter != nil {
-				r.onBetter()
+				r.onBetter(r.res.Explored)
 			}
 		}
 		return
 	}
 	p := r.stack[len(r.stack)-1]
 	r.stack = r.stack[:len(r.stack)-1]
-	if r.exm != nil {
+	if r.extra != nil {
 		r.exm = r.exm[:len(r.exm)-1]
 	}
 	r.forcedRemaining -= c.Forced[p]
 	defer func() { // restore for the caller
 		r.stack = append(r.stack, p)
-		if r.exm != nil {
+		if r.extra != nil {
 			r.exm = pushExtra(r.exm, r.extra[p])
 		}
 		r.forcedRemaining += c.Forced[p]
@@ -221,13 +264,16 @@ func (r *bnbRun) dfs() {
 	sat := c.Colour[p]
 	sinkable := sat != model.NoSatellite && p != c.RootPos
 	kids := c.Children(p)
+	// Locals (the vectors are never reallocated mid-search) keep sink
+	// cheap enough for the compiler to inline.
+	loads, loc := r.loads, r.loc
 	sink := func() {
 		delta := c.SubSat[p] + c.UpComm[p]
-		r.loads[sat] += delta
-		c.FillSpan(r.loc, p, model.OnSatellite(sat))
+		loads[sat] += delta
+		c.FillSpan(loc, p, model.OnSatellite(sat))
 		r.dfs()
-		c.FillSpan(r.loc, p, model.Host)
-		r.loads[sat] -= delta
+		c.FillSpan(loc, p, model.Host)
+		loads[sat] -= delta
 	}
 	host := func() {
 		r.hostTime += c.HostTime[p]
@@ -237,7 +283,7 @@ func (r *bnbRun) dfs() {
 		for _, ch := range kids {
 			r.forcedRemaining += c.Forced[ch]
 		}
-		if r.exm != nil {
+		if r.extra != nil {
 			for _, ch := range kids {
 				r.exm = pushExtra(r.exm, r.extra[ch])
 			}
@@ -247,7 +293,7 @@ func (r *bnbRun) dfs() {
 			r.forcedRemaining -= c.Forced[ch]
 		}
 		r.stack = r.stack[:len(r.stack)-len(kids)]
-		if r.exm != nil {
+		if r.extra != nil {
 			r.exm = r.exm[:len(r.exm)-len(kids)]
 		}
 		r.hostTime -= c.HostTime[p]
@@ -258,8 +304,14 @@ func (r *bnbRun) dfs() {
 	}
 	// Explore the branch with the smaller immediate objective increase
 	// first so strong incumbents appear early.
-	sinkDelta := math.Max(load, r.loads[sat]+c.SubSat[p]+c.UpComm[p]) - load
-	if sinkDelta <= c.HostTime[p] {
+	sinkFirst := math.Max(load, r.loads[sat]+c.SubSat[p]+c.UpComm[p])-load <= c.HostTime[p]
+	if r.shared != nil && r.shared.shouldSplit(r.id) {
+		// A hungry deque: enter the second branch first, with split set,
+		// so it is published as a frame; then search the first in-line.
+		r.split = true
+		sinkFirst = !sinkFirst
+	}
+	if sinkFirst {
 		sink()
 		host()
 	} else {
@@ -269,18 +321,22 @@ func (r *bnbRun) dfs() {
 }
 
 // BranchAndBoundOpts is the anytime entry point: BranchAndBoundFrom plus
-// incumbent streaming, best-effort deadline handling and bound
-// memoization.
+// incumbent streaming, best-effort deadline handling, bound memoization
+// and the worker count.
 func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*Result, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	maxNodes := core.IntOr(opts.MaxNodes, 1<<22)
 	warm := opts.Warm
 	c := model.Compile(t)
 	n := c.Len()
 	res := &Result{Delay: math.Inf(1)}
 
-	// The memoization pre-pass runs first: a complete entry for the whole
-	// instance short-circuits the solve, and the per-subtree extras it
-	// proves (or replays from previous solves) arm the bound below.
+	// The memoization pre-pass runs first, sequentially at every width: a
+	// complete entry for the whole instance short-circuits the solve, and
+	// the per-subtree extras it proves (or replays from previous solves)
+	// arm the bound below.
 	var seed *BoundSeed
 	if opts.Bounds != nil {
 		seed = PrepareBounds(ctx, t, opts.Bounds, maxNodes)
@@ -288,7 +344,7 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 		res.Pruned = seed.Pruned
 		res.BoundHits, res.BoundMisses = seed.Hits, seed.Misses
 		if e := seed.RootEntry; e != nil {
-			return RootHitResult(t, c, e, res, opts.OnIncumbent), nil
+			return rootHitResult(t, c, e, res, opts.OnIncumbent), nil
 		}
 	}
 
@@ -302,8 +358,8 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	sc.loads = pool.Slice(sc.loads, c.NumSats)
 
 	run := &bnbRun{
-		ctx: ctx, c: c, res: res, maxNodes: maxNodes,
-		loc: sc.loc, best: sc.best, loads: sc.loads,
+		bnbState: bnbState{loc: sc.loc, loads: sc.loads},
+		ctx:      ctx, c: c, res: res, maxNodes: maxNodes, best: sc.best,
 		bestDelay: math.Inf(1), spanStart: 0, spanEnd: int32(n),
 	}
 
@@ -325,7 +381,7 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	res.LowerBound = globalLB
 	// stream clones the incumbent out to the callback. sc.best is pooled
 	// scratch, so the callback gets a fresh Assignment it may keep.
-	stream := func() {
+	stream := func(work int) {
 		if opts.OnIncumbent == nil {
 			return
 		}
@@ -335,7 +391,7 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 			Assignment: asg,
 			Delay:      res.Delay,
 			LowerBound: globalLB,
-			Work:       res.Explored,
+			Work:       work,
 		})
 	}
 
@@ -347,7 +403,7 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 			run.bestDelay = d
 			res.Delay = d
 			copy(sc.best, loc)
-			stream()
+			stream(res.Explored)
 		}
 	}
 	c.TopmostLocations(sc.seed)
@@ -365,13 +421,17 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	if run.extra != nil {
 		run.exm = append(sc.exm[:0], run.extra[c.RootPos])
 	}
-	run.onBetter = func() {
+	run.onBetter = func(work int) {
 		res.Delay = run.bestDelay
-		stream()
+		stream(work)
 	}
-	run.dfs()
+	if opts.Workers > 1 {
+		run.steal(opts.Workers)
+	} else {
+		run.dfs()
+	}
 	sc.stack = run.stack[:0]
-	if run.exm != nil {
+	if run.extra != nil {
 		sc.exm = run.exm[:0]
 	}
 	if math.IsInf(res.Delay, 1) {
@@ -408,12 +468,11 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	return res, nil
 }
 
-// RootHitResult materialises a solve whose whole instance was already
+// rootHitResult materialises a solve whose whole instance was already
 // proven: the cached optimal pattern is replayed onto a fresh
 // assignment, no search node is explored, and anytime consumers still
-// observe one (final) incumbent. Shared with the work-stealing solver,
-// whose pre-pass can hit the same root entry.
-func RootHitResult(t *model.Tree, c *model.Compiled, e *boundcache.Entry, res *Result, onInc func(core.Incumbent)) *Result {
+// observe one (final) incumbent.
+func rootHitResult(t *model.Tree, c *model.Compiled, e *boundcache.Entry, res *Result, onInc func(core.Incumbent)) *Result {
 	res.Delay = e.LB
 	res.LowerBound = e.LB
 	loc := make([]model.Location, c.Len())

@@ -9,10 +9,11 @@ import (
 	"repro/internal/pool"
 )
 
-// BoundSeed is the product of the bound-memoization pre-pass shared by
-// the sequential and the work-stealing branch-and-bound: per-subtree
-// pruning extras, a tightened root lower bound, and — when the whole
-// instance was proven by an earlier solve — the complete answer.
+// BoundSeed is the product of the bound-memoization pre-pass, which runs
+// sequentially before the branch-and-bound search at any worker count:
+// per-subtree pruning extras, a tightened root lower bound, and — when
+// the whole instance was proven by an earlier solve — the complete
+// answer.
 type BoundSeed struct {
 	// Extra[p] is a proven lower bound on subtree p's standalone delay
 	// (host time it adds plus satellite load it adds, parent hosted)
@@ -95,9 +96,8 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 	sc.best = pool.Keep(sc.best, n)
 	sc.loads = pool.Slice(sc.loads, c.NumSats)
 	run := &bnbRun{
-		ctx: ctx, c: c, res: res, maxNodes: maxNodes,
-		loc: sc.loc, best: sc.best, loads: sc.loads,
-		stack: sc.stack[:0], exm: sc.exm[:0], extra: extra,
+		bnbState: bnbState{loc: sc.loc, loads: sc.loads, stack: sc.stack[:0], exm: sc.exm[:0]},
+		ctx:      ctx, c: c, res: res, maxNodes: maxNodes, best: sc.best, extra: extra,
 	}
 	c.BaseLocations(sc.loc)
 	minSpan := int32(bc.MinSpan())
@@ -207,7 +207,7 @@ func (r *bnbRun) solveSpan(p int32, rootExtra float64) (float64, bool) {
 			r.loads[c.Sensor[q]] += c.UpComm[q]
 		}
 	}
-	r.bestDelay = hostAdd + maxLoadOf(r.loads)
+	r.bestDelay = hostAdd + maxLoad(r.loads)
 	for q := start; q < end; q++ {
 		if !c.Proc[q] {
 			r.loads[c.Sensor[q]] = 0

@@ -10,4 +10,8 @@
 //   - BranchAndBound prunes the brute-force tree with delay lower bounds —
 //     one of the two heuristic directions the paper's §6 names for future
 //     work (here made exact because the objective admits a monotone bound).
+//     It is the repo's one branch-and-bound engine: BnBOptions.Workers
+//     above 1 runs the same search work-stealing across goroutines
+//     (registered as "parallel-bnb"), and one worker is the sequential
+//     search (registered as "branch-and-bound").
 package exact

@@ -1,4 +1,4 @@
-package parallel
+package exact_test
 
 import (
 	"context"
@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/boundcache"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/exact"
@@ -60,7 +61,7 @@ func TestParallelBnBExact(t *testing.T) {
 		}
 
 		for _, workers := range workerCounts() {
-			res, err := BranchAndBound(context.Background(), tree, Options{Workers: workers})
+			res, err := exact.BranchAndBoundOpts(context.Background(), tree, exact.BnBOptions{Workers: workers})
 			if err != nil {
 				t.Fatalf("trial %d workers %d: %v", trial, workers, err)
 			}
@@ -97,7 +98,7 @@ func TestParallelBnBWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := BranchAndBound(context.Background(), tree, Options{Workers: 3, Warm: seq.Assignment})
+	res, err := exact.BranchAndBoundOpts(context.Background(), tree, exact.BnBOptions{Workers: 3, Warm: seq.Assignment})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestParallelBnBWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = BranchAndBound(context.Background(), tree, Options{Workers: 3, Warm: bad.Assignment})
+	res, err = exact.BranchAndBoundOpts(context.Background(), tree, exact.BnBOptions{Workers: 3, Warm: bad.Assignment})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestParallelBnBAnytimeStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tree := workload.Random(rng, workload.DefaultRandomSpec(26, 3))
 	var incs []core.Incumbent
-	res, err := BranchAndBound(context.Background(), tree, Options{
+	res, err := exact.BranchAndBoundOpts(context.Background(), tree, exact.BnBOptions{
 		Workers: 4,
 		// Calls are serialised under the solver's incumbent mutex, so the
 		// plain append is safe even with 4 workers improving.
@@ -182,7 +183,7 @@ func TestParallelBnBBestEffortStarved(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range workerCounts() {
-		res, err := BranchAndBound(context.Background(), tree, Options{
+		res, err := exact.BranchAndBoundOpts(context.Background(), tree, exact.BnBOptions{
 			Workers: workers, MaxNodes: 10, BestEffort: true,
 		})
 		if err != nil {
@@ -205,7 +206,7 @@ func TestParallelBnBBestEffortStarved(t *testing.T) {
 			t.Fatalf("workers %d: partial bound %v not a floor on the optimum %v",
 				workers, res.LowerBound, seq.Delay)
 		}
-		if _, err := BranchAndBound(context.Background(), tree, Options{
+		if _, err := exact.BranchAndBoundOpts(context.Background(), tree, exact.BnBOptions{
 			Workers: workers, MaxNodes: 10,
 		}); !errors.Is(err, exact.ErrBudget) {
 			t.Fatalf("workers %d: err = %v, want ErrBudget", workers, err)
@@ -222,7 +223,7 @@ func countGoroutines() int {
 
 // TestParallelBnBCancelStopsWorkers: cancelling a large solve surfaces
 // the context error promptly and leaks no worker goroutines — the
-// wait-group join inside BranchAndBound is the accounting, and the
+// wait-group join inside the work-stealing search is the accounting, and the
 // before/after goroutine census verifies it.
 func TestParallelBnBCancelStopsWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -233,7 +234,7 @@ func TestParallelBnBCancelStopsWorkers(t *testing.T) {
 	timer := time.AfterFunc(5*time.Millisecond, cancel)
 	defer timer.Stop()
 	start := time.Now()
-	_, err := BranchAndBound(ctx, tree, Options{Workers: 8, MaxNodes: 1 << 30})
+	_, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{Workers: 8, MaxNodes: 1 << 30})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -245,7 +246,7 @@ func TestParallelBnBCancelStopsWorkers(t *testing.T) {
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	timer2 := time.AfterFunc(5*time.Millisecond, cancel2)
 	defer timer2.Stop()
-	res, err := BranchAndBound(ctx2, tree, Options{Workers: 8, MaxNodes: 1 << 30, BestEffort: true})
+	res, err := exact.BranchAndBoundOpts(ctx2, tree, exact.BnBOptions{Workers: 8, MaxNodes: 1 << 30, BestEffort: true})
 	if err != nil {
 		t.Fatalf("best-effort cancel: %v", err)
 	}
@@ -276,7 +277,7 @@ func TestParallelBnBPreCancelled(t *testing.T) {
 	tree := workload.Random(rng, workload.DefaultRandomSpec(400, 6))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BranchAndBound(ctx, tree, Options{Workers: 1, MaxNodes: 1 << 30}); !errors.Is(err, context.Canceled) {
+	if _, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{Workers: 1, MaxNodes: 1 << 30}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -301,7 +302,7 @@ func TestParallelIncumbentRace(t *testing.T) {
 				defer wg.Done()
 				var mu sync.Mutex
 				last := math.Inf(1)
-				res, err := BranchAndBound(context.Background(), tree, Options{
+				res, err := exact.BranchAndBoundOpts(context.Background(), tree, exact.BnBOptions{
 					Workers: 8,
 					OnIncumbent: func(inc core.Incumbent) {
 						mu.Lock()
@@ -335,6 +336,32 @@ func TestParallelIncumbentRace(t *testing.T) {
 		close(errs)
 		for err := range errs {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+	}
+}
+
+// TestParallelBnBNilContext: a nil context means no cancellation at every
+// width, with and without bound memoization — the instance is large
+// enough that every worker passes its context-poll stride.
+func TestParallelBnBNilContext(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	tree := workload.Random(rng, workload.DefaultRandomSpec(24, 3))
+	seq, err := exact.BranchAndBound(tree, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Explored < 1024 {
+		t.Fatalf("instance explores %d nodes, too few to reach a context poll", seq.Explored)
+	}
+	for _, workers := range append([]int{0}, workerCounts()...) {
+		for _, bc := range []*boundcache.Cache{nil, boundcache.New(boundcache.Config{})} {
+			res, err := exact.BranchAndBoundOpts(nil, tree, exact.BnBOptions{Workers: workers, Bounds: bc})
+			if err != nil {
+				t.Fatalf("workers %d memoized %v: %v", workers, bc != nil, err)
+			}
+			if !near(res.Delay, seq.Delay) {
+				t.Fatalf("workers %d memoized %v: delay %v != sequential %v", workers, bc != nil, res.Delay, seq.Delay)
+			}
 		}
 	}
 }

@@ -78,10 +78,11 @@ type Planner struct {
 	// GapThreshold is the portfolio acceptance gap. Default 0.02.
 	GapThreshold float64
 	// ParallelNodes is the instance size from which the exact lane runs
-	// the work-stealing parallel branch-and-bound instead of the
-	// sequential one: a search that large is the only job a core will see
-	// for a while, so saturating the node with one solve beats keeping
-	// cores free for queue parallelism. Default 48.
+	// the branch-and-bound engine at the solve-parallelism width
+	// (parallel-bnb, work-stealing above one worker) instead of at width
+	// 1: a search that large is the only job a core will see for a
+	// while, so saturating the node with one solve beats keeping cores
+	// free for queue parallelism. Default 48.
 	ParallelNodes int
 }
 
@@ -111,10 +112,10 @@ func (p *Planner) Plan(f Features) Plan {
 		// explores it better than a single annealing walk.
 		heur = repro.Genetic
 	}
-	// The exact lane: sequential branch-and-bound for mid-size searches,
-	// the work-stealing parallel one once the instance is large enough to
-	// dominate a node anyway. The two return the same delay, so the switch
-	// is pure wall-time policy.
+	// The exact lane: branch-and-bound at width 1 for mid-size searches,
+	// the same engine at the solve-parallelism width once the instance is
+	// large enough to dominate a node anyway. Both return the same delay
+	// (bit for bit at one worker), so the switch is pure wall-time policy.
 	exact := repro.BranchBound
 	if f.Nodes >= p.ParallelNodes {
 		exact = repro.ParallelBnB

@@ -19,7 +19,6 @@ import (
 	"repro/internal/exact"
 	"repro/internal/heuristics"
 	"repro/internal/model"
-	"repro/internal/parallel"
 	"repro/internal/workload"
 )
 
@@ -187,11 +186,11 @@ func TestParityGenetic(t *testing.T) {
 // CI lanes without duplication: under -race it doubles as a concurrency
 // check on the shared-incumbent protocol.
 //
-// Unlike the pointer/compiled pairs above, the two searches do not share
-// a floating-point trajectory: frames snapshot accumulator state at fork
-// points instead of replaying the +=/-= backtracking, so delays agree to
-// tolerance, not bits. With a single worker the exploration *order* still
-// replays the sequential DFS exactly, which pins the node count.
+// One worker is the sequential search itself — no frame is ever
+// snapshotted — so its delay is bit-equal and its node count identical.
+// Above one worker the searches do not share a floating-point trajectory:
+// frames snapshot accumulator state at fork points instead of replaying
+// the +=/-= backtracking, so delays agree to tolerance, not bits.
 func TestParityParallelBnB(t *testing.T) {
 	ctx := context.Background()
 	for i, tree := range parityScenarios(t) {
@@ -201,11 +200,16 @@ func TestParityParallelBnB(t *testing.T) {
 		}
 		tol := 1e-9 * (1 + seq.Delay)
 		for _, workers := range []int{1, 2} {
-			par, err := parallel.BranchAndBound(ctx, tree, parallel.Options{Workers: workers})
+			par, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{Workers: workers})
 			if err != nil {
 				t.Fatalf("scenario %d workers %d: %v", i, workers, err)
 			}
-			if d := par.Delay - seq.Delay; d > tol || d < -tol {
+			if workers == 1 {
+				if par.Delay != seq.Delay || par.Explored != seq.Explored {
+					t.Fatalf("scenario %d: single worker (delay %v, explored %d) != sequential (%v, %d)",
+						i, par.Delay, par.Explored, seq.Delay, seq.Explored)
+				}
+			} else if d := par.Delay - seq.Delay; d > tol || d < -tol {
 				t.Fatalf("scenario %d workers %d: parallel %v != sequential %v",
 					i, workers, par.Delay, seq.Delay)
 			}
@@ -213,10 +217,6 @@ func TestParityParallelBnB(t *testing.T) {
 			if d := par.Delay - want; d > tol || d < -tol {
 				t.Fatalf("scenario %d workers %d: reports %v, its assignment evaluates to %v",
 					i, workers, par.Delay, want)
-			}
-			if workers == 1 && par.Explored != seq.Explored {
-				t.Fatalf("scenario %d: single-worker node count %d != sequential %d (search order changed)",
-					i, par.Explored, seq.Explored)
 			}
 		}
 	}
