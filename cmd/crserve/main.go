@@ -42,14 +42,12 @@ package main
 import (
 	"context"
 	"errors"
-	"expvar"
 	"flag"
 	"fmt"
 	"net/http"
 	_ "net/http/pprof" // registers /debug/pprof on the DefaultServeMux, exposed only behind -pprof
 	"os"
 	"os/signal"
-	"runtime/debug"
 	"strings"
 	"syscall"
 	"time"
@@ -76,15 +74,6 @@ func readPeersFile(path string) ([]string, error) {
 	return peers, nil
 }
 
-// heapBallast pins a large dead allocation for the process lifetime so
-// the collector's pacing target (live heap × GOGC%) sits far above the
-// real working set: under a cache-hit-heavy load whose per-request
-// allocations are already near zero, the remaining GC cycles are driven
-// by slow background growth, and the ballast stretches the interval
-// between them without touching any allocation path. A package-level
-// variable (not a local) so no compiler analysis can prove it dead.
-var heapBallast []byte
-
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cacheSize := flag.Int("cache", 4096, "result cache capacity in outcomes (0 disables the store, keeping singleflight)")
@@ -106,23 +95,7 @@ func main() {
 	virtualNodes := flag.Int("virtual-nodes", 64, "consistent-hash ring points per node")
 	probeInterval := flag.Duration("probe-interval", 2*time.Second, "peer health-probe period")
 	drainDelay := flag.Duration("drain-delay", -1, "pause between flipping /healthz to draining and closing the listener, so peers' probes notice (-1 = 2x probe-interval when clustered, 0 when not)")
-	gcBallast := flag.Int64("gc-ballast", 0, "heap ballast in MiB pinned for the process lifetime to stretch GC pacing (0 disables)")
-	gogc := flag.Int("gogc", 0, "GC target percentage, as runtime/debug.SetGCPercent (0 keeps the GOGC env / default 100)")
 	flag.Parse()
-
-	// GC hygiene first, before any serving allocation: the ballast and
-	// target percentage shape every collection the process will run. Both
-	// are published to expvar so /debug/vars records the configuration
-	// next to the memstats they influence.
-	if *gogc != 0 {
-		debug.SetGCPercent(*gogc)
-	}
-	if *gcBallast > 0 {
-		heapBallast = make([]byte, *gcBallast<<20)
-	}
-	gcVars := expvar.NewMap("crserve_gc")
-	gcVars.Add("ballast_bytes", int64(len(heapBallast)))
-	gcVars.Add("gogc_percent", int64(*gogc))
 
 	var cl *cluster.Cluster
 	if *peers != "" || *peersFile != "" || *advertise != "" {

@@ -12,6 +12,7 @@ package repro_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
 
 	"repro"
@@ -151,52 +152,32 @@ func TestWarmServeZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchEvalZeroAlloc is the allocs/op regression guard on the batch
-// delay kernel: once a BatchFrame's accumulator lanes are sized, repeated
-// FlatDelayBatch calls over the same plan must not allocate — the genetic
-// population and annealing restart pack ride this path every generation.
-func TestBatchEvalZeroAlloc(t *testing.T) {
+// TestFlatDelayZeroAlloc is the allocs/op regression guard on the delay
+// kernel: once a Frame is sized, repeated FlatDelay calls over the same
+// plan must not allocate — the annealing, genetic and greedy heuristics
+// price every candidate through it.
+func TestFlatDelayZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
 	}
-	tree := workload.PaperTree()
-	c := model.Compile(tree)
-	const lanes = 8
-	locs := make([][]model.Location, lanes)
-	for i := range locs {
-		locs[i] = make([]model.Location, c.Len())
-		if i%2 == 0 {
-			c.BaseLocations(locs[i])
-		} else {
-			c.TopmostLocations(locs[i])
+	for name, tree := range map[string]*model.Tree{
+		"paper":     workload.PaperTree(),
+		"random-48": workload.Random(rand.New(rand.NewSource(11)), workload.DefaultRandomSpec(48, 3)),
+	} {
+		c := model.Compile(tree)
+		base := make([]model.Location, c.Len())
+		top := make([]model.Location, c.Len())
+		c.BaseLocations(base)
+		c.TopmostLocations(top)
+		fr := eval.GetFrame()
+		eval.FlatDelay(c, base, fr) // size the frame
+		allocs := testing.AllocsPerRun(200, func() {
+			eval.FlatDelay(c, base, fr)
+			eval.FlatDelay(c, top, fr)
+		})
+		eval.PutFrame(fr)
+		if allocs != 0 {
+			t.Fatalf("%s: FlatDelay allocates %.1f objects/op, want 0", name, allocs)
 		}
-	}
-	out := make([]float64, lanes)
-	fr := eval.GetBatchFrame()
-	defer eval.PutBatchFrame(fr)
-	eval.FlatDelayBatch(c, locs, out, fr) // size the lanes
-	allocs := testing.AllocsPerRun(200, func() {
-		eval.FlatDelayBatch(c, locs, out, fr)
-	})
-	if allocs != 0 {
-		t.Fatalf("FlatDelayBatch allocates %.1f objects/op, want 0", allocs)
-	}
-}
-
-// TestStripedArenaZeroAlloc guards the per-P scratch arenas: a steady
-// Get/Put cycle must serve every checkout from a stripe, never the cold
-// allocator — the property that keeps the parallel workers, batch
-// evaluators and warm serve path allocation-free across GC cycles.
-func TestStripedArenaZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
-	}
-	eval.PutBatchFrame(eval.GetBatchFrame()) // park one frame in this P's stripe
-	allocs := testing.AllocsPerRun(200, func() {
-		fr := eval.GetBatchFrame()
-		eval.PutBatchFrame(fr)
-	})
-	if allocs != 0 {
-		t.Fatalf("striped Get/Put cycle allocates %.1f objects/op, want 0", allocs)
 	}
 }

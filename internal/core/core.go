@@ -45,8 +45,8 @@ const (
 	// ParallelBnB is the work-stealing parallel branch-and-bound: exact,
 	// and saturating Request.Parallelism cores on one solve.
 	ParallelBnB Algorithm = "parallel-bnb"
-	// AnnealingPack runs a pack of independent annealing walks in lockstep
-	// over the batch evaluation kernel. The pack width is pinned in its
+	// AnnealingPack runs a pack of independent annealing walks in
+	// lockstep, one move per walk per step. The pack width is pinned in its
 	// config, not taken from Request.Parallelism: width changes the answer,
 	// and the parallelism hint is excluded from cache identity on the
 	// promise it never does.
@@ -61,9 +61,9 @@ type Request struct {
 	Seed      int64       // randomised heuristics only
 	Budget    int         // node/frontier budget for exact searches (0 = default)
 
-	// Parallelism bounds the intra-solve worker count (or lane width) of
-	// solvers whose capabilities declare Parallel: 0 selects the solver's
-	// default (GOMAXPROCS for the work-stealing branch-and-bound). It is
+	// Parallelism bounds the intra-solve worker count of solvers whose
+	// capabilities declare Parallel: 0 selects the solver's default
+	// (GOMAXPROCS for the work-stealing branch-and-bound). It is
 	// advisory and never changes an exact solver's answer — only how many
 	// cores the search saturates — so the serving layers exclude it from
 	// the cache identity; solvers without the capability ignore it.

@@ -17,7 +17,7 @@ type Capabilities struct {
 	Weighted  bool   // honours Request.Weights (weighted S/B objectives)
 	WarmStart bool   // honours Request.Warm (seeds the search from a prior assignment)
 	Anytime   bool   // streams incumbents via Request.OnIncumbent and honours Request.BestEffort
-	Parallel  bool   // honours Request.Parallelism (intra-solve workers or lanes)
+	Parallel  bool   // honours Request.Parallelism (intra-solve workers)
 	Bounds    bool   // honours Request.Bounds (memoized subtree bound cache)
 	Summary   string // one-line human description
 }

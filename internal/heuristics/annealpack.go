@@ -37,10 +37,10 @@ type AnnealPackConfig struct {
 	BestEffort bool
 }
 
-// annealLane is one walk of the pack: its own rng, position vector, move
-// buffer, temperature and current delay. Lanes never read each other's
+// annealWalk is one walk of the pack: its own rng, position vector, move
+// buffer, temperature and current delay. Walks never read each other's
 // state, so the pack is a pure portfolio — only the best-so-far is shared.
-type annealLane struct {
+type annealWalk struct {
 	rng   *rand.Rand
 	loc   []model.Location
 	moves []cutMove
@@ -53,11 +53,10 @@ type annealLane struct {
 
 // AnnealRestarts runs a portfolio of independent simulated-annealing
 // walks in lockstep: every step each live walk proposes one sink/lift
-// move and all proposals are priced together with one batch-kernel
-// traversal (eval.FlatDelayBatch), so a pack of K restarts costs one plan
-// sweep per step instead of K. Walks differ by seed and start point
-// (walk 0 takes Init when given, even walks start all-host, odd walks
-// start from the maximal distribution), which is the classic
+// move, prices it with eval.FlatDelay on one pooled frame, and accepts or
+// rejects it. Walks differ by seed and start point (walk 0 takes Init
+// when given, even walks start all-host, odd walks start from the
+// maximal distribution), which is the classic
 // restart-diversification defence against a single walk freezing in a
 // poor basin. Deterministic for a fixed seed and restart count.
 func AnnealRestarts(ctx context.Context, t *model.Tree, cfg AnnealPackConfig) (*Result, error) {
@@ -70,52 +69,46 @@ func AnnealRestarts(ctx context.Context, t *model.Tree, cfg AnnealPackConfig) (*
 	c := model.Compile(t)
 	n := c.Len()
 
-	bf := eval.GetBatchFrame()
-	defer eval.PutBatchFrame(bf)
+	fr := eval.GetFrame()
+	defer eval.PutFrame(fr)
 
 	// The shared default start temperature prices moves against the
 	// all-host delay, exactly like the scalar Anneal.
 	baseT := cfg.StartT
 	if baseT <= 0 {
-		fr := eval.GetFrame()
 		scratch := make([]model.Location, n)
 		c.BaseLocations(scratch)
 		baseT = 0.1 * (eval.FlatDelay(c, scratch, fr) + 1)
-		eval.PutFrame(fr)
 	}
 
-	lanes := make([]*annealLane, restarts)
-	locs := make([][]model.Location, 0, restarts)
-	outs := make([]float64, restarts)
-	for i := range lanes {
-		ln := &annealLane{
+	walks := make([]*annealWalk, restarts)
+	for i := range walks {
+		w := &annealWalk{
 			rng:  rand.New(rand.NewSource(cfg.Seed + int64(i)*0x9e3779b9)),
 			loc:  make([]model.Location, n),
 			temp: baseT,
 		}
 		switch {
 		case i == 0 && cfg.Init != nil:
-			c.LoadLocations(ln.loc, cfg.Init)
+			c.LoadLocations(w.loc, cfg.Init)
 		case i%2 == 0:
-			c.BaseLocations(ln.loc)
+			c.BaseLocations(w.loc)
 		default:
-			c.TopmostLocations(ln.loc)
+			c.TopmostLocations(w.loc)
 		}
-		lanes[i] = ln
-		locs = append(locs, ln.loc)
+		walks[i] = w
 	}
-	eval.FlatDelayBatch(c, locs, outs[:len(locs)], bf)
 	best := make([]model.Location, n)
 	bestDelay := math.Inf(1)
-	for i, ln := range lanes {
-		ln.delay = outs[i]
-		if ln.delay < bestDelay {
-			bestDelay = ln.delay
-			copy(best, ln.loc)
+	for _, w := range walks {
+		w.delay = eval.FlatDelay(c, w.loc, fr)
+		if w.delay < bestDelay {
+			bestDelay = w.delay
+			copy(best, w.loc)
 		}
 	}
 
-	evals := len(lanes)
+	evals := len(walks)
 	stream := func() {
 		if cfg.OnImprove == nil {
 			return
@@ -127,7 +120,7 @@ func AnnealRestarts(ctx context.Context, t *model.Tree, cfg AnnealPackConfig) (*
 	stream()
 
 	partial := false
-	proposing := make([]*annealLane, 0, restarts)
+	proposing := make([]*annealWalk, 0, restarts)
 	for step := 0; step < steps; step++ {
 		if step&0x3f == 0 {
 			if err := ctx.Err(); err != nil {
@@ -138,45 +131,42 @@ func AnnealRestarts(ctx context.Context, t *model.Tree, cfg AnnealPackConfig) (*
 				break
 			}
 		}
-		// Every live lane proposes one move; the proposals are priced with
-		// a single batch traversal, then accepted or rejected with each
-		// lane's own rng — the same ||-short-circuit as the scalar walk, so
-		// rng consumption per lane is identical to running it alone.
+		// Every live walk proposes one move; each proposal is priced and
+		// then accepted or rejected with its walk's own rng — the same
+		// ||-short-circuit as the scalar walk, so rng consumption per walk
+		// is identical to running it alone.
 		proposing = proposing[:0]
-		locs = locs[:0]
-		for _, ln := range lanes {
-			if ln.done {
+		for _, w := range walks {
+			if w.done {
 				continue
 			}
-			ln.moves = appendMoves(ln.moves[:0], c, ln.loc)
-			if len(ln.moves) == 0 {
-				ln.done = true
+			w.moves = appendMoves(w.moves[:0], c, w.loc)
+			if len(w.moves) == 0 {
+				w.done = true
 				continue
 			}
-			ln.mv = ln.moves[ln.rng.Intn(len(ln.moves))]
-			ln.old = ln.loc[ln.mv.pos]
-			ln.loc[ln.mv.pos] = ln.mv.to
-			proposing = append(proposing, ln)
-			locs = append(locs, ln.loc)
+			w.mv = w.moves[w.rng.Intn(len(w.moves))]
+			w.old = w.loc[w.mv.pos]
+			w.loc[w.mv.pos] = w.mv.to
+			proposing = append(proposing, w)
 		}
 		if len(proposing) == 0 {
 			break
 		}
-		eval.FlatDelayBatch(c, locs, outs[:len(locs)], bf)
-		evals += len(locs)
-		for i, ln := range proposing {
-			d := outs[i]
-			if delta := d - ln.delay; delta <= 0 || ln.rng.Float64() < math.Exp(-delta/ln.temp) {
-				ln.delay = d
+		evals += len(proposing)
+		for _, w := range proposing {
+			d := eval.FlatDelay(c, w.loc, fr)
+			if delta := d - w.delay; delta <= 0 || w.rng.Float64() < math.Exp(-delta/w.temp) {
+				w.delay = d
 				if d < bestDelay {
 					bestDelay = d
-					copy(best, ln.loc)
+					copy(best, w.loc)
 					stream()
 				}
 			} else {
-				ln.loc[ln.mv.pos] = ln.old
+				w.loc[w.mv.pos] = w.old
 			}
-			ln.temp *= cool
+			w.temp *= cool
 		}
 	}
 	asg := model.NewAssignment(t)

@@ -12,28 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestGeneticBatchDeterministic: for a fixed seed the GA returns an
-// identical result at every batch lane width — the batch kernel is
-// bit-identical to scalar evaluation and evaluation consumes no
-// randomness, so the lane width is a pure throughput knob.
-func TestGeneticBatchDeterministic(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 3; trial++ {
-		tree := workload.Random(rng, workload.DefaultRandomSpec(10+trial*9, 2+trial))
-		ref := Genetic(tree, GeneticConfig{Seed: 7, Lanes: 1})
-		for _, lanes := range []int{2, 3, 8, 17, 64} {
-			got := Genetic(tree, GeneticConfig{Seed: 7, Lanes: lanes})
-			if got.Delay != ref.Delay || got.Work != ref.Work {
-				t.Fatalf("trial %d lanes %d: delay/work %v/%d differ from scalar %v/%d",
-					trial, lanes, got.Delay, got.Work, ref.Delay, ref.Work)
-			}
-			if got.Assignment.Key() != ref.Assignment.Key() {
-				t.Fatalf("trial %d lanes %d: assignment differs from scalar evaluation", trial, lanes)
-			}
-		}
-	}
-}
-
 // TestAnnealPackDeterministicAndValid mirrors the scalar annealing test:
 // same seed, same answer; the answer is feasible and never beats the
 // exact optimum.

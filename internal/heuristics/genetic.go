@@ -21,12 +21,6 @@ type GeneticConfig struct {
 	Mutation    float64 // per-gene flip probability, default 0.05
 	Elite       int     // survivors copied verbatim, default 2
 	Tournament  int     // tournament size, default 3
-	// Lanes is the width of the batch evaluation kernel: genomes are
-	// scored Lanes at a time with one plan traversal per chunk (default
-	// 8). Each lane's delay is bit-identical to a scalar evaluation, so
-	// the lane width never changes the result — only the number of plan
-	// sweeps per generation.
-	Lanes int
 	// Init, when non-nil, is a feasible assignment whose cut genome joins
 	// the initial population next to the two trivial baselines (the
 	// warm-start hook): after a small instance drift the previous
@@ -54,7 +48,6 @@ func (c GeneticConfig) withDefaults() GeneticConfig {
 	if c.Tournament <= 1 {
 		c.Tournament = 3
 	}
-	c.Lanes = core.IntOr(c.Lanes, 8)
 	return c
 }
 
@@ -72,12 +65,11 @@ func Genetic(t *model.Tree, cfg GeneticConfig) *Result {
 
 // GeneticContext is Genetic with cancellation: the context is checked once
 // per generation. On cancellation the returned error is the context's and
-// the result is nil. Genomes decode into position vectors by pre-order
-// span skipping over the compiled plan and each generation is scored with
-// the batch kernel, cfg.Lanes genomes per plan traversal — the evaluation
-// consumes no randomness and every lane is bit-identical to a scalar
-// FlatDelay call, so the result for a fixed seed is independent of the
-// lane width (TestGeneticBatchDeterministic pins this).
+// the result is nil. Genomes decode into a pooled position vector by
+// pre-order span skipping over the compiled plan and are scored with
+// eval.FlatDelay on one pooled frame, so one decode+evaluation costs two
+// flat passes and zero allocation (the genomes themselves are the
+// population's only churn).
 func GeneticContext(ctx context.Context, t *model.Tree, cfg GeneticConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -101,23 +93,22 @@ func GeneticContext(ctx context.Context, t *model.Tree, cfg GeneticConfig) (*Res
 	defer moveStates.Put(st)
 	st.loc = pool.Keep(st.loc, c.Len())
 
-	// decodeInto fills dst with the genome's assignment: scan pre-order,
+	// decode fills st.loc with the genome's assignment: scan pre-order,
 	// sink the whole span at the first set site bit, and skip the subtree
 	// (genes below a cut are ignored). Subtrees are contiguous in
 	// pre-order too, so the skip is an index jump, not a walk.
-	decodeInto := func(dst []model.Location, genome []bool) {
-		c.BaseLocations(dst)
+	decode := func(genome []bool) {
+		c.BaseLocations(st.loc)
 		for i := 0; i < len(c.Pre); {
 			p := c.Pre[i]
 			if si := siteOf[p]; si >= 0 && genome[si] {
-				c.FillSpan(dst, p, model.OnSatellite(c.Colour[p]))
+				c.FillSpan(st.loc, p, model.OnSatellite(c.Colour[p]))
 				i += int(p - c.Start[p] + 1)
 				continue
 			}
 			i++
 		}
 	}
-	decode := func(genome []bool) { decodeInto(st.loc, genome) }
 
 	type individual struct {
 		genome []bool
@@ -129,31 +120,16 @@ func GeneticContext(ctx context.Context, t *model.Tree, cfg GeneticConfig) (*Res
 		return &Result{Assignment: asg, Delay: eval.MustDelay(t, asg)}, nil
 	}
 
-	// scorePop fills in the delays of inds, cfg.Lanes genomes per plan
-	// traversal. Decoding and scoring consume no randomness, so deferring
-	// evaluation to the end of a generation leaves the rng stream — and
-	// therefore the whole run — identical to genome-at-a-time scoring.
-	bf := eval.GetBatchFrame()
-	defer eval.PutBatchFrame(bf)
-	laneLoc := make([][]model.Location, cfg.Lanes)
-	for i := range laneLoc {
-		laneLoc[i] = make([]model.Location, c.Len())
-	}
-	laneOut := make([]float64, cfg.Lanes)
+	// scorePop fills in the delays of inds. Decoding and scoring consume
+	// no randomness, so deferring evaluation to the end of a generation
+	// leaves the rng stream — and therefore the whole run — identical to
+	// genome-at-a-time scoring.
+	fr := eval.GetFrame()
+	defer eval.PutFrame(fr)
 	scorePop := func(inds []individual) {
-		for lo := 0; lo < len(inds); lo += cfg.Lanes {
-			hi := lo + cfg.Lanes
-			if hi > len(inds) {
-				hi = len(inds)
-			}
-			k := hi - lo
-			for j := 0; j < k; j++ {
-				decodeInto(laneLoc[j], inds[lo+j].genome)
-			}
-			eval.FlatDelayBatch(c, laneLoc[:k], laneOut[:k], bf)
-			for j := 0; j < k; j++ {
-				inds[lo+j].delay = laneOut[j]
-			}
+		for i := range inds {
+			decode(inds[i].genome)
+			inds[i].delay = eval.FlatDelay(c, st.loc, fr)
 		}
 	}
 

@@ -50,7 +50,7 @@ func init() {
 		Seeded:    true,
 		WarmStart: true,
 		Anytime:   true,
-		Summary:   "portfolio of annealing restarts in lockstep over the batch kernel",
+		Summary:   "portfolio of independent annealing restarts run in lockstep",
 	}, func(ctx context.Context, req core.Request) (core.Finding, error) {
 		return finding(AnnealRestarts(ctx, req.Tree, AnnealPackConfig{
 			Seed:       req.Seed,

@@ -9,9 +9,9 @@ import (
 // objects on parallel hot paths. Where Arena delegates to sync.Pool —
 // whose victim caches are cleared by the garbage collector, re-paying the
 // allocation after every GC cycle — a Striped keeps exactly GOMAXPROCS
-// slots alive forever, so once every stripe is primed the parallel
-// kernels (work-stealing branch-and-bound frames, batch evaluation
-// lanes) run at zero steady-state allocations regardless of GC pressure.
+// slots alive forever, so once every stripe is primed the work-stealing
+// branch-and-bound's frames are served at zero steady-state allocations
+// regardless of GC pressure.
 //
 // Each stripe is a single atomic slot. Get prefers the goroutine's
 // current stripe (a round-robin hint; Go does not expose the P id, but
