@@ -22,13 +22,14 @@ import (
 func forwarded(r *http.Request) bool { return r.Header.Get(api.ForwardedHeader) != "" }
 
 // maybeForward routes a fingerprint-keyed request to its ring owner when
-// that owner is a peer, relaying the raw body verbatim. It returns true
+// that owner is a peer, relaying the raw body verbatim; a body it offers
+// to a peer is marked forwarded and never reused. It returns true
 // when a peer's response (success or authoritative error) was written.
 // When every candidate is down it returns false and the caller serves
 // locally — capacity degrades, correctness never does. hedge allows the
 // next ring replica to be raced against a slow owner; callers with
 // side effects that must not run twice (session open) disable it.
-func (s *server) maybeForward(w http.ResponseWriter, r *http.Request, key string, body []byte, hedge bool) bool {
+func (s *server) maybeForward(w http.ResponseWriter, r *http.Request, key string, body *buffer, hedge bool) bool {
 	cl := s.cfg.Cluster
 	if cl == nil || forwarded(r) {
 		return false
@@ -42,7 +43,8 @@ func (s *server) maybeForward(w http.ResponseWriter, r *http.Request, key string
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	res, err := cl.Forward(ctx, cands, r.Method, r.URL.Path, body)
+	body.forwarded = true
+	res, err := cl.Forward(ctx, cands, r.Method, r.URL.Path, body.b)
 	if err != nil {
 		// The request's own deadline (or the client) expired while the
 		// forward was in flight: that is this request's timeout, not a

@@ -5,10 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -649,5 +652,113 @@ func TestClusterVars(t *testing.T) {
 	}
 	if own.Cluster.Self != f.Nodes[0].URL || own.Cluster.Stats["forwards"] != 1 {
 		t.Fatalf("cluster vars: %+v", own.Cluster)
+	}
+}
+
+// lingeringTransport stands in for the connection to a slow peer: a
+// request to host slow is answered only once its context ends, and its
+// body is read after that, as by a transport still sending it. The
+// RoundTripper contract allows this: the body may be read until it is
+// closed, even after RoundTrip returns. Requests to other hosts go to
+// next. Each late read must see one of the bodies in sent. The test adds
+// one to reads for each request it routes to slow first; each late read
+// marks it done.
+type lingeringTransport struct {
+	t     *testing.T
+	slow  string
+	next  http.RoundTripper
+	sent  map[string]bool // read-only once requests start
+	reads sync.WaitGroup
+}
+
+func (lt *lingeringTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Host != lt.slow {
+		return lt.next.RoundTrip(req)
+	}
+	<-req.Context().Done()
+	go func() {
+		defer lt.reads.Done()
+		defer req.Body.Close()
+		time.Sleep(time.Millisecond) // let the handler return and its buffers be reused
+		got, err := io.ReadAll(req.Body)
+		if err != nil || !lt.sent[string(got)] {
+			lt.t.Errorf("a losing forward read a body no client sent (err %v): %.80q", err, got)
+		}
+	}()
+	return nil, req.Context().Err()
+}
+
+// TestClusterForwardHedgedBodyReuse races hedged forwards against local
+// solves on one node. Every forward's primary is a slow peer that reads
+// the body after the hedge has won and the handler has returned; local
+// solves meanwhile decode into pooled buffers. A forwarded body must
+// never go back to the pool: under -race a reuse is a reported race, and
+// without it the slow peer reads another request's bytes.
+func TestClusterForwardHedgedBodyReuse(t *testing.T) {
+	fastHandler := New(Config{Service: repro.NewService(nil, 256)})
+	fast := httptest.NewServer(fastHandler)
+	defer fastHandler.Close()
+	defer fast.Close()
+
+	const self, slow = "http://entry.test", "slow.test"
+	next := &http.Transport{}
+	defer next.CloseIdleConnections()
+	lt := &lingeringTransport{t: t, slow: slow, next: next, sent: map[string]bool{}}
+	cl, err := cluster.New(cluster.Config{
+		Self: self, Peers: []string{"http://" + slow, fast.URL},
+		HedgeDelay: time.Millisecond, Client: &http.Client{Transport: lt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := New(Config{Service: repro.NewService(nil, 256), Cluster: cl})
+	defer entry.Close()
+
+	// Half the bodies are owned by the slow peer with the fast one as its
+	// hedge; the other half are served by the entry node itself.
+	var forwardedBodies, localBodies [][]byte
+	for seed := int64(1); len(forwardedBodies) < 8 || len(localBodies) < 8; seed++ {
+		spec := randomSpec(seed, 12)
+		plan := cl.Plan(repro.Fingerprint(mustTree(t, spec)))
+		body, err := json.Marshal(api.SolveRequest{Spec: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case len(plan) == 2 && plan[0] == "http://"+slow && len(forwardedBodies) < 8:
+			forwardedBodies = append(forwardedBodies, body)
+		case len(plan) == 0 && len(localBodies) < 8:
+			localBodies = append(localBodies, body)
+		default:
+			continue
+		}
+		lt.sent[string(body)] = true
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 24; i++ {
+				bodies := localBodies
+				if (g+i)%2 == 0 {
+					bodies = forwardedBodies
+					lt.reads.Add(1)
+				}
+				req := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(bodies[(g+i)%len(bodies)]))
+				rec := httptest.NewRecorder()
+				entry.ServeHTTP(rec, req)
+				if rec.Code != http.StatusOK {
+					t.Errorf("solve: status %d: %s", rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	lt.reads.Wait()
+	if st := cl.Stats(); st.Hedges == 0 || st.Forwards == 0 {
+		t.Fatalf("cluster stats %+v: want hedged forwards", st)
 	}
 }

@@ -199,10 +199,12 @@ func (s *server) handleMembersUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.MembersUpdateRequest
-	if _, err := s.decode(w, r, &req); err != nil {
+	body, err := s.decode(w, r, &req)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
+	body.release()
 	applied := false
 	if req.Epoch == 0 {
 		if _, err := mgr.Propose(req.Members); err != nil {
@@ -243,10 +245,12 @@ func (s *server) handleMigrateCache(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.MigrateResultsRequest
-	if _, err := s.decode(w, r, &req); err != nil {
+	body, err := s.decode(w, r, &req)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
+	body.release()
 	adopted := 0
 	for i := range req.Entries {
 		e := &req.Entries[i]
@@ -288,10 +292,12 @@ func (s *server) handleMigrateSessions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.MigrateSessionsRequest
-	if _, err := s.decode(w, r, &req); err != nil {
+	body, err := s.decode(w, r, &req)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
+	body.release()
 	adopted := 0
 	for i := range req.Sessions {
 		snap := &req.Sessions[i]
@@ -337,10 +343,12 @@ func (s *server) handleMigrateBounds(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.MigrateBoundsRequest
-	if _, err := s.decode(w, r, &req); err != nil {
+	body, err := s.decode(w, r, &req)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
+	body.release()
 	entries := make([]boundcache.Exported, 0, len(req.Entries))
 	for i := range req.Entries {
 		e := &req.Entries[i]

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -270,17 +271,18 @@ func (s *server) requestContext(r *http.Request) (context.Context, context.Cance
 func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.solves.Add(1)
 	var req api.SolveRequest
-	raw, err := s.decode(w, r, &req)
+	body, err := s.decode(w, r, &req)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
+	defer body.release()
 	tree, err := req.Tree()
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if s.maybeForward(w, r, repro.Fingerprint(tree), raw, true) {
+	if s.maybeForward(w, r, repro.Fingerprint(tree), body, true) {
 		return
 	}
 	ctx, cancel := s.requestContext(r)
@@ -291,17 +293,28 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.recordOutcome(out, status)
+	enc := getBuffer()
+	defer enc.release()
+	enc.b, err = api.AppendSolveResponse(enc.b, api.NewSolveResponse(tree, out, status))
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
 	s.stampSelf(w)
-	writeJSON(w, http.StatusOK, api.NewSolveResponse(tree, out, status))
+	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	w.Write(enc.b)
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.batches.Add(1)
 	var req api.BatchRequest
-	if _, err := s.decode(w, r, &req); err != nil {
+	body, err := s.decode(w, r, &req)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
+	body.release()
 	if len(req.Items) > s.cfg.MaxBatchItems {
 		s.fail(w, &api.Error{
 			Code:    api.CodeInvalidRequest,
@@ -349,11 +362,12 @@ func (s *server) solveItem(ctx context.Context, item *api.SolveRequest) api.Batc
 func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	s.simulates.Add(1)
 	var req api.SimulateRequest
-	raw, err := s.decode(w, r, &req)
+	body, err := s.decode(w, r, &req)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
+	defer body.release()
 	simCfg, mode, err := req.SimConfig()
 	if err != nil {
 		s.fail(w, err)
@@ -364,7 +378,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	if s.maybeForward(w, r, repro.Fingerprint(tree), raw, true) {
+	if s.maybeForward(w, r, repro.Fingerprint(tree), body, true) {
 		return
 	}
 	ctx, cancel := s.requestContext(r)
@@ -509,21 +523,83 @@ func (s *server) fail(w http.ResponseWriter, err error) {
 }
 
 // decode reads the JSON request body strictly: the size cap keeps one
-// request from buffering unbounded memory, and unknown fields are typos
-// until a future wire version says otherwise. The raw bytes are returned
-// so cluster forwarding can relay the request verbatim instead of
-// re-serialising the decoded form.
-func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) ([]byte, error) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
+// request from buffering unbounded memory, unknown fields are typos until
+// a future wire version says otherwise, and anything after the value is
+// rejected. A SolveRequest in canonical form takes api's fast path; every
+// other body, and every other request type, is decoded by
+// api.DecodeStrict. The body is returned so cluster forwarding can relay
+// the request verbatim instead of re-serialising the decoded form; the
+// decoded value never references it. The caller releases the body when it
+// is done with it.
+func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) (*buffer, error) {
+	body := getBuffer()
+	if err := body.readFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), r.ContentLength, s.cfg.MaxBodyBytes); err != nil {
+		body.release()
 		return nil, &api.Error{Code: api.CodeInvalidRequest, Message: "reading request body: " + err.Error()}
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	if req, ok := into.(*api.SolveRequest); ok && api.DecodeSolveRequest(body.b, req) {
+		return body, nil
+	}
+	if err := api.DecodeStrict(body.b, into); err != nil {
+		body.release()
 		return nil, &api.Error{Code: api.CodeInvalidRequest, Message: "decoding request body: " + err.Error()}
 	}
-	return raw, nil
+	return body, nil
+}
+
+// buffer is a pooled byte slice holding one request body or one encoded
+// solve response.
+type buffer struct {
+	b []byte
+	// forwarded marks a body offered to a peer. cluster.Forward returns
+	// on the first hedge winner while a losing attempt may still be
+	// sending the body, so such a body is never reused.
+	forwarded bool
+}
+
+var buffers = sync.Pool{New: func() any { return new(buffer) }}
+
+// maxPooledBuffer caps the buffers kept for reuse: one unusually large
+// body does not pin its memory in the pool.
+const maxPooledBuffer = 1 << 20
+
+// maxPresize caps how much of a declared Content-Length is allocated
+// before the bytes arrive, so headers alone cannot make the server
+// allocate up to MaxBodyBytes; larger bodies grow as they are read.
+const maxPresize = 64 << 10
+
+func getBuffer() *buffer { return buffers.Get().(*buffer) }
+
+// release returns b to the pool unless a peer may still read it.
+func (b *buffer) release() {
+	if b.forwarded || cap(b.b) > maxPooledBuffer {
+		return
+	}
+	b.b = b.b[:0]
+	buffers.Put(b)
+}
+
+// readFrom reads r to EOF into b, presized from the request's declared
+// length when it is within limit.
+func (b *buffer) readFrom(r io.Reader, length, limit int64) error {
+	if length > 0 && length <= limit {
+		// One spare byte lets the read that reports EOF land without
+		// growing the slice.
+		b.b = slices.Grow(b.b[:0], int(min(length, maxPresize))+1)
+	}
+	for {
+		if len(b.b) == cap(b.b) {
+			b.b = slices.Grow(b.b, bytes.MinRead)
+		}
+		n, err := r.Read(b.b[len(b.b):cap(b.b)])
+		b.b = b.b[:len(b.b)+n]
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, payload any) {

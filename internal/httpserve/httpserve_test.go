@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,6 +15,7 @@ import (
 
 	"repro"
 	"repro/api"
+	"repro/internal/cluster"
 )
 
 func testSpec(name string) *repro.Spec {
@@ -543,5 +546,145 @@ func TestSearchCountersCountOnlyMisses(t *testing.T) {
 	}
 	if hit["replayed"] != miss["explored"] {
 		t.Errorf("replayed = %d after one hit, want the stored outcome's %d nodes", hit["replayed"], miss["explored"])
+	}
+}
+
+// TestDecodeRejectsTrailingData posts a valid body with something after it
+// to every endpoint that decodes a body: anything but whitespace is an
+// invalid_request, on the solve fast path and on the encoding/json path.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	const self = "http://solo.test"
+	cl, err := cluster.New(cluster.Config{Self: self, Epoch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := New(Config{Service: repro.NewService(nil, 64), Cluster: cl})
+	defer h.Close()
+	h.AttachElastic(nil)
+	do := func(path, body string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
+		req.Header.Set(api.EpochHeader, "1")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	serve := func(path, body string) (int, api.Error) {
+		t.Helper()
+		rec := do(path, body)
+		var e api.Error
+		if rec.Code != http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("%s: error body %s: %v", path, rec.Body, err)
+			}
+		}
+		return rec.Code, e
+	}
+
+	spec, err := json.Marshal(testSpec("trailing"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := `{"spec":` + string(spec) + `}`
+	opened := do("/v1/session", solve)
+	var sess api.SessionResponse
+	if err := json.Unmarshal(opened.Body.Bytes(), &sess); err != nil || sess.Session.SessionID == "" {
+		t.Fatalf("opening a session: %s", opened.Body)
+	}
+
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/solve", solve},
+		{"/v1/solve", `{"Spec":` + string(spec) + `}`}, // case-variant key: encoding/json path
+		{"/v1/batch", `{"items":[` + solve + `]}`},
+		{"/v1/simulate", solve},
+		{"/v1/session", solve},
+		{"/v1/session/" + sess.Session.SessionID + "/mutate", `{"mutations":[]}`},
+		{"/v1/jobs", solve},
+		{"/v1/cluster/members", `{"epoch":1,"members":["` + self + `"]}`},
+		{"/v1/migrate/cache", `{"entries":[]}`},
+		{"/v1/migrate/sessions", `{"sessions":[]}`},
+		{"/v1/migrate/bounds", `{"entries":[]}`},
+	} {
+		for _, tail := range []string{" garbage", "{}", "\n" + tc.body, "]", "\x00"} {
+			code, e := serve(tc.path, tc.body+tail)
+			if code != http.StatusBadRequest || e.Code != api.CodeInvalidRequest ||
+				!strings.Contains(e.Message, "after top-level value") {
+				t.Errorf("%s with %q after the body: status %d, %+v", tc.path, tail, code, e)
+			}
+		}
+		if code, e := serve(tc.path, tc.body+" \t\r\n"); strings.HasPrefix(e.Message, "decoding request body") {
+			t.Errorf("%s with trailing whitespace: status %d, %+v", tc.path, code, e)
+		}
+	}
+}
+
+// responseSink is a ResponseWriter reused across requests, so an
+// allocation guard counts the handler alone.
+type responseSink struct {
+	h    http.Header
+	code int
+	body bytes.Buffer
+}
+
+func (s *responseSink) Header() http.Header { return s.h }
+func (s *responseSink) WriteHeader(code int) {
+	if s.code == 0 {
+		s.code = code
+	}
+}
+func (s *responseSink) Write(p []byte) (int, error) {
+	s.WriteHeader(http.StatusOK)
+	return s.body.Write(p)
+}
+func (s *responseSink) reset() {
+	clear(s.h)
+	s.code = 0
+	s.body.Reset()
+}
+
+// TestSolveHandlerAllocCeiling is the allocation guard on a warm
+// cache-hit POST /v1/solve of a 16-CRU instance through ServeHTTP: body
+// and response buffers are pooled and the request decodes on the fast
+// path, so what remains is the decoded spec, the built tree, the cache
+// hit's remapped outcome and the response maps. The ceilings are the
+// go1.24/amd64 measurement (62 allocs, 17000 B) plus 10%.
+func TestSolveHandlerAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
+	}
+	const runs, maxAllocs, maxBytes = 200, 68, 18700
+	h := New(Config{Service: repro.NewService(nil, 64)})
+	defer h.Close()
+	body, err := json.Marshal(api.SolveRequest{Spec: randomSpec(16, 16)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v1/solve", rd)
+	req.Body = io.NopCloser(rd)
+	w := &responseSink{h: http.Header{}}
+	serve := func() {
+		rd.Reset(body)
+		w.reset()
+		h.ServeHTTP(w, req)
+		if w.code != http.StatusOK || !bytes.Contains(w.body.Bytes(), []byte(`"cached": true`)) {
+			t.Fatalf("status %d: %s", w.code, w.body.Bytes())
+		}
+	}
+	rd.Reset(body)
+	h.ServeHTTP(w, req) // the cold solve fills the cache
+	allocs := testing.AllocsPerRun(runs, serve)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	perOp := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("warm POST /v1/solve: %.0f allocs/op, %d B/op", allocs, perOp)
+	if allocs > maxAllocs {
+		t.Errorf("warm POST /v1/solve allocates %.0f objects/op, want at most %d", allocs, maxAllocs)
+	}
+	if perOp > maxBytes {
+		t.Errorf("warm POST /v1/solve allocates %d B/op, want at most %d", perOp, maxBytes)
 	}
 }

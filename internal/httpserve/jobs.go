@@ -26,11 +26,12 @@ const maxLongPoll = 60 * time.Second
 func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobSubmits.Add(1)
 	var req api.JobRequest
-	raw, err := s.decode(w, r, &req)
+	body, err := s.decode(w, r, &req)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
+	defer body.release()
 	if err := req.Validate(); err != nil {
 		s.fail(w, err)
 		return
@@ -40,7 +41,7 @@ func (s *server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	if s.maybeForward(w, r, repro.Fingerprint(tree), raw, false) {
+	if s.maybeForward(w, r, repro.Fingerprint(tree), body, false) {
 		return
 	}
 	job, err := s.jobs.Submit(req.JobSpec(tree))

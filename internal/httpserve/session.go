@@ -29,11 +29,12 @@ type sessionEntry struct {
 func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	s.sessionCalls.Add(1)
 	var req api.OpenSessionRequest
-	raw, err := s.decode(w, r, &req)
+	body, err := s.decode(w, r, &req)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
+	defer body.release()
 	tree, err := req.Tree()
 	if err != nil {
 		s.fail(w, err)
@@ -42,7 +43,7 @@ func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	// Route the open to the initial tree's ring owner so the session's
 	// warm state lives next to the instance's result cache. No hedging:
 	// a raced open could mint a second (orphan) session on the loser.
-	if s.maybeForward(w, r, repro.Fingerprint(tree), raw, false) {
+	if s.maybeForward(w, r, repro.Fingerprint(tree), body, false) {
 		return
 	}
 	sess, err := s.cfg.Service.OpenSession(tree, s.solveOpts(req.Options())...)
@@ -92,10 +93,12 @@ func (s *server) handleSessionMutate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req api.MutateRequest
-	if _, err := s.decode(w, r, &req); err != nil {
+	body, err := s.decode(w, r, &req)
+	if err != nil {
 		s.fail(w, err)
 		return
 	}
+	body.release()
 	muts, err := api.CompileMutations(req.Mutations)
 	if err != nil {
 		s.fail(w, err)
