@@ -90,7 +90,7 @@ func TestBranchAndBoundAllocsSizeIndependent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
 	}
-	const ceiling = 8
+	const ceiling = 6
 	ctx := context.Background()
 	first := -1.0
 	for _, crus := range []int{14, 24} {

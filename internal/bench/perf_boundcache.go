@@ -20,7 +20,9 @@ import (
 // the cache-less branch-and-bound of the mutated revision; the warm path
 // is the session workflow — the previous optimum projected as the
 // incumbent plus the bound cache populated by the previous solve, so
-// only the dirty Merkle spine is re-searched. Every warm delay is
+// only the dirty Merkle spine is re-searched. The warm-nocache path is
+// the projected incumbent alone, so the cache's own share of the warm
+// gain is warm-nocache over warm. Every warm delay is
 // checked against the cold one (and against brute force on the small
 // control instances), so the table doubles as an exactness probe.
 //
@@ -54,7 +56,7 @@ func P5BoundMemo() (*Table, error) {
 	}
 
 	const iters = 3
-	var geo float64
+	var geo, geoCache, geoCacheT float64
 	var geoN int
 	for _, in := range cases {
 		tree := workload.Random(rand.New(rand.NewSource(in.seed)), workload.DefaultRandomSpec(in.crus, in.sats))
@@ -75,9 +77,9 @@ func P5BoundMemo() (*Table, error) {
 			return nil, fmt.Errorf("%s: mutate: %w", in.name, err)
 		}
 
-		var coldNS, warmNS int64
-		var coldExplored, warmExplored int
-		var coldDelay, warmDelay float64
+		var coldNS, bareNS, warmNS int64
+		var coldExplored, bareExplored, warmExplored int
+		var warmDelay float64
 		for it := 0; it < iters; it++ {
 			// Prime: the previous revision's solve, outside the timed region.
 			bc := boundcache.New(boundcache.Config{})
@@ -95,6 +97,13 @@ func P5BoundMemo() (*Table, error) {
 			}
 
 			t0 = time.Now()
+			bare, err := exact.BranchAndBoundFrom(ctx, mutated, 1<<28, warmStart)
+			bareNS += time.Since(t0).Nanoseconds()
+			if err != nil {
+				return nil, fmt.Errorf("%s: warm without cache: %w", in.name, err)
+			}
+
+			t0 = time.Now()
 			warm, err := exact.BranchAndBoundOpts(ctx, mutated, exact.BnBOptions{
 				Bounds: bc, Warm: warmStart, MaxNodes: 1 << 28,
 			})
@@ -104,11 +113,13 @@ func P5BoundMemo() (*Table, error) {
 			}
 
 			tol := 1e-9 * (1 + cold.Delay)
-			if d := warm.Delay - cold.Delay; d > tol || d < -tol {
-				return nil, fmt.Errorf("%s: warm delay %g != cold %g", in.name, warm.Delay, cold.Delay)
+			for _, d := range []float64{warm.Delay - cold.Delay, bare.Delay - cold.Delay} {
+				if d > tol || d < -tol {
+					return nil, fmt.Errorf("%s: warm delays %g, %g != cold %g", in.name, warm.Delay, bare.Delay, cold.Delay)
+				}
 			}
-			coldExplored, warmExplored = cold.Explored, warm.Explored
-			coldDelay, warmDelay = cold.Delay, warm.Delay
+			coldExplored, bareExplored, warmExplored = cold.Explored, bare.Explored, warm.Explored
+			warmDelay = warm.Delay
 		}
 
 		if exact.CountAssignments(mutated) <= 1<<18 {
@@ -123,27 +134,39 @@ func P5BoundMemo() (*Table, error) {
 		}
 
 		reduction := float64(coldExplored) / math.Max(float64(warmExplored), 1)
+		bareReduction := float64(coldExplored) / math.Max(float64(bareExplored), 1)
+		cacheShare := float64(bareExplored) / math.Max(float64(warmExplored), 1)
 		cold := float64(coldNS) / iters
+		bareT := float64(bareNS) / iters
 		warm := float64(warmNS) / iters
 		tbl.AddRow(in.name, "cold", coldExplored, fmt.Sprintf("%.0f", cold), "1.0")
+		tbl.AddRow(in.name, "warm, no cache", bareExplored, fmt.Sprintf("%.0f", bareT), fmt.Sprintf("%.1fx", bareReduction))
 		tbl.AddRow(in.name, "warm", warmExplored, fmt.Sprintf("%.0f", warm), fmt.Sprintf("%.1fx", reduction))
 		tbl.AddMetric(fmt.Sprintf("%s/cold/explored", in.name), float64(coldExplored), "nodes")
+		tbl.AddMetric(fmt.Sprintf("%s/warm_nocache/explored", in.name), float64(bareExplored), "nodes")
 		tbl.AddMetric(fmt.Sprintf("%s/warm/explored", in.name), float64(warmExplored), "nodes")
 		tbl.AddMetric(fmt.Sprintf("%s/cold/ns_op", in.name), cold, "ns/op")
+		tbl.AddMetric(fmt.Sprintf("%s/warm_nocache/ns_op", in.name), bareT, "ns/op")
 		tbl.AddMetric(fmt.Sprintf("%s/warm/ns_op", in.name), warm, "ns/op")
 		tbl.AddMetric(fmt.Sprintf("%s/explored_reduction", in.name), reduction, "x")
-		_ = coldDelay
+		tbl.AddMetric(fmt.Sprintf("%s/cache_explored_reduction", in.name), cacheShare, "x")
+		tbl.AddMetric(fmt.Sprintf("%s/cache_time_reduction", in.name), bareT/math.Max(warm, 1), "x")
 		if in.crus >= 40 {
 			geo += math.Log(reduction)
+			geoCache += math.Log(cacheShare)
+			geoCacheT += math.Log(bareT / math.Max(warm, 1))
 			geoN++
 		}
 	}
 	if geoN > 0 {
 		tbl.AddMetric("p5/explored_reduction_geomean", math.Exp(geo/float64(geoN)), "x")
+		tbl.AddMetric("p5/cache_explored_reduction_geomean", math.Exp(geoCache/float64(geoN)), "x")
+		tbl.AddMetric("p5/cache_time_reduction_geomean", math.Exp(geoCacheT/float64(geoN)), "x")
 	}
 
 	tbl.Notes = append(tbl.Notes,
-		"warm = previous optimum projected as incumbent + bound cache primed by the previous solve; cold = cache-less bnb of the same revision",
+		"warm = previous optimum projected as incumbent + bound cache primed by the previous solve; warm, no cache = the projected incumbent alone; cold = cache-less bnb of the same revision",
+		"the cache's own share of the warm gain is warm, no cache over warm (cache_explored_reduction, cache_time_reduction)",
 		"each warm iteration re-primes a fresh cache so the measurement is the dirty-spine re-search, not the whole-instance replay hit",
 		"ctl-* rows are brute-force checked; p5-* rows are the pinned ≥5x acceptance workload (TestWarmMemoizedResolveFewerNodes)",
 	)

@@ -13,12 +13,19 @@ import (
 
 // BranchAndBound is the branch-and-bound search the paper's §6 proposes as
 // future work, implemented over the same decision tree as BruteForce (host
-// vs. sink-whole-subtree per monochromatic CRU) with four prunings:
+// vs. sink-whole-subtree per monochromatic CRU) with three techniques:
 //
-//   - bound: partial host time + the largest committed satellite load +
-//     the host time of undecided CRUs that can never leave the host is a
-//     lower bound on any completion, so branches at or above the incumbent
-//     are cut;
+//   - bound: partial host time + the host time of undecided CRUs that can
+//     never leave the host + the largest per-colour term is a lower bound
+//     on any completion, so branches at or above the incumbent are cut.
+//     Colour c's term is its committed satellite load plus rem[c], a
+//     floor on the host time plus colour-c load that the pending subtrees
+//     of colour c must still add. The floor relaxes the coupling between
+//     colours (the HS-CAI idea of bounding a depth-first search by a
+//     relaxation): a pending sensor adds at least its uplink, a pending
+//     monochromatic CRU at least the smaller of sinking it whole and
+//     hosting it above its children's floors (colourFloors). rem is
+//     updated in O(1) per decision;
 //   - seeding: the incumbent starts at the better of all-host and maximal
 //     distribution rather than +∞;
 //   - ordering: at each CRU the branch with the smaller immediate
@@ -27,19 +34,24 @@ import (
 //
 // The search runs entirely against the tree's compiled plan: the
 // must-host bounds table (Compiled.Forced) is indexed by post-order
-// position and precomputed per revision, subtree sinks are span fills
-// over the flat location vector, satellite loads live in a dense pooled
+// position and precomputed per revision, the colour floors are computed
+// once per solve into pooled scratch, subtree sinks are span fills over
+// the flat location vector, satellite loads live in a dense pooled
 // array, and incumbents are evaluated with the flat kernel — the hot loop
-// performs no allocation and no pointer chasing. BranchAndBoundPointer is
-// the original node-walking implementation, retained for parity tests.
+// performs no allocation and no pointer chasing. Every accumulator (host
+// time, forced remainder, loads, rem) is restored by writing its saved
+// value back, so backtracking is bit-exact even when one weight dwarfs
+// the rest. BranchAndBoundPointer is the original node-walking
+// implementation with the same bound, retained for parity tests.
 //
-// A fourth, optional pruning is bound memoization (BnBOptions.Bounds):
+// An optional fourth technique is bound memoization (BnBOptions.Bounds):
 // proven standalone lower bounds of whole subtrees, keyed by their
-// Merkle hashes, join the bound as per-stack-entry extras, and subtrees
-// whose hashes were proven in a previous solve are not searched at all.
-// Without a cache handle the search is bit-identical to the
-// pre-memoization solver — same traversal, same explored count — which
-// is what the pointer/compiled parity tests pin.
+// Merkle hashes, join the bound as per-stack-entry extras (combined with
+// the per-colour terms by taking the max), and subtrees whose hashes
+// were proven in a previous solve are not searched at all. Without a
+// cache handle the search is bit-identical to BranchAndBoundPointer —
+// same traversal, same explored count — which is what the
+// pointer/compiled parity tests pin.
 //
 // The same search also runs work-stealing across several workers
 // (BnBOptions.Workers, see steal.go); one worker is this sequential
@@ -59,10 +71,13 @@ func BranchAndBoundContext(ctx context.Context, t *model.Tree, maxNodes int) (*R
 
 // bnbScratch is the pooled working set of one branch-and-bound (or
 // brute-force) run: the partial and incumbent location vectors, the dense
-// per-satellite load table, the DFS stack and its extras prefix-maximum.
+// per-satellite load and remaining-floor tables, the per-position colour
+// floors (and PrepareBounds' static subtree floors), the DFS stack and
+// its extras prefix-maximum.
 type bnbScratch struct {
 	loc, best, seed []model.Location
-	loads           []float64
+	loads, rem      []float64
+	w, lbc          []float64
 	stack           []int32
 	exm             []float64
 }
@@ -112,17 +127,21 @@ type BnBOptions struct {
 }
 
 // bnbState is the working state of one depth-first search: the partial
-// location vector, the decision stack, the per-satellite loads, the
-// running prefix maximum of memoized extras along the stack, and the two
-// incremental bound terms. A stealable frame of the work-stealing search
-// is a pooled snapshot of it.
+// location vector, the decision stack, the per-satellite loads and
+// remaining colour floors, the running prefix maximum of memoized extras
+// along the stack, and the two incremental host-time bound terms. A
+// stealable frame of the work-stealing search is a pooled snapshot of it.
 type bnbState struct {
 	loc   []model.Location
 	stack []int32
 	loads []float64
+	// rem[s] is the sum of the colour floors (bnbScratch.w) of the
+	// pending positions of colour s: those on the stack, and those a
+	// must-host CRU on the stack is certain to push.
+	rem []float64
 	// exm[i] is the maximum of extra over stack[:i+1], maintained
 	// push-for-push with the stack; empty when bound memoization is off,
-	// leaving the bound exactly hostTime + forced + maxLoad.
+	// leaving the bound exactly hostTime + forced + the per-colour term.
 	exm             []float64
 	hostTime        float64
 	forcedRemaining float64
@@ -133,17 +152,19 @@ type bnbState struct {
 // pre-pass's standalone sub-solves, or over stolen frames for one worker
 // of the work-stealing search. Runs belonging to one sequential solve
 // share the explored/pruned counters, the node budget and the pooled
-// scratch vectors.
+// scratch vectors. The field order keeps a run within the 288-byte
+// allocation size class.
 type bnbRun struct {
 	bnbState
-	ctx       context.Context
-	c         *model.Compiled
-	res       *Result // Explored/Pruned accumulate here (per worker when shared)
-	maxNodes  int
-	budgetHit bool
-	ctxErr    error
+	ctx      context.Context
+	c        *model.Compiled
+	res      *Result // Explored/Pruned accumulate here (per worker when shared)
+	maxNodes int
+	ctxErr   error
 
-	best []model.Location
+	// sc holds the colour floors w the bound reads and, except for a
+	// worker, the incumbent locations best.
+	sc *bnbScratch
 	// extra[p] is subtree p's proven standalone lower bound minus
 	// Forced[p] — the part of its future cost the forced-host term
 	// cannot see. Nil when bound memoization is off.
@@ -158,10 +179,11 @@ type bnbRun struct {
 
 	// shared is the work-stealing search this run is one worker of; nil
 	// for the sequential search, which then never forks a frame.
-	shared *search
-	id     int   // the worker's deque
-	est    int64 // estimated global explored: shared count at last flush + local since
-	split  bool  // the next dfs entry publishes its state as a frame
+	shared    *search
+	est       int64 // estimated global explored: shared count at last flush + local since
+	id        int32 // the worker's deque
+	budgetHit bool
+	split     bool // the next dfs entry publishes its state as a frame
 }
 
 // pushExtra appends extra e to the prefix-maximum stack exm.
@@ -172,9 +194,9 @@ func pushExtra(exm []float64, e float64) []float64 {
 	return append(exm, e)
 }
 
-func maxLoad(loads []float64) float64 {
+func maxOf(vs []float64) float64 {
 	m := 0.0
-	for _, v := range loads {
+	for _, v := range vs {
 		if v > m {
 			m = v
 		}
@@ -182,9 +204,53 @@ func maxLoad(loads []float64) float64 {
 	return m
 }
 
-// dfs is the search recursion, identical to the historical closure-based
-// solver when extra == nil (the parity tests pin its traversal), with
-// the memoized extras folded into the bound otherwise. The stack uses
+// colourFloors fills w[p], for every position p that may leave the host
+// — a sensor or a non-root monochromatic CRU — with a floor on the host
+// time plus colour-Colour[p] satellite load that the subtree at p adds
+// once its parent is hosted: a sensor's uplink; for a CRU the smaller of
+// sinking it whole and hosting it above its children's floors. Must-host
+// CRUs get 0: their host time is already in Forced. One ascending pass,
+// children before parents.
+func colourFloors(c *model.Compiled, w []float64) {
+	for p := int32(0); p < int32(len(w)); p++ {
+		switch {
+		case !c.Proc[p]:
+			w[p] = c.UpComm[p]
+		case c.MustHost[p]:
+			w[p] = 0
+		default:
+			v := c.HostTime[p]
+			for _, ch := range c.Children(p) {
+				v += w[ch]
+			}
+			if s := c.SubSat[p] + c.UpComm[p]; s < v {
+				v = s
+			}
+			w[p] = v
+		}
+	}
+}
+
+// spanRemaining fills rem with the per-colour floors pending at the start
+// of a search of p's span: p itself unless it is must-host, and every
+// child of a must-host CRU in the span that may leave the host — a
+// must-host CRU is always hosted, so its children are certain to be
+// pushed.
+func spanRemaining(c *model.Compiled, w, rem []float64, p int32) {
+	clear(rem)
+	for q := c.Start[p]; q <= p; q++ {
+		if c.MustHost[q] {
+			continue
+		}
+		if q == p || c.MustHost[c.Parent[q]] {
+			rem[c.Colour[q]] += w[q]
+		}
+	}
+}
+
+// dfs is the search recursion, identical to BranchAndBoundPointer when
+// extra == nil (the parity tests pin its traversal), with the memoized
+// extras folded into the bound otherwise. The stack uses
 // explicit push/pop discipline (see BruteForce for why re-sliced
 // frontier arguments would alias). A worker of the work-stealing search
 // differs in three places only: its node prologue (search.enter), how
@@ -212,8 +278,18 @@ func (r *bnbRun) dfs() {
 		}
 	}
 	c := r.c
-	load := maxLoad(r.loads)
-	lower := load
+	// One pass over the satellites yields the largest committed load and
+	// the largest per-colour term: committed load plus remaining floor.
+	load, lower := 0.0, 0.0
+	rem := r.rem[:len(r.loads)]
+	for s, v := range r.loads {
+		if v > load {
+			load = v
+		}
+		if b := v + rem[s]; b > lower {
+			lower = b
+		}
+	}
 	if n := len(r.exm); n > 0 && r.exm[n-1] > lower {
 		// Some pending subtree is proven to add more delay than any
 		// committed satellite carries yet.
@@ -231,7 +307,7 @@ func (r *bnbRun) dfs() {
 				return
 			}
 			r.bestDelay = d
-			copy(r.best[r.spanStart:r.spanEnd], r.loc[r.spanStart:r.spanEnd])
+			copy(r.sc.best[r.spanStart:r.spanEnd], r.loc[r.spanStart:r.spanEnd])
 			if r.onBetter != nil {
 				r.onBetter(r.res.Explored)
 			}
@@ -243,21 +319,38 @@ func (r *bnbRun) dfs() {
 	if r.extra != nil {
 		r.exm = r.exm[:len(r.exm)-1]
 	}
+	// Every accumulator is restored by writing its saved value back,
+	// never by subtracting: x+h-h need not equal x (with h ≫ x it can
+	// lose x entirely), and a drifted term would prune wrongly.
+	forced := r.forcedRemaining
 	r.forcedRemaining -= c.Forced[p]
+	// A position that may leave the host takes its floor out of its
+	// colour's remainder; must-host CRUs were never in it.
+	col, colRem := model.NoSatellite, 0.0
+	if !c.MustHost[p] {
+		col = c.Colour[p]
+		colRem = r.rem[col]
+		r.rem[col] -= r.sc.w[p]
+	}
 	defer func() { // restore for the caller
 		r.stack = append(r.stack, p)
 		if r.extra != nil {
 			r.exm = pushExtra(r.exm, r.extra[p])
 		}
-		r.forcedRemaining += c.Forced[p]
+		r.forcedRemaining = forced
+		if col != model.NoSatellite {
+			r.rem[col] = colRem
+		}
 	}()
 
 	if !c.Proc[p] {
 		// Sensor whose parent is hosted (sensors under sunk subtrees
 		// are never on the stack): the raw frame crosses the uplink.
-		r.loads[c.Sensor[p]] += c.UpComm[p]
+		s := c.Sensor[p]
+		satLoad := r.loads[s]
+		r.loads[s] += c.UpComm[p]
 		r.dfs()
-		r.loads[c.Sensor[p]] -= c.UpComm[p]
+		r.loads[s] = satLoad
 		return
 	}
 
@@ -268,14 +361,15 @@ func (r *bnbRun) dfs() {
 	// cheap enough for the compiler to inline.
 	loads, loc := r.loads, r.loc
 	sink := func() {
-		delta := c.SubSat[p] + c.UpComm[p]
-		loads[sat] += delta
+		satLoad := loads[sat]
+		loads[sat] += c.SubSat[p] + c.UpComm[p]
 		c.FillSpan(loc, p, model.OnSatellite(sat))
 		r.dfs()
 		c.FillSpan(loc, p, model.Host)
-		loads[sat] -= delta
+		loads[sat] = satLoad
 	}
 	host := func() {
+		savedHost, savedForced := r.hostTime, r.forcedRemaining
 		r.hostTime += c.HostTime[p]
 		r.loc[p] = model.Host
 		r.stack = append(r.stack, kids...)
@@ -283,20 +377,29 @@ func (r *bnbRun) dfs() {
 		for _, ch := range kids {
 			r.forcedRemaining += c.Forced[ch]
 		}
+		// The children of a hosted monochromatic CRU become pending in
+		// its colour; a must-host CRU's were counted from the start.
+		satRem := 0.0
+		if sinkable {
+			satRem = r.rem[sat]
+			for _, ch := range kids {
+				r.rem[sat] += r.sc.w[ch]
+			}
+		}
 		if r.extra != nil {
 			for _, ch := range kids {
 				r.exm = pushExtra(r.exm, r.extra[ch])
 			}
 		}
 		r.dfs()
-		for _, ch := range kids {
-			r.forcedRemaining -= c.Forced[ch]
+		r.hostTime, r.forcedRemaining = savedHost, savedForced
+		if sinkable {
+			r.rem[sat] = satRem
 		}
 		r.stack = r.stack[:len(r.stack)-len(kids)]
 		if r.extra != nil {
 			r.exm = r.exm[:len(r.exm)-len(kids)]
 		}
-		r.hostTime -= c.HostTime[p]
 	}
 	if !sinkable {
 		host()
@@ -305,7 +408,7 @@ func (r *bnbRun) dfs() {
 	// Explore the branch with the smaller immediate objective increase
 	// first so strong incumbents appear early.
 	sinkFirst := math.Max(load, r.loads[sat]+c.SubSat[p]+c.UpComm[p])-load <= c.HostTime[p]
-	if r.shared != nil && r.shared.shouldSplit(r.id) {
+	if r.shared != nil && r.shared.shouldSplit(int(r.id)) {
 		// A hungry deque: enter the second branch first, with split set,
 		// so it is published as a frame; then search the first in-line.
 		r.split = true
@@ -356,25 +459,26 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	sc.best = pool.Keep(sc.best, n)
 	sc.seed = pool.Keep(sc.seed, n)
 	sc.loads = pool.Slice(sc.loads, c.NumSats)
+	sc.w = pool.Keep(sc.w, n)
+	sc.rem = pool.Keep(sc.rem, c.NumSats)
+	colourFloors(c, sc.w)
+	spanRemaining(c, sc.w, sc.rem, c.RootPos)
 
 	run := &bnbRun{
-		bnbState: bnbState{loc: sc.loc, loads: sc.loads},
-		ctx:      ctx, c: c, res: res, maxNodes: maxNodes, best: sc.best,
+		bnbState: bnbState{loc: sc.loc, loads: sc.loads, rem: sc.rem},
+		ctx:      ctx, c: c, res: res, maxNodes: maxNodes, sc: sc,
 		bestDelay: math.Inf(1), spanStart: 0, spanEnd: int32(n),
 	}
 
-	// The forced-host table at the root — processing no assignment can
-	// move off the host — is a cheap valid lower bound on every completion,
-	// which is what anytime consumers need to report a gap. It is weak
-	// (it ignores communication and satellite load) but never wrong; the
-	// memoized pre-pass tightens it, and a completed search replaces it
-	// with the proven optimum.
-	globalLB := c.Forced[c.RootPos]
+	// The search's own bound at the root — the forced host time plus the
+	// largest colour floor — is a valid lower bound on every completion,
+	// which is what anytime consumers need to report a gap. The memoized
+	// pre-pass may prove a tighter one, and a completed search replaces
+	// it with the proven optimum. It is final before stream captures it.
+	globalLB := c.Forced[c.RootPos] + maxOf(sc.rem)
 	if seed != nil {
 		run.extra = seed.Extra
-		if seed.RootLB > globalLB {
-			globalLB = seed.RootLB
-		}
+		globalLB = math.Max(globalLB, seed.RootLB)
 		run.budgetHit = seed.BudgetHit
 		run.ctxErr = seed.Err
 	}

@@ -86,18 +86,22 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 		seed.Misses++
 	}
 
-	lbc := make([]float64, n)
 	extra := make([]float64, n)
 	res := &Result{Delay: math.Inf(1)} // counter sink for the sub-solves
 
 	sc := bnbScratches.Get()
 	defer bnbScratches.Put(sc)
+	sc.lbc = pool.Keep(sc.lbc, n)
+	lbc := sc.lbc
 	sc.loc = pool.Keep(sc.loc, n)
 	sc.best = pool.Keep(sc.best, n)
 	sc.loads = pool.Slice(sc.loads, c.NumSats)
+	sc.rem = pool.Keep(sc.rem, c.NumSats)
+	sc.w = pool.Keep(sc.w, n)
+	colourFloors(c, sc.w)
 	run := &bnbRun{
-		bnbState: bnbState{loc: sc.loc, loads: sc.loads, stack: sc.stack[:0], exm: sc.exm[:0]},
-		ctx:      ctx, c: c, res: res, maxNodes: maxNodes, best: sc.best, extra: extra,
+		bnbState: bnbState{loc: sc.loc, loads: sc.loads, rem: sc.rem, stack: sc.stack[:0], exm: sc.exm[:0]},
+		ctx:      ctx, c: c, res: res, maxNodes: maxNodes, sc: sc, extra: extra,
 	}
 	c.BaseLocations(sc.loc)
 	minSpan := int32(bc.MinSpan())
@@ -196,9 +200,9 @@ func (r *bnbRun) solveSpan(p int32, rootExtra float64) (float64, bool) {
 
 	// Closed-form baselines: everything hosted (the span's sensors load
 	// their satellites, every CRU's time lands on the host) and the
-	// whole subtree sunk. loads is all-zero between sub-solves, so the
-	// per-satellite sums are exact; they are re-zeroed explicitly
-	// because float backtracking does not cancel bit-exactly.
+	// whole subtree sunk. loads is all-zero between sub-solves (the
+	// search restores it exactly), so the per-satellite sums are exact;
+	// they are re-zeroed explicitly because x+u-u need not be x.
 	hostAdd := 0.0
 	for q := start; q < end; q++ {
 		if c.Proc[q] {
@@ -207,21 +211,22 @@ func (r *bnbRun) solveSpan(p int32, rootExtra float64) (float64, bool) {
 			r.loads[c.Sensor[q]] += c.UpComm[q]
 		}
 	}
-	r.bestDelay = hostAdd + maxLoad(r.loads)
+	r.bestDelay = hostAdd + maxOf(r.loads)
 	for q := start; q < end; q++ {
 		if !c.Proc[q] {
 			r.loads[c.Sensor[q]] = 0
 		}
 	}
 	r.spanStart, r.spanEnd = start, end
-	copy(r.best[start:end], r.loc[start:end]) // all-host baseline
+	copy(r.sc.best[start:end], r.loc[start:end]) // all-host baseline
 	if s := c.SubSat[p] + c.UpComm[p]; s < r.bestDelay {
 		r.bestDelay = s
-		c.FillSpan(r.best, p, model.OnSatellite(c.Colour[p]))
+		c.FillSpan(r.sc.best, p, model.OnSatellite(c.Colour[p]))
 	}
 
 	r.hostTime = 0
 	r.forcedRemaining = c.Forced[p]
+	spanRemaining(c, r.sc.w, r.rem, p)
 	r.stack = append(r.stack[:0], p)
 	if rootExtra < 0 {
 		rootExtra = 0
@@ -231,13 +236,6 @@ func (r *bnbRun) solveSpan(p int32, rootExtra float64) (float64, bool) {
 	r.dfs()
 	r.stack = r.stack[:0]
 	r.exm = r.exm[:0]
-	// The unwinding restored loc's span to all-host; zero the span's
-	// satellites exactly for the next sub-solve.
-	for q := start; q < end; q++ {
-		if !c.Proc[q] {
-			r.loads[c.Sensor[q]] = 0
-		}
-	}
 	if r.budgetHit || r.ctxErr != nil {
 		return 0, false
 	}

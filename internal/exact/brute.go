@@ -20,9 +20,13 @@ type Result struct {
 	// deadline expired and BnBOptions.BestEffort asked for the incumbent
 	// instead of an error. Optimality is not proven.
 	Partial bool
-	// LowerBound is a valid floor on the optimal delay: the forced-host
-	// bound while the search runs, and the proven optimum (== Delay) once
-	// an exact search completes. Zero when the solver computes none.
+	// LowerBound is a valid floor on the optimal delay. While a
+	// branch-and-bound search runs it is the search's bound at the root —
+	// the forced host time plus the largest per-colour floor of what the
+	// undecided subtrees must still add — or the memoization pre-pass's
+	// proven root bound when that is higher; once an exact search
+	// completes it is the proven optimum (== Delay). Zero when the solver
+	// computes none.
 	LowerBound float64
 
 	// Node accounting of the memoized branch-and-bound searches: branches

@@ -143,8 +143,10 @@ func ParetoContext(ctx context.Context, t *model.Tree, maxFrontier int) (*Result
 	}
 	// The enumeration bound equals the achieved delay: the
 	// chosen B is the max load candidate; the realised max load may be
-	// smaller, making the realised delay ≤ bound; both are optimal.
-	if d > best+1e-9 {
+	// smaller, making the realised delay ≤ bound; both are optimal. The
+	// two sum the same terms in different orders, so the check allows
+	// rounding relative to the delay's magnitude.
+	if d > best+1e-9*math.Max(1, math.Abs(best)) {
 		return nil, fmt.Errorf("exact: pareto bound %v < realised delay %v", best, d)
 	}
 	return &Result{Assignment: asg, Delay: d}, nil

@@ -25,9 +25,11 @@ import (
 // worker's bound test — re-evaluated at every search node — prunes
 // against the new value. Pruning only ever removes provably
 // non-improving branches, so a completed search returns the sequential
-// solver's optimal delay up to rounding: frames snapshot the float
-// accumulators at fork points instead of replaying the +=/-=
-// backtracking, so the two trajectories agree to tolerance, not bits.
+// solver's optimal delay up to rounding. Backtracking writes saved
+// accumulator values back, so a node's bound terms depend only on its
+// path and a frame snapshot holds exactly what the sequential search
+// holds there; only which of several co-optimal assignments is reported
+// — and so the last bits of its delay — may differ.
 
 // framePool keeps frames on per-P striped free lists so fork/release
 // cycles allocate nothing in steady state even with every core forking.
@@ -136,8 +138,8 @@ func (r *bnbRun) steal(nw int) {
 func (s *search) work(id int) {
 	top := s.top
 	r := &bnbRun{
-		ctx: top.ctx, c: top.c, res: &Result{}, extra: top.extra,
-		shared: s, id: id, est: s.explored.Load(),
+		ctx: top.ctx, c: top.c, res: &Result{}, sc: top.sc, extra: top.extra,
+		shared: s, id: int32(id), est: s.explored.Load(),
 	}
 	for {
 		f := s.take(id)
@@ -175,7 +177,7 @@ func (s *search) improve(loc []model.Location, d float64) {
 	s.incMu.Lock()
 	if top := s.top; d < top.bestDelay {
 		top.bestDelay = d
-		copy(top.best, loc)
+		copy(top.sc.best, loc)
 		top.onBetter(int(s.explored.Load()))
 	}
 	s.incMu.Unlock()
@@ -240,6 +242,7 @@ func (s *search) fork(st *bnbState) *bnbState {
 	f.loc = append(f.loc[:0], st.loc...)
 	f.stack = append(f.stack[:0], st.stack...)
 	f.loads = append(f.loads[:0], st.loads...)
+	f.rem = append(f.rem[:0], st.rem...)
 	f.exm = append(f.exm[:0], st.exm...)
 	f.hostTime = st.hostTime
 	f.forcedRemaining = st.forcedRemaining
