@@ -1,7 +1,6 @@
-// Ablation studies for three design choices of the adapted SSB solver: the
-// candidate-tightened elimination rule, the expansion step, and the
-// monotone-DAG shortest-path shortcut. Each variant is exact; the
-// benchmarks quantify what each refinement buys.
+// Ablation studies for two design choices of the adapted SSB solver: the
+// candidate-tightened elimination rule and the expansion step. Each
+// variant is exact; the benchmarks quantify what each refinement buys.
 package repro_test
 
 import (
@@ -10,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/assign"
-	"repro/internal/graph"
 	"repro/internal/workload"
 )
 
@@ -121,38 +119,6 @@ func BenchmarkAblation_Expansion(b *testing.B) {
 			if _, err := g.SolveLabelSearch(assign.Options{}); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// BenchmarkAblation_DijkstraVariants compares the shortest-path kernels
-// (heap Dijkstra, the dense-array variant Hansen & Lih discuss, and the
-// monotone-DAG pass the adapted solver relies on) on a random layered DAG.
-func BenchmarkAblation_DijkstraVariants(b *testing.B) {
-	rng := rand.New(rand.NewSource(5))
-	const nodes, extra = 256, 1024
-	mg := graph.NewMultigraph(nodes)
-	for v := 0; v+1 < nodes; v++ {
-		mg.AddEdge(v, v+1, float64(1+rng.Intn(20)))
-	}
-	for k := 0; k < extra; k++ {
-		u := rng.Intn(nodes - 1)
-		mg.AddEdge(u, u+1+rng.Intn(nodes-1-u), float64(1+rng.Intn(20)))
-	}
-	src, dst := 0, nodes-1
-	b.Run("heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mg.ShortestPath(src, dst)
-		}
-	})
-	b.Run("dense", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mg.ShortestPathDense(src, dst)
-		}
-	})
-	b.Run("dag", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mg.ShortestPathDAGMonotone(src, dst)
 		}
 	})
 }

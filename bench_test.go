@@ -13,7 +13,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/bokhari"
 	"repro/internal/chain"
-	"repro/internal/colouring"
 	"repro/internal/dagcru"
 	"repro/internal/dwg"
 	"repro/internal/exact"
@@ -30,15 +29,6 @@ func BenchmarkE1_Figure4SSB(b *testing.B) {
 		if _, err := dwg.SSB(g, src, dst, dwg.Default); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkE2_Colouring times the Figure-5 colour propagation.
-func BenchmarkE2_Colouring(b *testing.B) {
-	tree := workload.PaperTree()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		colouring.Analyse(tree)
 	}
 }
 

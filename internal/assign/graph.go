@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/colouring"
 	"repro/internal/model"
 )
 
@@ -19,19 +18,19 @@ type Edge struct {
 	Sigma, Beta float64
 	Colour      model.SatelliteID
 	CutChildren []model.NodeID
-	Expanded    bool // true for §5.4 super-edges
 }
 
 // Graph is the coloured doubly weighted assignment graph of one tree.
 type Graph struct {
-	tree     *model.Tree
-	plan     *model.Compiled     // flat plan; nil only for BuildPointer graphs
-	analysis *colouring.Analysis // nil until Analysis() on plan-built graphs
-	faces    int                 // L+1: terminal S is face 0, terminal T is face L
-	edges    []Edge
-	out      [][]int // face -> edge IDs (enabled and disabled alike)
+	tree  *model.Tree
+	plan  *model.Compiled
+	faces int // L+1: terminal S is face 0, terminal T is face L
+	edges []Edge
+	out   [][]int // face -> edge IDs (enabled and disabled alike)
 
-	treeSigma []float64 // pointer-built graphs only; plan graphs read plan.Sigma
+	// treeSigma holds BuildPointer's own σ labels; it is nil on plan-built
+	// graphs, which read plan.Sigma and place subtrees by span fills.
+	treeSigma []float64
 }
 
 // ErrUnsolvable is returned when no S→T path exists, i.e. some root-to-
@@ -50,13 +49,9 @@ func Build(t *model.Tree) *Graph {
 	return BuildPlan(model.Compile(t))
 }
 
-// BuildPlan returns the assignment graph of a compiled plan, memoised on
-// the plan: the graph is immutable (solvers work on pooled workGraph
-// copies), so every solve of the same tree revision shares one build.
+// BuildPlan returns the assignment graph of a compiled plan. The graph is
+// never mutated: solvers work on pooled workGraph copies.
 func BuildPlan(c *model.Compiled) *Graph {
-	if g, ok := c.Dual().(*Graph); ok {
-		return g
-	}
 	t := c.Tree()
 	g := &Graph{
 		tree:  t,
@@ -85,28 +80,20 @@ func BuildPlan(c *model.Compiled) *Graph {
 			CutChildren: children[len(children)-1 : len(children) : len(children)],
 		})
 	}
-	c.StoreDual(g)
 	return g
 }
 
-// BuildWithAnalysis constructs the assignment graph for a pre-computed
-// colouring. The analysis and the graph share one compiled plan, so the
-// graph build costs the same flat pass either way; the memoised graph is
-// never mutated (it may be shared with concurrent solves).
-func BuildWithAnalysis(an *colouring.Analysis) *Graph {
-	return BuildPlan(an.Plan())
-}
-
 // BuildPointer is the original pointer-walking construction: Figure-8 σ
-// labelling by recursive pre-order propagation and per-edge subtree
-// lookups through the tree's node structs. It is retained as the
+// labelling by recursive pre-order propagation, per-edge subtree lookups
+// through the tree's node structs and stack-walk subtree placement. Edge
+// colours and bands come from the compiled plan. It is retained as the
 // reference implementation the plan-built graph is parity-tested against
 // and as the baseline of BenchmarkCompiledVsPointer.
 func BuildPointer(t *model.Tree) *Graph {
-	an := colouring.Analyse(t)
+	c := model.Compile(t)
 	g := &Graph{
 		tree:      t,
-		analysis:  an,
+		plan:      c,
 		faces:     t.SensorCount() + 1,
 		treeSigma: make([]float64, t.Len()),
 	}
@@ -137,8 +124,8 @@ func BuildPointer(t *model.Tree) *Graph {
 		if n.Parent == model.None {
 			continue
 		}
-		colour, conflict := an.EdgeColour(id)
-		if conflict {
+		colour := c.Colour[c.Pos[id]]
+		if colour == model.NoSatellite {
 			continue
 		}
 		lo, hi := t.LeafRange(id)
@@ -164,40 +151,14 @@ func (g *Graph) addEdge(e Edge) int {
 // Tree returns the underlying tree.
 func (g *Graph) Tree() *model.Tree { return g.tree }
 
-// Analysis returns the graph's colouring view. Pointer-built graphs
-// carry theirs; plan-built graphs derive one on demand (cheap — the
-// heavy results live in the shared compiled plan) instead of caching it,
-// because a memoised graph may be shared across concurrent solves.
-func (g *Graph) Analysis() *colouring.Analysis {
-	if g.analysis != nil {
-		return g.analysis
-	}
-	return colouring.Analyse(g.tree)
-}
-
-// contiguous reports whether the colour's sensors occupy one leaf band.
-func (g *Graph) contiguous(sat model.SatelliteID) bool {
-	if g.plan != nil {
-		return g.plan.Contiguous(sat)
-	}
-	return g.analysis.Contiguous(sat)
-}
-
 // bandRange returns the colour's single leaf band; ok is false when the
 // colour's sensors split into several bands (or none).
 func (g *Graph) bandRange(sat model.SatelliteID) (lo, hi int, ok bool) {
-	if g.plan != nil {
-		b := g.plan.Bands(sat)
-		if len(b) != 1 {
-			return 0, 0, false
-		}
-		return int(b[0].Lo), int(b[0].Hi), true
-	}
-	b := g.analysis.Bands(sat)
+	b := g.plan.Bands(sat)
 	if len(b) != 1 {
 		return 0, 0, false
 	}
-	return b[0].Lo, b[0].Hi, true
+	return int(b[0].Lo), int(b[0].Hi), true
 }
 
 // Faces returns the number of dual nodes (faces), terminals included.
@@ -220,17 +181,17 @@ func (g *Graph) Edges() []Edge { return g.edges }
 
 // TreeSigma returns the Figure-8 σ label of the tree edge above child.
 func (g *Graph) TreeSigma(child model.NodeID) float64 {
-	if g.plan != nil {
-		return g.plan.Sigma[g.plan.Pos[child]]
+	if g.treeSigma != nil {
+		return g.treeSigma[child]
 	}
-	return g.treeSigma[child]
+	return g.plan.Sigma[g.plan.Pos[child]]
 }
 
 // EdgeCrossing returns the dual edge crossing the tree edge above child, or
 // false when that edge conflicts (has no dual edge).
 func (g *Graph) EdgeCrossing(child model.NodeID) (Edge, bool) {
 	for _, e := range g.edges {
-		if !e.Expanded && len(e.CutChildren) == 1 && e.CutChildren[0] == child {
+		if len(e.CutChildren) == 1 && e.CutChildren[0] == child {
 			return e, true
 		}
 	}
@@ -280,9 +241,10 @@ func (g *Graph) Decode(edgeIDs []int) (*model.Assignment, error) {
 }
 
 // placeSubtree sinks the processing CRUs under root onto loc: a span fill
-// over the compiled plan when one is attached, a stack walk otherwise.
+// over the compiled plan, or BuildPointer's stack walk.
 func (g *Graph) placeSubtree(asg *model.Assignment, root model.NodeID, loc model.Location) {
-	if c := g.plan; c != nil {
+	if g.treeSigma == nil {
+		c := g.plan
 		p := c.Pos[root]
 		for q := c.Start[p]; q <= p; q++ {
 			if c.Proc[q] {
@@ -312,7 +274,7 @@ func (g *Graph) Encode(asg *model.Assignment) ([]int, error) {
 	}
 	byChild := map[model.NodeID]int{}
 	for _, e := range g.edges {
-		if !e.Expanded && len(e.CutChildren) == 1 {
+		if len(e.CutChildren) == 1 {
 			byChild[e.CutChildren[0]] = e.ID
 		}
 	}

@@ -29,9 +29,10 @@ func TestFigure6GraphShape(t *testing.T) {
 	}
 	// No dual edge may cross a conflicting tree edge.
 	tree := g.Tree()
+	c := model.Compile(tree)
 	for _, e := range g.Edges() {
 		for _, child := range e.CutChildren {
-			if _, conflict := g.Analysis().EdgeColour(child); conflict {
+			if c.Colour[c.Pos[child]] == model.NoSatellite {
 				t.Errorf("dual edge %d crosses conflicting tree edge into %s",
 					e.ID, tree.Node(child).Name)
 			}

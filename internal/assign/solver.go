@@ -7,7 +7,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/colouring"
 	"repro/internal/core"
 	"repro/internal/dwg"
 	"repro/internal/model"
@@ -330,7 +329,7 @@ func (g *Graph) solveAdapted(ctx context.Context, opt Options, trace bool) (*Sol
 			// back when expansion cannot help (multi-band colour, budget
 			// exceeded, or expansion disabled).
 			if opt.DisableExpansion || bottleneck == model.NoSatellite ||
-				w.expanded[bottleneck] || !g.contiguous(bottleneck) {
+				w.expanded[bottleneck] || !g.plan.Contiguous(bottleneck) {
 				entry.Note = "fallback"
 				record(entry)
 				sol.Stats.FellBack = true
@@ -742,9 +741,4 @@ func allLE(a, b []float64) bool {
 // options — the package-level convenience entry point.
 func Solve(t *model.Tree) (*Solution, error) {
 	return Build(t).SolveAdapted(Options{})
-}
-
-// SolveWithAnalysis is Solve for a pre-computed colouring.
-func SolveWithAnalysis(an *colouring.Analysis) (*Solution, error) {
-	return BuildWithAnalysis(an).SolveAdapted(Options{})
 }

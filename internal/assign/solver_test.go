@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/colouring"
 	"repro/internal/dwg"
 	"repro/internal/eval"
 	"repro/internal/exact"
@@ -290,22 +289,6 @@ func TestTraceIsPopulated(t *testing.T) {
 	}
 }
 
-func TestSolveWithAnalysis(t *testing.T) {
-	tree := workload.PaperTree()
-	an := colouring.Analyse(tree)
-	sol, err := SolveWithAnalysis(an)
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := Solve(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(sol.Delay, direct.Delay) {
-		t.Fatalf("%v != %v", sol.Delay, direct.Delay)
-	}
-}
-
 func TestCutChildrenConsistent(t *testing.T) {
 	tree := workload.PaperTree()
 	sol, err := Solve(tree)
@@ -329,7 +312,7 @@ func TestCutChildrenConsistent(t *testing.T) {
 
 func TestMinSigmaPathMatchesTopmost(t *testing.T) {
 	// With strictly positive h, the first min-σ path is the topmost cut:
-	// its decode equals colouring.FeasibleTopmost.
+	// its decode equals the plan's TopmostAssignment.
 	tree := workload.PaperTree()
 	g := Build(tree)
 	w := newWorkGraph(g)
@@ -343,7 +326,7 @@ func TestMinSigmaPathMatchesTopmost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := colouring.Analyse(tree).FeasibleTopmost()
+	want := model.Compile(tree).TopmostAssignment()
 	if asg.Key() != want.Key() {
 		t.Fatalf("min-σ decode:\n%s\nwant topmost:\n%s", asg.Describe(tree), want.Describe(tree))
 	}

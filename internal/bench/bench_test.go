@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -57,6 +58,42 @@ func TestE1GoldenValues(t *testing.T) {
 	// Iteration 1: SSB 29; iteration 2: SSB 20; iteration 3: S=33, stop.
 	if tbl.Rows[0][3] != "29" || tbl.Rows[1][3] != "20" || tbl.Rows[2][1] != "33" {
 		t.Fatalf("golden values drifted: %v", tbl.Rows)
+	}
+}
+
+// TestE2GoldenTable pins E2's table, rows and notes: the Figure-5 edge
+// colours and must-host set of the paper tree.
+func TestE2GoldenTable(t *testing.T) {
+	tbl, err := E2Colouring()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]string{
+		{"<CRU1,CRU2>", "CONFLICT"},
+		{"<CRU2,CRU4>", "R"},
+		{"<CRU4,CRU9>", "R"},
+		{"<CRU9,sensor9>", "R"},
+		{"<CRU4,CRU10>", "R"},
+		{"<CRU10,sensor10>", "R"},
+		{"<CRU4,CRU11>", "R"},
+		{"<CRU11,sensor11>", "R"},
+		{"<CRU2,CRU5>", "B"},
+		{"<CRU5,sensor5>", "B"},
+		{"<CRU1,CRU3>", "CONFLICT"},
+		{"<CRU3,CRU6>", "B"},
+		{"<CRU6,CRU13>", "B"},
+		{"<CRU13,sensor13>", "B"},
+		{"<CRU3,CRU7>", "Y"},
+		{"<CRU7,sensor7>", "Y"},
+		{"<CRU3,CRU8>", "G"},
+		{"<CRU8,CRU12>", "G"},
+		{"<CRU12,sensor12>", "G"},
+	}
+	if !slices.EqualFunc(tbl.Rows, want, slices.Equal) {
+		t.Errorf("rows drifted:\n got %q\nwant %q", tbl.Rows, want)
+	}
+	if wantNotes := []string{"must-host set: CRU1 CRU2 CRU3"}; !slices.Equal(tbl.Notes, wantNotes) {
+		t.Errorf("notes = %q, want %q", tbl.Notes, wantNotes)
 	}
 }
 

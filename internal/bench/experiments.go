@@ -9,7 +9,6 @@ import (
 
 	_ "repro/internal/algorithms" // every experiment solves through the registry
 	"repro/internal/assign"
-	"repro/internal/colouring"
 	"repro/internal/core"
 	"repro/internal/dwg"
 	"repro/internal/eval"
@@ -47,7 +46,7 @@ func E1Figure4() (*Table, error) {
 // E2Colouring reruns the Figure-5 colouring of the paper tree.
 func E2Colouring() (*Table, error) {
 	tree := workload.PaperTree()
-	an := colouring.Analyse(tree)
+	c := model.Compile(tree)
 	t := &Table{
 		ID: "E2", Title: "Figure 5: colouring the CRU tree",
 		Paper:   "edges ⟨CRU1,CRU2⟩ and ⟨CRU1,CRU3⟩ conflict; CRU1, CRU2, CRU3 must be deployed on the host",
@@ -58,16 +57,17 @@ func E2Colouring() (*Table, error) {
 		if n.Parent == model.None {
 			continue
 		}
-		colour, conflict := an.EdgeColour(id)
-		label := tree.SatelliteName(colour)
-		if conflict {
-			label = "CONFLICT"
+		label := "CONFLICT"
+		if colour := c.Colour[c.Pos[id]]; colour != model.NoSatellite {
+			label = tree.SatelliteName(colour)
 		}
 		t.AddRow(fmt.Sprintf("<%s,%s>", tree.Node(n.Parent).Name, n.Name), label)
 	}
 	var hosts []string
-	for _, id := range an.MustHostSet() {
-		hosts = append(hosts, tree.Node(id).Name)
+	for _, p := range c.Pre {
+		if c.MustHost[p] {
+			hosts = append(hosts, tree.Node(c.Post[p]).Name)
+		}
 	}
 	t.Notes = append(t.Notes, "must-host set: "+strings.Join(hosts, " "))
 	return t, nil
@@ -254,7 +254,7 @@ func E8AdaptedScaling() (*Table, error) {
 		const reps = 10
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			if _, err := assign.Build(tree).SolveAdapted(assign.Options{}); err != nil {
+			if _, err := g.SolveAdapted(assign.Options{}); err != nil {
 				return nil, err
 			}
 		}

@@ -90,7 +90,7 @@ func E15Throughput() (*Table, error) {
 	}{
 		{"adapted-ssb", sol.Assignment},
 		{"all-host", model.NewAssignment(tree)},
-		{"max-distribution", assign.Build(tree).Analysis().FeasibleTopmost()},
+		{"max-distribution", model.Compile(tree).TopmostAssignment()},
 	}
 	const frames = 16
 	const interval = 2.0

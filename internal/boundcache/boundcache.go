@@ -84,13 +84,14 @@ type Entry struct {
 
 const numShards = 64
 
+// minSpan is the smallest subtree span worth memoizing; solvers fall back
+// to their static bound below it.
+const minSpan = 8
+
 // Config sizes a Cache. Zero values select the defaults.
 type Config struct {
 	// Capacity bounds the total entries held (default 1 << 14).
 	Capacity int
-	// MinSpan is the smallest subtree span worth memoizing; solvers fall
-	// back to their static bound below it (default 8).
-	MinSpan int
 }
 
 // Stats is a point-in-time snapshot of a cache's counters.
@@ -112,7 +113,6 @@ type shard struct {
 type Cache struct {
 	shards  [numShards]shard
 	perShrd int
-	minSpan int
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -130,11 +130,7 @@ func New(cfg Config) *Cache {
 	if per < 1 {
 		per = 1
 	}
-	minSpan := cfg.MinSpan
-	if minSpan <= 0 {
-		minSpan = 8
-	}
-	c := &Cache{perShrd: per, minSpan: minSpan}
+	c := &Cache{perShrd: per}
 	for i := range c.shards {
 		c.shards[i].m = make(map[Key]*Entry)
 	}
@@ -142,7 +138,7 @@ func New(cfg Config) *Cache {
 }
 
 // MinSpan is the smallest subtree span worth memoizing.
-func (c *Cache) MinSpan() int { return c.minSpan }
+func (c *Cache) MinSpan() int { return minSpan }
 
 func (c *Cache) shardFor(k *Key) *shard {
 	return &c.shards[k.Hash[0]&(numShards-1)]

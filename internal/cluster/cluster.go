@@ -32,9 +32,6 @@ type Config struct {
 	VirtualNodes int
 	// ProbeInterval is the health-probe period (default 2s).
 	ProbeInterval time.Duration
-	// FailThreshold is the consecutive probe failures declaring a peer
-	// dead (default 3).
-	FailThreshold int
 	// HedgeDelay is how long a forward waits on the primary before racing
 	// the next replica (default 50ms).
 	HedgeDelay time.Duration
@@ -120,11 +117,9 @@ func New(cfg Config) (*Cluster, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
-	c := &Cluster{
-		cfg:    cfg,
-		mem:    NewMembership(cfg.Self, cfg.Peers, cfg.ProbeInterval, cfg.FailThreshold, client),
-		client: client,
-	}
+	c := &Cluster{cfg: cfg, client: client}
+	// Three consecutive failed probes declare a peer dead.
+	c.mem = NewMembership(cfg.Self, cfg.Peers, cfg.ProbeInterval, 3, client)
 	members := append([]string{cfg.Self}, cfg.Peers...)
 	c.v.Store(c.buildView(cfg.Epoch, members, nil))
 	return c, nil

@@ -22,7 +22,8 @@ const (
 	// StateDraining: the node is alive but shedding — it finishes
 	// in-flight work and must not receive new routes.
 	StateDraining
-	// StateDead: the node failed FailThreshold consecutive probes.
+	// StateDead: the node failed NewMembership's failThreshold
+	// consecutive probes (three in a Cluster).
 	StateDead
 )
 

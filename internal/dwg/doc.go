@@ -9,6 +9,12 @@
 // (minimise max(S(P), B(P)), IEEE ToC 1988), which this package provides as
 // the baseline the paper compares its objective against.
 //
+// The graph is self-contained: an edge store with stable IDs and
+// soft-delete, and the one shortest-path kernel SSB runs (binary-heap
+// Dijkstra on σ, hand-rolled so the inner loop does not go through
+// container/heap). The adapted solver of the coloured assignment graph
+// keeps its own monotone pass in package assign.
+//
 // One deliberate deviation from the paper's prose: edges with β ≥ B(P) are eliminated, not only β > B(P). The strict rule can
 // stall (no edge removed when the min-S path is its own bottleneck), while
 // the inclusive rule is equally sound — any path through a removed edge has

@@ -4,54 +4,190 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
-
-	"repro/internal/graph"
 )
 
-// Graph is a doubly weighted directed multigraph. The underlying
-// graph.Multigraph stores σ as the search weight; β lives alongside.
+// Graph is a doubly weighted directed multigraph over nodes 0..N-1.
+// Parallel edges and self-loops are allowed. Edges keep stable IDs and can
+// be disabled (soft-deleted) one by one, which is how the elimination loop
+// shrinks the graph without rebuilding adjacency.
 type Graph struct {
-	mg   *graph.Multigraph
-	beta []float64
+	n        int
+	edges    []edge
+	disabled []bool
+	adj      [][]int // node -> IDs of the edges leaving it
+}
+
+// edge is one directed edge; σ is the shortest-path search weight.
+type edge struct {
+	from, to    int
+	sigma, beta float64
 }
 
 // New returns an empty DWG with n nodes.
 func New(n int) *Graph {
-	return &Graph{mg: graph.NewMultigraph(n)}
+	if n < 0 {
+		panic(fmt.Sprintf("dwg: negative node count %d", n))
+	}
+	return &Graph{n: n, adj: make([][]int, n)}
 }
 
 // NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return g.mg.NumNodes() }
+func (g *Graph) NumNodes() int { return g.n }
 
 // NumEdges returns the edge count (including disabled edges).
-func (g *Graph) NumEdges() int { return g.mg.NumEdges() }
+func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // AddEdge inserts a directed edge with weights ⟨σ, β⟩ and returns its ID.
 func (g *Graph) AddEdge(from, to int, sigma, beta float64) int {
 	if sigma < 0 || beta < 0 || math.IsNaN(sigma) || math.IsNaN(beta) {
 		panic(fmt.Sprintf("dwg: invalid weights σ=%v β=%v", sigma, beta))
 	}
-	id := g.mg.AddEdge(from, to, sigma)
-	g.beta = append(g.beta, beta)
+	if from < 0 || from >= g.n || to < 0 || to >= g.n {
+		panic(fmt.Sprintf("dwg: edge (%d,%d) outside [0,%d)", from, to, g.n))
+	}
+	id := len(g.edges)
+	g.edges = append(g.edges, edge{from: from, to: to, sigma: sigma, beta: beta})
+	g.disabled = append(g.disabled, false)
+	g.adj[from] = append(g.adj[from], id)
 	return id
 }
 
 // Sigma returns σ of edge id.
-func (g *Graph) Sigma(id int) float64 { return g.mg.Edge(id).Weight }
+func (g *Graph) Sigma(id int) float64 { return g.edges[id].sigma }
 
 // Beta returns β of edge id.
-func (g *Graph) Beta(id int) float64 { return g.beta[id] }
+func (g *Graph) Beta(id int) float64 { return g.edges[id].beta }
 
 // Endpoints returns the endpoints of edge id.
 func (g *Graph) Endpoints(id int) (from, to int) {
-	e := g.mg.Edge(id)
-	return e.From, e.To
+	e := g.edges[id]
+	return e.from, e.to
 }
 
-// Clone returns an independent deep copy.
+// Clone returns an independent deep copy (edge enable/disable state
+// included).
 func (g *Graph) Clone() *Graph {
-	return &Graph{mg: g.mg.Clone(), beta: append([]float64(nil), g.beta...)}
+	cp := &Graph{
+		n:        g.n,
+		edges:    append([]edge(nil), g.edges...),
+		disabled: append([]bool(nil), g.disabled...),
+		adj:      make([][]int, g.n),
+	}
+	for i, a := range g.adj {
+		cp.adj[i] = append([]int(nil), a...)
+	}
+	return cp
+}
+
+// path is a directed walk described by its edge IDs plus its S measure.
+// An empty path (edges == nil, weight == 0) is the trivial path from a
+// node to itself.
+type path struct {
+	edges  []int
+	weight float64
+}
+
+// shortestPath runs binary-heap Dijkstra on σ from src to dst over enabled
+// edges and returns the min-S path and true, or a zero path and false when
+// dst is unreachable. AddEdge rejects negative σ, so Dijkstra applies.
+func (g *Graph) shortestPath(src, dst int) (path, bool) {
+	dist := make([]float64, g.n)
+	via := make([]int, g.n) // edge that last lowered each node's distance
+	for i := range dist {
+		dist[i] = math.Inf(1)
+		via[i] = -1
+	}
+	dist[src] = 0
+	pq := newHeap(g.n)
+	pq.push(src, 0)
+	for pq.len() > 0 {
+		u, du := pq.pop()
+		if du > dist[u] {
+			continue // stale entry
+		}
+		if u == dst {
+			break
+		}
+		for _, id := range g.adj[u] {
+			if g.disabled[id] {
+				continue
+			}
+			e := &g.edges[id]
+			if nd := du + e.sigma; nd < dist[e.to] {
+				dist[e.to] = nd
+				via[e.to] = id
+				pq.push(e.to, nd)
+			}
+		}
+	}
+	if math.IsInf(dist[dst], 1) {
+		return path{}, false
+	}
+	var ids []int
+	for v := dst; v != src; v = g.edges[via[v]].from {
+		ids = append(ids, via[v])
+	}
+	slices.Reverse(ids)
+	return path{edges: ids, weight: dist[dst]}, true
+}
+
+// nodeHeap is a minimal binary min-heap of (node, priority) pairs with lazy
+// deletion (duplicates allowed; stale entries skipped by the caller).
+type nodeHeap struct {
+	node []int
+	prio []float64
+}
+
+func newHeap(capacity int) *nodeHeap {
+	return &nodeHeap{node: make([]int, 0, capacity), prio: make([]float64, 0, capacity)}
+}
+
+func (h *nodeHeap) len() int { return len(h.node) }
+
+func (h *nodeHeap) push(n int, p float64) {
+	h.node = append(h.node, n)
+	h.prio = append(h.prio, p)
+	i := len(h.node) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.prio[parent] <= h.prio[i] {
+			break
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+func (h *nodeHeap) pop() (int, float64) {
+	n, p := h.node[0], h.prio[0]
+	last := len(h.node) - 1
+	h.swap(0, last)
+	h.node = h.node[:last]
+	h.prio = h.prio[:last]
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < last && h.prio[l] < h.prio[small] {
+			small = l
+		}
+		if r < last && h.prio[r] < h.prio[small] {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		h.swap(i, small)
+		i = small
+	}
+	return n, p
+}
+
+func (h *nodeHeap) swap(i, j int) {
+	h.node[i], h.node[j] = h.node[j], h.node[i]
+	h.prio[i], h.prio[j] = h.prio[j], h.prio[i]
 }
 
 // S returns the sum weight of a path given by edge IDs.
@@ -67,8 +203,8 @@ func (g *Graph) S(edges []int) float64 {
 func (g *Graph) B(edges []int) float64 {
 	var b float64
 	for _, id := range edges {
-		if g.beta[id] > b {
-			b = g.beta[id]
+		if beta := g.edges[id].beta; beta > b {
+			b = beta
 		}
 	}
 	return b
@@ -150,20 +286,20 @@ func eliminate(g *Graph, src, dst int, objective func(s, b float64) float64, low
 	work := g.Clone()
 	res := &Result{Objective: math.Inf(1)}
 	for iter := 1; ; iter++ {
-		path, ok := work.mg.ShortestPath(src, dst)
+		path, ok := work.shortestPath(src, dst)
 		if !ok {
 			if len(res.Iterations) > 0 {
 				res.Iterations[len(res.Iterations)-1].Stopped = "disconnected"
 			}
 			break
 		}
-		s := path.Weight
-		b := work.B(path.Edges)
+		s := path.weight
+		b := work.B(path.edges)
 		val := objective(s, b)
-		it := Iteration{Index: iter, PathEdges: path.Edges, S: s, B: b, Objective: val}
+		it := Iteration{Index: iter, PathEdges: path.edges, S: s, B: b, Objective: val}
 		if val < res.Objective {
 			res.Objective = val
-			res.PathEdges = append([]int(nil), path.Edges...)
+			res.PathEdges = append([]int(nil), path.edges...)
 			res.S, res.B = s, b
 			it.Improved = true
 		}
@@ -179,8 +315,8 @@ func eliminate(g *Graph, src, dst int, objective func(s, b float64) float64, low
 		// round's path. At least one edge (the path's bottleneck) goes, so
 		// the loop makes progress every round.
 		for id := 0; id < work.NumEdges(); id++ {
-			if !work.mg.Disabled(id) && work.beta[id] >= b {
-				work.mg.Disable(id)
+			if !work.disabled[id] && work.edges[id].beta >= b {
+				work.disabled[id] = true
 				it.Removed = append(it.Removed, id)
 			}
 		}
@@ -209,14 +345,14 @@ func ExhaustiveBest(g *Graph, src, dst int, objective func(s, b float64) float64
 			return
 		}
 		onPath[u] = true
-		g.mg.EnabledOut(u, func(e graph.Edge) {
-			if onPath[e.To] {
-				return
+		for _, id := range g.adj[u] {
+			if g.disabled[id] || onPath[g.edges[id].to] {
+				continue
 			}
-			edges = append(edges, e.ID)
-			dfs(e.To)
+			edges = append(edges, id)
+			dfs(g.edges[id].to)
 			edges = edges[:len(edges)-1]
-		})
+		}
 		onPath[u] = false
 	}
 	dfs(src)

@@ -335,3 +335,183 @@ func TestFormatTrace(t *testing.T) {
 		t.Error("nil nodeName should fall back to IDs")
 	}
 }
+
+// diamond is a plain σ graph for the shortest-path kernel: 0 -> 1 -> 3
+// (cost 1+1), 0 -> 2 -> 3 (cost 5+1) and direct 0->3 (cost 10).
+func diamond() *Graph {
+	g := New(4)
+	g.AddEdge(0, 1, 1, 0)
+	g.AddEdge(1, 3, 1, 0)
+	g.AddEdge(0, 2, 5, 0)
+	g.AddEdge(2, 3, 1, 0)
+	g.AddEdge(0, 3, 10, 0)
+	return g
+}
+
+func TestShortestPathBasic(t *testing.T) {
+	g := diamond()
+	p, ok := g.shortestPath(0, 3)
+	if !ok || p.weight != 2 {
+		t.Fatalf("shortestPath = %+v ok=%v, want weight 2", p, ok)
+	}
+	if len(p.edges) != 2 {
+		t.Fatalf("path edges = %v", p.edges)
+	}
+	if _, to := g.Endpoints(p.edges[0]); to != 1 {
+		t.Errorf("path edges = %v", p.edges)
+	}
+}
+
+func TestShortestPathAfterDisable(t *testing.T) {
+	g := diamond()
+	g.disabled[0] = true // kill 0->1
+	p, ok := g.shortestPath(0, 3)
+	if !ok || p.weight != 6 {
+		t.Fatalf("after disable, weight = %v, want 6", p.weight)
+	}
+	g.disabled[2] = true // kill 0->2
+	p, ok = g.shortestPath(0, 3)
+	if !ok || p.weight != 10 {
+		t.Fatalf("after two disables, weight = %v, want 10", p.weight)
+	}
+	g.disabled[4] = true
+	if _, ok = g.shortestPath(0, 3); ok {
+		t.Fatal("expected unreachable")
+	}
+}
+
+func TestParallelEdges(t *testing.T) {
+	g := New(2)
+	e1 := g.AddEdge(0, 1, 5, 0)
+	e2 := g.AddEdge(0, 1, 3, 0)
+	p, ok := g.shortestPath(0, 1)
+	if !ok || p.weight != 3 || p.edges[0] != e2 {
+		t.Fatalf("parallel edge selection wrong: %+v", p)
+	}
+	g.disabled[e2] = true
+	p, ok = g.shortestPath(0, 1)
+	if !ok || p.edges[0] != e1 {
+		t.Fatalf("should fall back to e1: %+v", p)
+	}
+}
+
+func TestSelfPath(t *testing.T) {
+	g := New(3)
+	p, ok := g.shortestPath(1, 1)
+	if !ok || p.weight != 0 || len(p.edges) != 0 {
+		t.Fatalf("self path = %+v ok=%v", p, ok)
+	}
+}
+
+func TestZeroWeightEdges(t *testing.T) {
+	g := New(3)
+	g.AddEdge(0, 1, 0, 0)
+	g.AddEdge(1, 2, 0, 0)
+	p, ok := g.shortestPath(0, 2)
+	if !ok || p.weight != 0 || len(p.edges) != 2 {
+		t.Fatalf("zero-weight path = %+v", p)
+	}
+}
+
+// TestNegativeWeightPanics covers the weight checks
+// TestAddEdgePanicsOnNegative does not: a negative β and NaN weights.
+func TestNegativeWeightPanics(t *testing.T) {
+	for _, w := range [][2]float64{{0, -1}, {math.NaN(), 0}, {0, math.NaN()}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AddEdge(σ=%v, β=%v) did not panic", w[0], w[1])
+				}
+			}()
+			New(2).AddEdge(0, 1, w[0], w[1])
+		}()
+	}
+}
+
+func TestAddEdgePanicsOutOfRange(t *testing.T) {
+	g := New(2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	g.AddEdge(0, 5, 1, 1)
+}
+
+func TestClone(t *testing.T) {
+	g := diamond()
+	cp := g.Clone()
+	cp.disabled[0] = true
+	if g.disabled[0] {
+		t.Fatal("Clone shares disabled state")
+	}
+	cp.AddEdge(3, 0, 1, 1)
+	if g.NumEdges() == cp.NumEdges() || len(g.adj[3]) != 0 {
+		t.Fatal("Clone shares edge storage")
+	}
+	if p, ok := g.shortestPath(0, 3); !ok || p.weight != 2 {
+		t.Fatalf("original after clone edits: %+v ok=%v, want weight 2", p, ok)
+	}
+}
+
+func TestPathEdgeChainProperty(t *testing.T) {
+	// The returned edge list must be a contiguous chain from src to dst
+	// whose σ sum is the reported weight.
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.Intn(40)
+		g := New(n)
+		for i := 0; i+1 < n; i++ { // spine, so dst is reachable
+			g.AddEdge(i, i+1, float64(rng.Intn(20)), 0)
+		}
+		for k := rng.Intn(80); k > 0; k-- {
+			u := rng.Intn(n - 1)
+			g.AddEdge(u, u+1+rng.Intn(n-u-1), float64(rng.Intn(20)), 0)
+		}
+		p, ok := g.shortestPath(0, n-1)
+		if !ok {
+			t.Fatal("spine guarantees reachability")
+		}
+		at := 0
+		for _, id := range p.edges {
+			from, to := g.Endpoints(id)
+			if from != at {
+				t.Fatalf("broken chain at edge %d: from %d, at %d", id, from, at)
+			}
+			at = to
+		}
+		if at != n-1 {
+			t.Fatalf("chain ends at %d, want %d", at, n-1)
+		}
+		if s := g.S(p.edges); s != p.weight {
+			t.Fatalf("path weight %v, edges sum to %v", p.weight, s)
+		}
+	}
+}
+
+func TestHeapOrderProperty(t *testing.T) {
+	f := func(vals []float64) bool {
+		h := newHeap(len(vals))
+		for i, v := range vals {
+			if v < 0 {
+				v = -v
+			}
+			if v != v { // NaN would poison ordering; skip
+				v = 0
+			}
+			h.push(i, v)
+		}
+		prev := -1.0
+		for h.len() > 0 {
+			_, p := h.pop()
+			if p < prev {
+				return false
+			}
+			prev = p
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}

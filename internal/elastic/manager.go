@@ -35,6 +35,14 @@ type Exports struct {
 	SessionsPushed func(id, node string)
 }
 
+// Push limits of one migration.
+const (
+	// cacheLimit caps result-cache entries pushed per view change.
+	cacheLimit = 256
+	// boundsLimit caps bound-cache entries pushed per joining node.
+	boundsLimit = 1024
+)
+
 // Config parameterises a Manager.
 type Config struct {
 	// Cluster is the node's routing view (required).
@@ -42,12 +50,6 @@ type Config struct {
 	// Client issues migration pushes, broadcasts and gossip pulls
 	// (default: 10s timeout).
 	Client *http.Client
-	// CacheLimit caps result-cache entries pushed per view change
-	// (default 256).
-	CacheLimit int
-	// BoundsLimit caps bound-cache entries pushed per joining node
-	// (default 1024).
-	BoundsLimit int
 	// Exports supply the state to push.
 	Exports Exports
 	// OnSelfRemoved fires when an applied view no longer contains this
@@ -89,12 +91,6 @@ func New(cfg Config) *Manager {
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Timeout: 10 * time.Second}
-	}
-	if cfg.CacheLimit <= 0 {
-		cfg.CacheLimit = 256
-	}
-	if cfg.BoundsLimit <= 0 {
-		cfg.BoundsLimit = 1024
 	}
 	return &Manager{cfg: cfg, client: cfg.Client}
 }
@@ -211,7 +207,7 @@ func (m *Manager) pushState(epoch uint64, members []string, oldRing, newRing *cl
 	pushed := false
 
 	if ex := m.cfg.Exports.Results; ex != nil {
-		for node, entries := range ex(dest, m.cfg.CacheLimit) {
+		for node, entries := range ex(dest, cacheLimit) {
 			if len(entries) == 0 {
 				continue
 			}
@@ -223,7 +219,7 @@ func (m *Manager) pushState(epoch uint64, members []string, oldRing, newRing *cl
 		}
 	}
 	if ex := m.cfg.Exports.Bounds; ex != nil && len(joined) > 0 {
-		entries := ex(m.cfg.BoundsLimit)
+		entries := ex(boundsLimit)
 		for _, node := range joined {
 			if node == self || len(entries) == 0 {
 				continue

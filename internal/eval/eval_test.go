@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/colouring"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -41,8 +40,7 @@ func TestAllOnHostDelay(t *testing.T) {
 
 func TestTopmostDelayHandComputed(t *testing.T) {
 	tree := workload.PaperTree()
-	an := colouring.Analyse(tree)
-	asg := an.FeasibleTopmost()
+	asg := model.Compile(tree).TopmostAssignment()
 	b, err := Evaluate(tree, asg)
 	if err != nil {
 		t.Fatal(err)

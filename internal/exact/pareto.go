@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
-	"repro/internal/colouring"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/model"
@@ -24,7 +24,8 @@ type paretoOption struct {
 // Pareto solves the problem exactly by per-region dynamic programming,
 // completely independent of the assignment graph:
 //
-//  1. colour the tree; the must-host closure contributes a fixed host time;
+//  1. read the colouring off the compiled plan; the must-host closure
+//     contributes a fixed host time;
 //  2. for every maximal monochromatic region compute the Pareto frontier of
 //     (extra host time, satellite load) over all cuts of that region;
 //  3. merge frontiers of regions sharing a colour (Minkowski sum, pruned);
@@ -43,28 +44,34 @@ func Pareto(t *model.Tree, maxFrontier int) (*Result, error) {
 // the context's.
 func ParetoContext(ctx context.Context, t *model.Tree, maxFrontier int) (*Result, error) {
 	maxFrontier = core.IntOr(maxFrontier, 1<<20)
-	an := colouring.Analyse(t)
+	plan := model.Compile(t)
 
+	// The must-host closure's host time, summed in pre-order; the regions
+	// are the other positions whose parent is in the closure (sensors
+	// included), taken in pre-order too.
 	coreHost := 0.0
-	for _, id := range an.MustHostSet() {
-		coreHost += t.Node(id).HostTime
-	}
-
-	// Per-colour merged frontiers.
 	byColour := map[model.SatelliteID][]paretoOption{}
-	for _, region := range an.Regions() {
-		opts, err := regionFrontier(ctx, t, region.Root, maxFrontier)
+	for _, p := range plan.Pre {
+		if plan.MustHost[p] {
+			coreHost += plan.HostTime[p]
+			continue
+		}
+		if par := plan.Parent[p]; par < 0 || !plan.MustHost[par] {
+			continue
+		}
+		colour := plan.Colour[p]
+		opts, err := regionFrontier(ctx, t, plan.Post[p], maxFrontier)
 		if err != nil {
 			return nil, err
 		}
-		if existing, ok := byColour[region.Colour]; ok {
+		if existing, ok := byColour[colour]; ok {
 			merged, err := minkowski(ctx, existing, opts, maxFrontier)
 			if err != nil {
 				return nil, err
 			}
-			byColour[region.Colour] = merged
+			byColour[colour] = merged
 		} else {
-			byColour[region.Colour] = opts
+			byColour[colour] = opts
 		}
 	}
 
@@ -85,20 +92,22 @@ func ParetoContext(ctx context.Context, t *model.Tree, maxFrontier int) (*Result
 		return &Result{Assignment: asg, Delay: d}, nil
 	}
 
-	// Candidate bottleneck values: every achievable per-colour load.
-	candidates := map[float64]bool{}
+	// Candidate bottleneck values: every achievable per-colour load, in
+	// ascending order, so ties between co-optimal candidates always go to
+	// the smallest bottleneck and one input gets one answer.
+	var candidates []float64
 	for _, opts := range byColour {
 		for _, o := range opts {
-			candidates[o.load] = true
+			candidates = append(candidates, o.load)
 		}
 	}
+	slices.Sort(candidates)
+	candidates = slices.Compact(candidates)
 
 	best := math.Inf(1)
 	var bestChoice map[model.SatelliteID]*paretoOption
-	checked := 0
-	for b := range candidates {
-		checked++
-		if checked&0xff == 0 {
+	for checked, b := range candidates {
+		if (checked+1)&0xff == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"repro/internal/colouring"
 	"repro/internal/eval"
 	"repro/internal/model"
 )
@@ -22,7 +21,6 @@ func BranchAndBoundPointer(ctx context.Context, t *model.Tree, maxNodes int, war
 	if maxNodes <= 0 {
 		maxNodes = 1 << 22
 	}
-	an := colouring.Analyse(t)
 	res := &Result{Delay: math.Inf(1)}
 
 	// forcedSub[v] = Σ h over the multi-colour CRUs in v's subtree: they
@@ -76,7 +74,7 @@ func BranchAndBoundPointer(ctx context.Context, t *model.Tree, maxNodes int, war
 		}
 	}
 
-	seeds := []*model.Assignment{an.FeasibleTopmost(), model.NewAssignment(t)}
+	seeds := []*model.Assignment{model.Compile(t).TopmostAssignment(), model.NewAssignment(t)}
 	if warm != nil {
 		seeds = append(seeds, warm.Clone())
 	}

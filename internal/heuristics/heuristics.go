@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/colouring"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/model"
@@ -33,7 +32,7 @@ func AllHost(t *model.Tree) *Result {
 // MaxDistribution returns the topmost-cut baseline: only the must-host
 // closure stays on the host, every region runs on its satellite.
 func MaxDistribution(t *model.Tree) *Result {
-	asg := colouring.Analyse(t).FeasibleTopmost()
+	asg := model.Compile(t).TopmostAssignment()
 	return &Result{Assignment: asg, Delay: eval.MustDelay(t, asg)}
 }
 
@@ -288,7 +287,7 @@ func AnnealContext(ctx context.Context, t *model.Tree, cfg AnnealConfig) (*Resul
 
 func startAssignment(t *model.Tree, s Start) *model.Assignment {
 	if s == FromTopmost {
-		return colouring.Analyse(t).FeasibleTopmost()
+		return model.Compile(t).TopmostAssignment()
 	}
 	return model.NewAssignment(t)
 }

@@ -62,9 +62,6 @@ type Config struct {
 	JobQueueDepth int
 	// JobTTL is how long finished jobs stay pollable (default 10m).
 	JobTTL time.Duration
-	// JobPlanner overrides the metareasoning policy picking each job's
-	// algorithm and budget (default jobs.DefaultPlanner()).
-	JobPlanner *jobs.Planner
 }
 
 // Server is the routed handler with its drain control. It implements
@@ -109,7 +106,6 @@ func New(cfg Config) *Server {
 		Workers:    cfg.JobWorkers,
 		QueueDepth: cfg.JobQueueDepth,
 		ResultTTL:  cfg.JobTTL,
-		Planner:    cfg.JobPlanner,
 	}
 	if cl := cfg.Cluster; cl != nil {
 		jcfg.SelfTag = cl.SelfTag()

@@ -3,7 +3,7 @@
 // incumbents while they search. A job moves submit → queued → running →
 // done/failed/canceled/expired; while it runs, every incumbent the solver
 // finds lands in a per-job progress ring that long-poll and SSE consumers
-// read by sequence number. The metareasoning front-end (Planner) picks the
+// read by sequence number. The metareasoning front-end (PlanFor) picks the
 // algorithm and budget from instance features, and portfolio mode races
 // branch-and-bound against a heuristic, cancelling the race as soon as the
 // bound gap closes under the plan's threshold.
@@ -109,9 +109,6 @@ type Config struct {
 	// so cluster peers can route job calls to the owning node from the
 	// ID alone, exactly like pinned sessions.
 	SelfTag string
-	// Planner chooses algorithm and budget for requests that pin neither
-	// (default DefaultPlanner).
-	Planner *Planner
 }
 
 // Stats is a snapshot of the manager's counters for /debug/vars.
@@ -180,9 +177,6 @@ func New(cfg Config) *Manager {
 	}
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 64
-	}
-	if cfg.Planner == nil {
-		cfg.Planner = DefaultPlanner()
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	m := &Manager{
@@ -298,7 +292,7 @@ func (m *Manager) Stats() Stats {
 }
 
 // QueueDepth reports the number of queued-but-not-running jobs; the
-// Planner reads it to scale effort under pressure.
+// planner reads it to scale effort under pressure.
 func (m *Manager) QueueDepth() int { return len(m.queue) }
 
 func (m *Manager) mintID() string {
@@ -368,7 +362,7 @@ func (m *Manager) run(j *Job) {
 		defer tcancel()
 	}
 
-	plan := m.cfg.Planner.Plan(FeaturesOf(j.req, len(m.queue)))
+	plan := PlanFor(FeaturesOf(j.req, len(m.queue)))
 	j.setPlan(plan)
 
 	var out *repro.Outcome

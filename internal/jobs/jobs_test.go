@@ -284,7 +284,6 @@ func TestIncumbentRingEviction(t *testing.T) {
 }
 
 func TestPlannerPolicy(t *testing.T) {
-	p := jobs.DefaultPlanner()
 	cases := []struct {
 		name      string
 		f         jobs.Features
@@ -304,7 +303,7 @@ func TestPlannerPolicy(t *testing.T) {
 		{"pinned", jobs.Features{Nodes: 60, Colours: 2, Algorithm: repro.Genetic}, repro.Genetic, false},
 	}
 	for _, tc := range cases {
-		plan := p.Plan(tc.f)
+		plan := jobs.PlanFor(tc.f)
 		if plan.Algorithm != tc.alg || plan.Portfolio != tc.portfolio {
 			t.Errorf("%s: plan = %s portfolio=%v, want %s/%v (reason %q)",
 				tc.name, plan.Algorithm, plan.Portfolio, tc.alg, tc.portfolio, plan.Reason)

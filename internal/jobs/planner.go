@@ -6,7 +6,7 @@ import (
 	"repro"
 )
 
-// Features are the instance and queue signals the Planner decides from.
+// Features are the instance and queue signals PlanFor decides from.
 type Features struct {
 	// Nodes is the CRU count (processing + sensors).
 	Nodes int
@@ -59,55 +59,45 @@ type Plan struct {
 	Reason string
 }
 
-// Planner is the metareasoning front-end: it trades deadline against
-// solution quality by picking the algorithm and budget per instance, in
-// the spirit of Zilberstein & Chien's metareasoning layer and HS-CAI's
-// search-plus-inference portfolios.
-type Planner struct {
-	// SmallNodes is the instance size solved exact-with-generous-budget
+// The planner's thresholds.
+const (
+	// smallNodes is the instance size solved exact-with-generous-budget
 	// regardless of deadline (branch-and-bound finishes in microseconds
-	// there). Default 24.
-	SmallNodes int
-	// RushDeadline is the deadline under which planning skips straight to
+	// there).
+	smallNodes = 24
+	// rushDeadline is the deadline under which planning skips straight to
 	// a heuristic (an exact search would spend its whole budget proving
-	// bounds). Default 10ms.
-	RushDeadline time.Duration
-	// DeepQueue is the backlog at which effort is shed onto heuristics
-	// even without a tight deadline. Default 32.
-	DeepQueue int
-	// GapThreshold is the portfolio acceptance gap. Default 0.02.
-	GapThreshold float64
-	// ParallelNodes is the instance size from which the exact lane runs
+	// bounds).
+	rushDeadline = 10 * time.Millisecond
+	// deepQueue is the backlog at which effort is shed onto heuristics
+	// even without a tight deadline.
+	deepQueue = 32
+	// gapThreshold is the portfolio acceptance gap.
+	gapThreshold = 0.02
+	// parallelNodes is the instance size from which the exact lane runs
 	// the branch-and-bound engine at the solve-parallelism width
 	// (parallel-bnb, work-stealing above one worker) instead of at width
 	// 1: a search that large is the only job a core will see for a
 	// while, so saturating the node with one solve beats keeping cores
-	// free for queue parallelism. Default 48.
-	ParallelNodes int
-}
+	// free for queue parallelism.
+	parallelNodes = 48
+)
 
-// DefaultPlanner returns the stock policy.
-func DefaultPlanner() *Planner {
-	return &Planner{
-		SmallNodes:    24,
-		RushDeadline:  10 * time.Millisecond,
-		DeepQueue:     32,
-		GapThreshold:  0.02,
-		ParallelNodes: 48,
-	}
-}
-
-// Plan decides one request. Pinned algorithms are honoured as-is (with a
-// portfolio around them only on explicit request), and an explicit
-// portfolio request always races — on instances the exact lane wins
-// instantly the race just ends early. Otherwise the policy is: small
-// instances solve exactly, rushed or backlogged requests run the
-// annealer, deadline-bearing large instances race branch-and-bound
-// against a population heuristic, and everything else gets the exact
-// solver with an effort budget scaled to the queue.
-func (p *Planner) Plan(f Features) Plan {
+// PlanFor is the metareasoning front-end: it trades deadline against
+// solution quality by picking the algorithm and budget per instance, in
+// the spirit of Zilberstein & Chien's metareasoning layer and HS-CAI's
+// search-plus-inference portfolios.
+//
+// Pinned algorithms are honoured as-is (with a portfolio around them only
+// on explicit request), and an explicit portfolio request always races —
+// on instances the exact lane wins instantly the race just ends early.
+// Otherwise the policy is: small instances solve exactly, rushed or
+// backlogged requests run the annealer, deadline-bearing large instances
+// race branch-and-bound against a population heuristic, and everything
+// else gets the exact solver with an effort budget scaled to the queue.
+func PlanFor(f Features) Plan {
 	heur := repro.Annealing
-	if f.Colours >= 3 && f.Nodes >= p.SmallNodes {
+	if f.Colours >= 3 && f.Nodes >= smallNodes {
 		// Many colours widen the cut space; the genetic population
 		// explores it better than a single annealing walk.
 		heur = repro.Genetic
@@ -117,7 +107,7 @@ func (p *Planner) Plan(f Features) Plan {
 	// large enough to dominate a node anyway. Both return the same delay
 	// (bit for bit at one worker), so the switch is pure wall-time policy.
 	exact := repro.BranchBound
-	if f.Nodes >= p.ParallelNodes {
+	if f.Nodes >= parallelNodes {
 		exact = repro.ParallelBnB
 	}
 
@@ -126,7 +116,7 @@ func (p *Planner) Plan(f Features) Plan {
 		if f.Portfolio {
 			plan.Portfolio = true
 			plan.Heuristic = heur
-			plan.GapThreshold = p.GapThreshold
+			plan.GapThreshold = gapThreshold
 			plan.Reason = "portfolio pinned by request"
 		}
 		return plan
@@ -137,24 +127,24 @@ func (p *Planner) Plan(f Features) Plan {
 			Algorithm:    exact,
 			Portfolio:    true,
 			Heuristic:    heur,
-			GapThreshold: p.GapThreshold,
+			GapThreshold: gapThreshold,
 			Reason:       "portfolio requested: racing exact vs heuristic",
 		}
 	}
 
 	switch {
-	case f.Nodes <= p.SmallNodes:
+	case f.Nodes <= smallNodes:
 		return Plan{
 			Algorithm: repro.BranchBound,
 			Budget:    1 << 22,
 			Reason:    "small instance: exact branch-and-bound",
 		}
-	case f.Deadline > 0 && f.Deadline <= p.RushDeadline:
+	case f.Deadline > 0 && f.Deadline <= rushDeadline:
 		return Plan{
 			Algorithm: heur,
 			Reason:    "deadline too tight for exact search: heuristic only",
 		}
-	case f.QueueDepth >= p.DeepQueue:
+	case f.QueueDepth >= deepQueue:
 		return Plan{
 			Algorithm: heur,
 			Reason:    "queue backlog: shedding effort onto heuristic",
@@ -164,7 +154,7 @@ func (p *Planner) Plan(f Features) Plan {
 			Algorithm:    exact,
 			Portfolio:    true,
 			Heuristic:    heur,
-			GapThreshold: p.GapThreshold,
+			GapThreshold: gapThreshold,
 			Reason:       "large instance under deadline: racing exact vs heuristic",
 		}
 	default:

@@ -1,13 +1,9 @@
 package model
 
-import (
-	"slices"
-	"sync/atomic"
-)
+import "slices"
 
 // LeafSpan is a maximal run of consecutive leaf (sensor) positions in the
-// planar order, inclusive on both ends. It mirrors colouring.Band without
-// importing it (colouring derives its bands from the compiled plan).
+// planar order, inclusive on both ends: one band of a satellite's sensors.
 type LeafSpan struct{ Lo, Hi int32 }
 
 // Compiled is an immutable, cache-friendly compilation of one Tree
@@ -73,26 +69,7 @@ type Compiled struct {
 	SatSensors     [][]int32    // per satellite: its sensors' positions, planar order
 	SatBands       [][]LeafSpan // per satellite: maximal runs of its leaves
 	NumSats        int
-
-	aux *planAux
 }
-
-// planAux carries lazily derived per-plan artefacts — currently the
-// assign package's dual assignment graph. It hangs off the plan behind a
-// pointer so plans can be copied (the patched-plan fast path) while the
-// aux slot itself is never copied; a patched plan gets a fresh aux,
-// because derived artefacts embed the float arrays they were built from.
-type planAux struct {
-	dual atomic.Value
-}
-
-// Dual returns the memoised dual assignment graph (stored as any to keep
-// model independent of the assign package), or nil.
-func (c *Compiled) Dual() any { return c.aux.dual.Load() }
-
-// StoreDual memoises the dual assignment graph for this plan. Concurrent
-// stores race benignly: both values are equivalent, last one wins.
-func (c *Compiled) StoreDual(g any) { c.aux.dual.Store(g) }
 
 // Compile returns the compiled plan of t, memoised on the tree: the first
 // call per revision builds it, later calls (and every solver dispatched
@@ -150,8 +127,9 @@ func (c *Compiled) BaseLocations(loc []Location) {
 
 // TopmostLocations fills loc with the maximal distribution: exactly the
 // must-host closure stays on the host and every monochromatic region
-// hanging off it sinks to its satellite — the same cut as
-// colouring.Analysis.FeasibleTopmost.
+// hanging off it sinks to its satellite. This minimal-host-set cut is
+// where the §5.4 adapted algorithm starts and the "maximal distribution"
+// baseline.
 func (c *Compiled) TopmostLocations(loc []Location) {
 	c.BaseLocations(loc)
 	for p := int32(0); p < int32(len(loc)); p++ {
@@ -162,6 +140,16 @@ func (c *Compiled) TopmostLocations(loc []Location) {
 			c.FillSpan(loc, p, OnSatellite(c.Colour[p]))
 		}
 	}
+}
+
+// TopmostAssignment returns the TopmostLocations cut as a NodeID-indexed
+// assignment of the plan's tree.
+func (c *Compiled) TopmostAssignment() *Assignment {
+	loc := make([]Location, c.Len())
+	c.TopmostLocations(loc)
+	a := &Assignment{Loc: make([]Location, c.Len())}
+	c.StoreAssignment(a, loc)
+	return a
 }
 
 // FillSpan places every processing CRU in the subtree at p onto l —
@@ -220,7 +208,6 @@ func compile(t *Tree) *Compiled {
 		LeafHi:   make([]int32, n),
 		Leaves:   make([]int32, len(t.leaves)),
 		NumSats:  len(t.satellites),
-		aux:      &planAux{},
 	}
 	for p, id := range t.postorder {
 		c.Post[p] = id
@@ -365,7 +352,6 @@ func (t *Tree) adoptCompiledPlan(base *Tree, dirty []NodeID) {
 	}
 	c := *bc // shallow copy: shares every structural array
 	c.tree = t
-	c.aux = &planAux{} // derived artefacts depend on the patched floats
 	c.HostTime = append([]float64(nil), bc.HostTime...)
 	c.SatTime = append([]float64(nil), bc.SatTime...)
 	c.UpComm = append([]float64(nil), bc.UpComm...)

@@ -5,7 +5,8 @@
 // costs, and assignments of CRUs onto the host or their correspondent
 // satellites.
 //
-// The model is deliberately self-contained: every other package (colouring,
-// assignment-graph construction, solvers, simulator, workload generators)
-// builds on the invariants established and validated here.
+// The model is deliberately self-contained: every other package
+// (assignment-graph construction, solvers, simulator, workload generators)
+// builds on the invariants established and validated here, and the paper's
+// §5.1 colouring lives in the compiled plan (Compile).
 package model
