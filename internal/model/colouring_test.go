@@ -24,8 +24,8 @@ func regionRoots(c *model.Compiled) []int32 {
 
 // TestPaperTreeColouring is experiment E2: the plan's colouring of the
 // paper tree reproduces Figure 5 — conflicts exactly on ⟨CRU1,CRU2⟩ and
-// ⟨CRU1,CRU3⟩, must-host set exactly {CRU1, CRU2, CRU3}, the ten CRU edge
-// colours, the five regions and the contiguous B band.
+// ⟨CRU1,CRU3⟩, must-host set exactly {CRU1, CRU2, CRU3} and the ten CRU
+// edge colours.
 func TestPaperTreeColouring(t *testing.T) {
 	tree := workload.PaperTree()
 	c := model.Compile(tree)
@@ -67,7 +67,11 @@ func TestPaperTreeColouring(t *testing.T) {
 			t.Errorf("edge into %s coloured %s, want %s", name, got, want)
 		}
 	}
+}
 
+func TestPaperTreeRegions(t *testing.T) {
+	tree := workload.PaperTree()
+	c := model.Compile(tree)
 	var regions []string
 	for _, p := range regionRoots(c) {
 		regions = append(regions, tree.Node(c.Post[p]).Name+"@"+tree.SatelliteName(c.Colour[p]))
@@ -75,7 +79,11 @@ func TestPaperTreeColouring(t *testing.T) {
 	if got := strings.Join(regions, " "); got != "CRU4@R CRU5@B CRU6@B CRU7@Y CRU8@G" {
 		t.Errorf("regions = %q, want CRU4@R CRU5@B CRU6@B CRU7@Y CRU8@G", got)
 	}
+}
 
+func TestPaperTreeBandsContiguous(t *testing.T) {
+	tree := workload.PaperTree()
+	c := model.Compile(tree)
 	// Leaf order R R R B B Y G: every colour is one band; B covers 3..4.
 	for _, sat := range tree.Satellites() {
 		if !c.Contiguous(sat.ID) {
@@ -84,6 +92,33 @@ func TestPaperTreeColouring(t *testing.T) {
 		if sat.Name == "B" {
 			if b := c.Bands(sat.ID); len(b) != 1 || b[0] != (model.LeafSpan{Lo: 3, Hi: 4}) {
 				t.Errorf("B bands = %+v, want [{3 4}]", b)
+			}
+		}
+	}
+}
+
+// TestMustHostUpwardClosedProperty: on random trees the must-host closure
+// is upward closed, and an edge conflicts exactly when the subtree below it
+// spans two or more satellites.
+func TestMustHostUpwardClosedProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 40; trial++ {
+		spec := workload.DefaultRandomSpec(2+rng.Intn(30), 1+rng.Intn(5))
+		spec.Clustered = trial%2 == 0
+		tree := workload.Random(rng, spec)
+		c := model.Compile(tree)
+		for p := range c.Post {
+			par := c.Parent[p]
+			if !c.Proc[p] || par < 0 {
+				continue
+			}
+			name := tree.Node(c.Post[p]).Name
+			if c.MustHost[p] && !c.MustHost[par] {
+				t.Fatalf("trial %d: must-host not upward closed at %s", trial, name)
+			}
+			conflict := c.Colour[p] == model.NoSatellite
+			if conflict != (len(tree.SubtreeSatellites(c.Post[p])) >= 2) {
+				t.Fatalf("trial %d: conflict flag inconsistent at %s", trial, name)
 			}
 		}
 	}
