@@ -9,9 +9,9 @@ import (
 	"repro/internal/model"
 )
 
-// Edge is one dual edge of the assignment graph. CutChildren usually holds
-// the single tree-edge child the dual edge crosses; super-edges created by
-// the §5.4 expansion step list every crossed child in left-to-right order.
+// Edge is one dual edge of the assignment graph. CutChildren holds the
+// single tree-edge child the dual edge crosses. The super-edges of the
+// §5.4 expansion step are not Edges: they exist only inside a solve.
 type Edge struct {
 	ID          int
 	From, To    int // faces, From < To
@@ -191,7 +191,7 @@ func (g *Graph) TreeSigma(child model.NodeID) float64 {
 // false when that edge conflicts (has no dual edge).
 func (g *Graph) EdgeCrossing(child model.NodeID) (Edge, bool) {
 	for _, e := range g.edges {
-		if len(e.CutChildren) == 1 && e.CutChildren[0] == child {
+		if e.CutChildren[0] == child {
 			return e, true
 		}
 	}
@@ -274,9 +274,7 @@ func (g *Graph) Encode(asg *model.Assignment) ([]int, error) {
 	}
 	byChild := map[model.NodeID]int{}
 	for _, e := range g.edges {
-		if len(e.CutChildren) == 1 {
-			byChild[e.CutChildren[0]] = e.ID
-		}
+		byChild[e.CutChildren[0]] = e.ID
 	}
 	var ids []int
 	for _, pair := range asg.CutEdges(g.tree) {

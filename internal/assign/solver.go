@@ -1,6 +1,7 @@
 package assign
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -20,9 +21,12 @@ type Options struct {
 	// dwg.Default (1, 1), the §5 end-to-end delay.
 	Weights dwg.Weights
 
-	// MaxExpandedEdges caps the number of super-edges one band expansion
-	// may create before the solver falls back to the exact label search.
-	// 0 means the default of 200000.
+	// MaxExpandedEdges caps the Pareto frontier of every face of a band
+	// expansion: when the merged frontier of any face in the band holds
+	// more traversal prefixes than this, the solver falls back to the
+	// exact label search. The band's exit face frontier becomes its
+	// super-edges, so this also caps the super-edges one expansion
+	// creates. 0 means the default of 200000.
 	MaxExpandedEdges int
 
 	// DisableExpansion forces the solver to fall back to the label search
@@ -75,18 +79,42 @@ type Solution struct {
 }
 
 // workEdge is a mutable copy of Edge inside the solver's shrinking graph.
+// A base edge crosses the one tree edge above child. A super-edge stands
+// for a whole band traversal: prefix is the arena index of the traversal's
+// last prefix, and its crossed children are decoded only if the edge ends
+// up on the returned path.
 type workEdge struct {
 	from, to    int
 	sigma, beta float64
 	colour      model.SatelliteID
-	cutChildren []model.NodeID
+	child       model.NodeID // base edges only
+	prefix      int          // super-edges only; -1 on base edges
 	disabled    bool
+}
+
+// bundle is one expanded band. Its super-edges are the ids lo..hi-1, all
+// running entry→exit with ascending σ and strictly descending β, so
+// elimination always disables a prefix of them and cur is the first
+// enabled member. Bundle members are kept out of the out-lists: the min-σ
+// pass only ever needs the first enabled one.
+type bundle struct {
+	entry, exit int
+	lo, hi, cur int
 }
 
 type workGraph struct {
 	faces int
 	edges []workEdge
-	out   [][]int
+	out   [][]int // face -> base edge ids; super-edges live in bundles
+
+	bundles  []bundle
+	bundleAt []int // face -> index of the bundle entered there, or -1
+
+	// byBeta lists the base edges by descending β. Elimination disables
+	// every edge with β ≥ the round's threshold, so the edges it has
+	// disabled are always byBeta[:elimCur].
+	byBeta  []betaRef
+	elimCur int
 
 	// Reusable buffers for minSigmaPath: the adapted loop calls it once per
 	// iteration, and iteration counts scale with the expanded edge count.
@@ -96,18 +124,20 @@ type workGraph struct {
 	// expanded marks colours already band-expanded this solve.
 	expanded []bool
 
-	// Scratch of expandColour's Pareto DP: the prefix arena and the
-	// per-face frontiers, reused across expansions and solves.
-	arena    []prefixNode
-	frontier [][]int
+	// arena holds the Pareto prefixes of every band expansion of the solve;
+	// super-edges point into it. It is append-only until the next solve.
+	// faceStart, inStart, inEdges and heads are expandColour's per-band
+	// scratch.
+	arena     []prefixNode
+	faceStart []int
+	inStart   []int
+	inEdges   []int
+	heads     []mergeHead
 
 	// path is minSigmaPath's result buffer (callers copy what they keep);
-	// rev and cutArena back the super-edges' reconstruction and crossed-
-	// children lists; loads is measures' dense per-colour accumulator.
-	path     []int
-	rev      []int
-	cutArena []model.NodeID
-	loads    []float64
+	// loads is measures' dense per-colour accumulator.
+	path  []int
+	loads []float64
 }
 
 // workGraphs is the pooled scratch arena of the path solvers: one
@@ -121,6 +151,10 @@ func newWorkGraph(g *Graph) *workGraph {
 	w.faces = g.faces
 	w.dist = pool.Keep(w.dist, g.faces)
 	w.via = pool.Keep(w.via, g.faces)
+	w.bundleAt = pool.Keep(w.bundleAt, g.faces)
+	for i := range w.bundleAt {
+		w.bundleAt[i] = -1
+	}
 	w.expanded = pool.Slice(w.expanded, len(g.tree.Satellites()))
 	w.loads = pool.Slice(w.loads, len(g.tree.Satellites()))
 	if cap(w.out) < g.faces {
@@ -132,26 +166,57 @@ func newWorkGraph(g *Graph) *workGraph {
 		}
 	}
 	w.edges = w.edges[:0]
-	w.cutArena = w.cutArena[:0]
+	w.bundles = w.bundles[:0]
+	w.arena = w.arena[:0]
 	for _, e := range g.edges {
-		w.add(workEdge{
+		w.out[e.From] = append(w.out[e.From], len(w.edges))
+		w.edges = append(w.edges, workEdge{
 			from: e.From, to: e.To, sigma: e.Sigma, beta: e.Beta,
-			colour: e.Colour, cutChildren: e.CutChildren,
+			colour: e.Colour, child: e.CutChildren[0], prefix: -1,
 		})
 	}
 	return w
 }
 
-// release returns the workGraph to the arena. Super-edge cutChildren
-// slices are dropped with the edge list truncation; the backing arrays
-// stay for the next solve.
+// release returns the workGraph to the arena; every buffer stays for the
+// next solve.
 func (w *workGraph) release() { workGraphs.Put(w) }
 
-func (w *workGraph) add(e workEdge) int {
-	id := len(w.edges)
-	w.edges = append(w.edges, e)
-	w.out[e.from] = append(w.out[e.from], id)
-	return id
+// betaRef is a base edge's entry in the elimination order.
+type betaRef struct {
+	beta float64
+	id   int
+}
+
+// sortByBeta readies the elimination cursor: base edges by descending β.
+func (w *workGraph) sortByBeta() {
+	w.byBeta = w.byBeta[:0]
+	for id := range w.edges {
+		w.byBeta = append(w.byBeta, betaRef{w.edges[id].beta, id})
+	}
+	slices.SortFunc(w.byBeta, func(a, b betaRef) int { return cmp.Compare(b.beta, a.beta) })
+	w.elimCur = 0
+}
+
+// eliminate disables every enabled edge whose β reaches threshold and
+// returns how many it disabled, bundle members counted one by one. Base
+// edges disabled by an expansion are passed over uncounted.
+func (w *workGraph) eliminate(threshold float64) int {
+	removed := 0
+	for ; w.elimCur < len(w.byBeta) && w.byBeta[w.elimCur].beta >= threshold; w.elimCur++ {
+		if e := &w.edges[w.byBeta[w.elimCur].id]; !e.disabled {
+			e.disabled = true
+			removed++
+		}
+	}
+	for i := range w.bundles {
+		b := &w.bundles[i]
+		for ; b.cur < b.hi && w.edges[b.cur].beta >= threshold; b.cur++ {
+			w.edges[b.cur].disabled = true
+			removed++
+		}
+	}
+	return removed
 }
 
 func (w *workGraph) enabledCount() int {
@@ -164,8 +229,20 @@ func (w *workGraph) enabledCount() int {
 	return n
 }
 
+// unbundle adds every enabled bundle member to its entry face's out-list,
+// after the base edges, for the label search that cannot use cursors.
+func (w *workGraph) unbundle() {
+	for _, b := range w.bundles {
+		for id := b.cur; id < b.hi; id++ {
+			w.out[b.entry] = append(w.out[b.entry], id)
+		}
+	}
+}
+
 // minSigmaPath runs the O(V+E) monotone-DAG pass — the §5.4 observation
-// that the min-S path needs no general shortest-path search.
+// that the min-S path needs no general shortest-path search. A bundle is
+// relaxed through its first enabled member, after its entry face's base
+// edges: members have ascending σ, so no later one can improve on it.
 func (w *workGraph) minSigmaPath() ([]int, bool) {
 	dist, via := w.dist, w.via
 	for i := range dist {
@@ -174,7 +251,8 @@ func (w *workGraph) minSigmaPath() ([]int, bool) {
 	}
 	dist[0] = 0
 	for f := 0; f < w.faces; f++ {
-		if math.IsInf(dist[f], 1) {
+		d := dist[f]
+		if math.IsInf(d, 1) {
 			continue
 		}
 		for _, id := range w.out[f] {
@@ -182,9 +260,17 @@ func (w *workGraph) minSigmaPath() ([]int, bool) {
 			if e.disabled {
 				continue
 			}
-			if nd := dist[f] + e.sigma; nd < dist[e.to] {
+			if nd := d + e.sigma; nd < dist[e.to] {
 				dist[e.to] = nd
 				via[e.to] = id
+			}
+		}
+		if bi := w.bundleAt[f]; bi >= 0 {
+			if b := &w.bundles[bi]; b.cur < b.hi {
+				if nd := d + w.edges[b.cur].sigma; nd < dist[b.exit] {
+					dist[b.exit] = nd
+					via[b.exit] = b.cur
+				}
 			}
 		}
 	}
@@ -263,6 +349,7 @@ func (g *Graph) solveAdapted(ctx context.Context, opt Options, trace bool) (*Sol
 	}
 	w := newWorkGraph(g)
 	defer w.release()
+	w.sortByBeta()
 	sol := &Solution{Objective: math.Inf(1)}
 	var bestEdges []int
 	record := func(entry TraceEntry) {
@@ -314,14 +401,7 @@ func (g *Graph) solveAdapted(ctx context.Context, opt Options, trace bool) (*Sol
 				threshold = byCand
 			}
 		}
-		removed := 0
-		for id := range w.edges {
-			e := &w.edges[id]
-			if !e.disabled && e.beta >= threshold {
-				e.disabled = true
-				removed++
-			}
-		}
+		removed := w.eliminate(threshold)
 		entry.Removed = removed
 		if removed == 0 {
 			// The bottleneck colour's B is spread over several of its
@@ -362,103 +442,158 @@ func (g *Graph) solveAdapted(ctx context.Context, opt Options, trace bool) (*Sol
 // a band path whose σ-sum and β-sum are both no better than another's can
 // never improve any S+B path through the band, so dominated traversals are
 // pruned during a left-to-right dynamic program over the band's faces.
-// Returns the number of super-edges created and false when the per-face
-// frontier budget is exceeded.
+// The super-edges form one bundle. Returns the number of super-edges
+// created and false when the band is disconnected or some face's frontier
+// exceeds the budget.
 func (w *workGraph) expandColour(g *Graph, colour model.SatelliteID, budget int) (int, bool) {
 	lo, hi, ok := g.bandRange(colour)
 	if !ok {
 		return 0, false
 	}
 	entry, exit := lo, hi+1
-
-	// frontier[face-entry] = Pareto-minimal (σ, β) prefix traversals
-	// entry→face. Prefixes live in an append-only arena and reference
-	// their predecessor by index, so the DP never copies edge lists; the
-	// final frontier's traversals are reconstructed by walking parent
-	// chains. Arena and frontiers are workGraph scratch, reused across
-	// expansions.
 	span := exit - entry + 1
-	if cap(w.frontier) < span {
-		w.frontier = make([][]int, span)
-	} else {
-		w.frontier = w.frontier[:span]
-		for i := range w.frontier {
-			w.frontier[i] = w.frontier[i][:0]
+
+	// In-lists: the band's enabled colour edges grouped by head face by a
+	// counting sort. Scanning tail faces in order keeps each in-list in
+	// (tail face, edge id) order, the order in which a one-at-a-time DP
+	// would see their candidates arrive; arrival decides exact ties.
+	in := pool.Slice(w.inStart, span+1)
+	n := 0
+	for f := entry; f < exit; f++ {
+		for _, id := range w.out[f] {
+			if e := &w.edges[id]; !e.disabled && e.colour == colour {
+				in[e.to-entry+1]++
+				n++
+			}
 		}
 	}
-	arena := append(w.arena[:0], prefixNode{edge: -1, parent: -1})
-	w.frontier[0] = append(w.frontier[0], 0)
-	for face := entry; face < exit; face++ {
-		cur := w.frontier[face-entry]
-		if len(cur) == 0 {
-			continue
+	for t := 1; t <= span; t++ {
+		in[t] += in[t-1]
+	}
+	inEdges := pool.Keep(w.inEdges, n)
+	for f := entry; f < exit; f++ {
+		for _, id := range w.out[f] {
+			if e := &w.edges[id]; !e.disabled && e.colour == colour {
+				inEdges[in[e.to-entry]] = id
+				in[e.to-entry]++
+			}
 		}
-		for _, id := range w.out[face] {
+	}
+	// Now face t's in-edges are inEdges[in[t-1]:in[t]].
+	w.inStart, w.inEdges = in, inEdges
+
+	// The frontier of band face t is arena[fs[t]:fs[t+1]]: the Pareto-
+	// minimal (σ, β) prefix traversals entry→t, by ascending σ. Prefixes
+	// reference their predecessor by arena index, so the DP never copies
+	// edge lists.
+	base := len(w.arena)
+	fs := pool.Keep(w.faceStart, span+1)
+	w.faceStart = fs
+	w.arena = append(w.arena, prefixNode{edge: -1, parent: -1})
+	fs[0], fs[1] = base, base+1
+	for t := 1; t < span; t++ {
+		heads := w.heads[:0]
+		for _, id := range inEdges[in[t-1]:in[t]] {
 			e := &w.edges[id]
-			if e.disabled || e.colour != colour || e.to > exit {
-				continue
-			}
-			for _, pi := range cur {
-				p := arena[pi]
-				cand := prefixNode{
-					sigma:  p.sigma + e.sigma,
-					beta:   p.beta + e.beta,
-					edge:   id,
-					parent: pi,
-				}
-				candIdx := len(arena)
-				kept, added := paretoInsert(arena, w.frontier[e.to-entry], cand, candIdx)
-				if added {
-					arena = append(arena, cand) // unused when !added; harmless
-				}
-				w.frontier[e.to-entry] = kept
-				if len(kept) > budget {
-					w.arena = arena
-					return 0, false
-				}
+			f := e.from - entry
+			if first, end := fs[f], fs[f+1]; first < end {
+				heads = append(heads, mergeHead{pos: first, end: end, edge: id, dsigma: e.sigma, dbeta: e.beta})
 			}
 		}
+		w.heads = heads
+		w.mergeFrontier(heads)
+		fs[t+1] = len(w.arena)
+		if fs[t+1]-fs[t] > budget {
+			w.arena = w.arena[:base]
+			return 0, false
+		}
 	}
-	w.arena = arena
-	paths := w.frontier[exit-entry]
-	if len(paths) == 0 {
+	first, end := fs[span-1], fs[span]
+	if first == end {
 		// Band disconnected (all its edges eliminated): expanding cannot
 		// help; signal the caller to fall back.
+		w.arena = w.arena[:base]
 		return 0, false
 	}
-	// Disable the band's edges, then add one super-edge per traversal.
-	for id := range w.edges {
-		e := &w.edges[id]
-		if !e.disabled && e.colour == colour {
-			e.disabled = true
+	// Disable the band's edges, then bundle one super-edge per traversal.
+	for f := entry; f < exit; f++ {
+		for _, id := range w.out[f] {
+			if e := &w.edges[id]; e.colour == colour {
+				e.disabled = true
+			}
 		}
 	}
-	for _, pi := range paths {
-		var se workEdge
-		se.from, se.to = entry, exit
-		se.colour = colour
-		se.sigma, se.beta = arena[pi].sigma, arena[pi].beta
-		rev := w.rev[:0]
-		for i := pi; arena[i].edge >= 0; i = arena[i].parent {
-			rev = append(rev, arena[i].edge)
-		}
-		w.rev = rev
-		// The crossed children live in the workGraph's arena; the slice
-		// header pins its own backing even if the arena later grows.
-		start := len(w.cutArena)
-		for i := len(rev) - 1; i >= 0; i-- {
-			w.cutArena = append(w.cutArena, w.edges[rev[i]].cutChildren...)
-		}
-		se.cutChildren = w.cutArena[start:len(w.cutArena):len(w.cutArena)]
-		w.add(se)
+	b := bundle{entry: entry, exit: exit, lo: len(w.edges)}
+	for i := first; i < end; i++ {
+		p := &w.arena[i]
+		w.edges = append(w.edges, workEdge{
+			from: entry, to: exit, sigma: p.sigma, beta: p.beta,
+			colour: colour, prefix: i,
+		})
 	}
-	return len(paths), true
+	b.hi, b.cur = len(w.edges), b.lo
+	w.bundleAt[entry] = len(w.bundles)
+	w.bundles = append(w.bundles, b)
+	return end - first, true
+}
+
+// mergeHead is one in-edge's predecessor frontier arena[pos:end], shifted
+// by the in-edge's (dsigma, dbeta). During mergeFrontier, sigma is the
+// shifted σ of arena[pos], and exhausted heads are dropped.
+type mergeHead struct {
+	pos, end      int
+	edge          int
+	sigma         float64
+	dsigma, dbeta float64
+}
+
+// mergeFrontier appends a face's Pareto frontier to the arena: it merges
+// the in-edges' shifted predecessor frontiers by σ, ties going to the
+// earlier in-edge and then the earlier prefix (arrival order), and keeps a
+// candidate only if its β is below the last survivor's. An equal-σ
+// candidate with lower β replaces that survivor, so an exact (σ, β) tie
+// keeps the earlier arrival and equal σ keeps the lower β, even when
+// float rounding makes two shifted σ of one list equal.
+func (w *workGraph) mergeFrontier(heads []mergeHead) {
+	arena := w.arena
+	first := len(arena)
+	for i := range heads {
+		heads[i].sigma = arena[heads[i].pos].sigma + heads[i].dsigma
+	}
+	for len(heads) > 0 {
+		k, s := 0, heads[0].sigma
+		for i := 1; i < len(heads); i++ {
+			if heads[i].sigma < s {
+				k, s = i, heads[i].sigma
+			}
+		}
+		h := &heads[k]
+		cand := prefixNode{sigma: s, beta: arena[h.pos].beta + h.dbeta, edge: h.edge, parent: h.pos}
+		if h.pos++; h.pos < h.end {
+			h.sigma = arena[h.pos].sigma + h.dsigma
+		} else {
+			heads = append(heads[:k], heads[k+1:]...) // keeps arrival order
+		}
+		if n := len(arena); n > first {
+			last := &arena[n-1]
+			if last.beta <= cand.beta {
+				continue // dominated (σ ≥, β ≥), possibly an exact tie
+			}
+			if last.sigma == cand.sigma {
+				*last = cand // equal σ, lower β
+				continue
+			}
+		}
+		arena = append(arena, cand)
+	}
+	w.arena = arena
 }
 
 // finishWithLabelSearch completes a stalled adapted solve exactly: the best
 // path in the reduced graph is compared against the candidate found so far
 // (sound because eliminated edges cannot be on a better path).
 func (g *Graph) finishWithLabelSearch(ctx context.Context, w *workGraph, sol *Solution, bestEdges []int, wts dwg.Weights, opt Options) (*Solution, error) {
+	w.unbundle()
 	res, labels, err := labelSearch(ctx, w, len(g.tree.Satellites()), wts, sol.Objective)
 	sol.Stats.Labels = labels
 	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
@@ -481,13 +616,23 @@ func (g *Graph) packageSolution(w *workGraph, sol *Solution, bestEdges []int) (*
 	// machinery by rebuilding the assignment directly.
 	asg := model.NewAssignment(g.tree)
 	covered := 0
+	place := func(child model.NodeID, loc model.Location) {
+		lo, hi := g.tree.LeafRange(child)
+		covered += hi - lo + 1
+		g.placeSubtree(asg, child, loc)
+		sol.CutChildren = append(sol.CutChildren, child)
+	}
 	for _, id := range bestEdges {
 		e := &w.edges[id]
-		for _, child := range e.cutChildren {
-			lo, hi := g.tree.LeafRange(child)
-			covered += hi - lo + 1
-			g.placeSubtree(asg, child, model.OnSatellite(e.colour))
-			sol.CutChildren = append(sol.CutChildren, child)
+		loc := model.OnSatellite(e.colour)
+		if e.prefix < 0 {
+			place(e.child, loc)
+			continue
+		}
+		// A super-edge: walk its traversal's prefix chain back to the
+		// band entry. The order does not matter, CutChildren is sorted.
+		for i := e.prefix; w.arena[i].edge >= 0; i = w.arena[i].parent {
+			place(w.edges[w.arena[i].edge].child, loc)
 		}
 	}
 	if covered != g.tree.SensorCount() {
@@ -679,49 +824,9 @@ func labelSearch(ctx context.Context, w *workGraph, numColours int, wts dwg.Weig
 	return best, explored, nil
 }
 
-// paretoInsert maintains a Pareto frontier as an index list sorted by
-// strictly increasing σ and strictly decreasing β. A dominated candidate
-// (ties included) is rejected in O(log n); otherwise the (contiguous) run
-// of entries the candidate dominates is replaced by candIdx.
-func paretoInsert(arena []prefixNode, list []int, cand prefixNode, candIdx int) (kept []int, added bool) {
-	// First position whose σ exceeds the candidate's.
-	lo, hi := 0, len(list)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if arena[list[mid]].sigma <= cand.sigma {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	pos := lo
-	start := pos
-	if pos > 0 {
-		prev := arena[list[pos-1]]
-		if prev.beta <= cand.beta {
-			return list, false // dominated (σ ≤, β ≤), possibly an exact tie
-		}
-		if prev.sigma == cand.sigma {
-			start = pos - 1 // equal σ with worse β: replaced by the candidate
-		}
-	}
-	end := pos
-	for end < len(list) && arena[list[end]].beta >= cand.beta {
-		end++ // σ ≥ and β ≥: dominated by the candidate
-	}
-	if removed := end - start; removed > 0 {
-		list[start] = candIdx
-		n := copy(list[start+1:], list[end:])
-		return list[: start+1+n : cap(list)], true
-	}
-	list = append(list, 0)
-	copy(list[start+1:], list[start:len(list)-1])
-	list[start] = candIdx
-	return list, true
-}
-
 // prefixNode is an arena entry of expandColour's Pareto DP: a traversal
-// prefix ending with `edge`, extending the prefix at `parent`.
+// prefix ending with `edge`, extending the prefix at `parent`. A band's
+// entry is the node with edge -1.
 type prefixNode struct {
 	sigma, beta float64
 	edge        int

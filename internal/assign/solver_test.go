@@ -230,6 +230,54 @@ func TestExpansionHappensOnEngineeredInstance(t *testing.T) {
 	}
 }
 
+// TestFallBackAfterExpansion stalls the loop after an expansion. Colour
+// s0's contiguous band (u, v) is the first spread-out bottleneck and
+// expands; colour s1's sensors a and c lie on either side of it, two
+// bands, so when s1 stalls the solver falls back to the label search. The
+// s0 base edges are disabled by then, so the optimum the label search
+// finds below the loop's candidate must run through an s0 super-edge.
+func TestFallBackAfterExpansion(t *testing.T) {
+	b := model.NewBuilder()
+	s0 := b.Satellite("s0")
+	s1 := b.Satellite("s1")
+	root := b.Root("root", 1, 0)
+	for _, n := range []struct {
+		name       string
+		h, s, c, x float64
+		sat        model.SatelliteID
+	}{
+		{"a", 2, 7, 1, 9, s1},
+		{"u", 2, 10, 2, 9, s0},
+		{"v", 4, 12, 1, 1, s0},
+		{"c", 1, 10, 1, 7, s1},
+	} {
+		cru := b.Child(root, n.name, n.h, n.s, n.c)
+		b.Sensor(cru, "x"+n.name, n.sat, n.x)
+	}
+	tree, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := Build(tree).SolveAdapted(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sol.Stats.Expansions < 1 || !sol.Stats.FellBack {
+		t.Fatalf("stats %+v: want an expansion and a fallback in one solve", sol.Stats)
+	}
+	bf, err := exact.BruteForce(tree, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almost(sol.Delay, bf.Delay) {
+		t.Fatalf("delay %v != brute force %v", sol.Delay, bf.Delay)
+	}
+	if last := sol.Trace[len(sol.Trace)-1]; !(sol.Objective < last.Candidate) {
+		t.Errorf("objective %v, loop candidate %v: the label search should have improved on it",
+			sol.Objective, last.Candidate)
+	}
+}
+
 func TestWeightedObjectives(t *testing.T) {
 	// λ sweep (E11): for every λ the adapted solver must agree with the
 	// label search; λ=1 minimises host time alone (the topmost cut).
