@@ -117,7 +117,6 @@ type SearchStats struct {
 	SuperEdges int  `json:"super_edges"`
 	FinalEdges int  `json:"final_edges"`
 	FellBack   bool `json:"fell_back,omitempty"`
-	Labels     int  `json:"labels,omitempty"`
 }
 
 // SolveResponse is the result of one solve. Assignment maps each
@@ -178,7 +177,7 @@ func NewSolveResponse(t *repro.Tree, out *repro.Outcome, status repro.CacheStatu
 		resp.Stats = &SearchStats{
 			Iterations: st.Iterations, Expansions: st.Expansions,
 			SuperEdges: st.SuperEdges, FinalEdges: st.FinalEdges,
-			FellBack: st.FellBack, Labels: st.Labels,
+			FellBack: st.FellBack,
 		}
 	}
 	return resp

@@ -504,9 +504,6 @@ func AppendSolveResponse(dst []byte, resp *SolveResponse) ([]byte, error) {
 		if st.FellBack {
 			e.bool("fell_back", true)
 		}
-		if st.Labels != 0 {
-			e.int("labels", int64(st.Labels))
-		}
 		e.close()
 	}
 	if resp.Work != 0 {

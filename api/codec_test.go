@@ -138,7 +138,7 @@ func fuzzResponse(name, loc string, delay, load float64, work int64, shape uint8
 	}
 	if shape&64 != 0 {
 		resp.Stats = &SearchStats{Iterations: int(work), Expansions: 2, SuperEdges: int(shape),
-			FinalEdges: 4, FellBack: shape&128 != 0, Labels: int(work % 5)}
+			FinalEdges: 4, FellBack: shape&128 != 0}
 	}
 	return resp
 }

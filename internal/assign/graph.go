@@ -266,8 +266,9 @@ func (g *Graph) placeSubtree(asg *model.Assignment, root model.NodeID, loc model
 }
 
 // Encode is the inverse of Decode: it maps a feasible assignment to the
-// dual-edge IDs of the S→T path representing it. Used by tests to show the
-// path↔assignment correspondence is a bijection.
+// dual-edge IDs of the S→T path representing it. The adapted solver uses
+// it to bring the Pareto DP's answer back onto the graph, and tests use it
+// to show the path↔assignment correspondence is a bijection.
 func (g *Graph) Encode(asg *model.Assignment) ([]int, error) {
 	if err := asg.Validate(g.tree); err != nil {
 		return nil, err

@@ -1,13 +1,13 @@
 package assign
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"repro/internal/dwg"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
@@ -15,8 +15,10 @@ import (
 // This file keeps the adapted SSB loop as it ran before band expansions
 // became bundles: every super-edge in the out-lists with its crossed
 // children copied out, a full elimination scan per round and a Pareto DP
-// that inserts one candidate at a time. It is the reference the bundled
-// loop is checked against, trace entry for trace entry.
+// that inserts one candidate at a time. A stalled reference loop finishes
+// with a dominance-pruned label search over the reduced graph, where the
+// production loop hands over to the Pareto DP. It is the reference the
+// bundled loop is checked against, trace entry for trace entry.
 
 type refEdge struct {
 	from, to    int
@@ -248,16 +250,16 @@ func (r *refGraph) expandColour(g *Graph, colour model.SatelliteID, budget int) 
 	return len(paths), true
 }
 
-// refFinish runs the shared label search on a workGraph copy of the
-// reference graph, super-edges in the out-lists in id order.
+// refFinish runs the label search on a workGraph copy of the reference
+// graph, super-edges in the out-lists in id order: an exact engine
+// independent of the Pareto DP that finishes the production loop.
 func refFinish(g *Graph, r *refGraph, sol *Solution, bestEdges []int, opt Options) (*Solution, error) {
 	w := &workGraph{faces: r.faces, out: r.out}
 	for _, e := range r.edges {
 		w.edges = append(w.edges, workEdge{from: e.from, to: e.to, sigma: e.sigma, beta: e.beta,
 			colour: e.colour, prefix: -1, disabled: e.disabled})
 	}
-	res, labels, err := labelSearch(context.Background(), w, len(r.expanded), opt.weights(), sol.Objective)
-	sol.Stats.Labels = labels
+	res, err := labelSearch(w, len(r.expanded), opt.weights(), sol.Objective)
 	sol.Stats.FinalEdges = r.enabledCount()
 	if err == nil && res.objective < sol.Objective {
 		sol.Objective = res.objective
@@ -268,6 +270,134 @@ func refFinish(g *Graph, r *refGraph, sol *Solution, bestEdges []int, opt Option
 		return nil, ErrUnsolvable
 	}
 	return refPackage(g, r, sol, bestEdges)
+}
+
+type labelResult struct {
+	edges     []int
+	s, b      float64
+	objective float64
+}
+
+type label struct {
+	s     float64
+	loads []float64
+	via   int // edge id taken to reach this label
+	prev  int // index of predecessor label in the per-face list of the from-face
+}
+
+// labelSearch sweeps faces left to right maintaining Pareto-minimal labels
+// (S, per-colour loads). upperBound prunes labels that already cannot beat
+// the incumbent candidate.
+func labelSearch(w *workGraph, numColours int, wts dwg.Weights, upperBound float64) (labelResult, error) {
+	perFace := make([][]label, w.faces)
+	perFace[0] = []label{{loads: make([]float64, numColours), via: -1, prev: -1}}
+
+	dominated := func(ls []label, cand label) bool {
+		for i := range ls {
+			l := &ls[i]
+			if l.s > cand.s {
+				continue
+			}
+			ok := true
+			for c := range l.loads {
+				if l.loads[c] > cand.loads[c] {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				return true
+			}
+		}
+		return false
+	}
+
+	for f := 0; f < w.faces-1; f++ {
+		for li := 0; li < len(perFace[f]); li++ {
+			// Copy the label: perFace[f] may grow while iterating (it
+			// cannot — edges go strictly forward — but keep index safety).
+			src := perFace[f][li]
+			for _, id := range w.out[f] {
+				e := &w.edges[id]
+				if e.disabled {
+					continue
+				}
+				next := label{
+					s:     src.s + e.sigma,
+					loads: append([]float64(nil), src.loads...),
+					via:   id,
+					prev:  li,
+				}
+				if int(e.colour) >= 0 && int(e.colour) < numColours {
+					next.loads[e.colour] += e.beta
+				}
+				maxLoad := 0.0
+				for _, v := range next.loads {
+					if v > maxLoad {
+						maxLoad = v
+					}
+				}
+				if wts.Value(next.s, maxLoad) >= upperBound {
+					continue // cannot beat the incumbent
+				}
+				if dominated(perFace[e.to], next) {
+					continue
+				}
+				// Drop labels the newcomer dominates.
+				kept := perFace[e.to][:0]
+				for _, old := range perFace[e.to] {
+					if next.s <= old.s && allLE(next.loads, old.loads) {
+						continue
+					}
+					kept = append(kept, old)
+				}
+				perFace[e.to] = append(kept, next)
+			}
+		}
+	}
+
+	best := labelResult{objective: math.Inf(1)}
+	bestIdx := -1
+	final := perFace[w.faces-1]
+	for i := range final {
+		maxLoad := 0.0
+		for _, v := range final[i].loads {
+			if v > maxLoad {
+				maxLoad = v
+			}
+		}
+		if obj := wts.Value(final[i].s, maxLoad); obj < best.objective {
+			best.objective = obj
+			best.s = final[i].s
+			best.b = maxLoad
+			bestIdx = i
+		}
+	}
+	if bestIdx < 0 {
+		return best, ErrUnsolvable
+	}
+	// Reconstruct the edge list by walking prev links.
+	var edges []int
+	cur := final[bestIdx]
+	for cur.via >= 0 {
+		edges = append(edges, cur.via)
+		from := w.edges[cur.via].from
+		cur = perFace[from][cur.prev]
+	}
+	for i, j := 0, len(edges)-1; i < j; i, j = i+1, j-1 {
+		edges[i], edges[j] = edges[j], edges[i]
+	}
+	best.edges = edges
+	return best, nil
+}
+
+func allLE(a, b []float64) bool {
+	for i := range a {
+		if a[i] > b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func refPackage(g *Graph, r *refGraph, sol *Solution, bestEdges []int) (*Solution, error) {

@@ -3,13 +3,13 @@ package assign
 import (
 	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dwg"
+	"repro/internal/exact"
 	"repro/internal/model"
 	"repro/internal/pool"
 )
@@ -24,14 +24,14 @@ type Options struct {
 	// MaxExpandedEdges caps the Pareto frontier of every face of a band
 	// expansion: when the merged frontier of any face in the band holds
 	// more traversal prefixes than this, the solver falls back to the
-	// exact label search. The band's exit face frontier becomes its
+	// per-region Pareto DP. The band's exit face frontier becomes its
 	// super-edges, so this also caps the super-edges one expansion
 	// creates. 0 means the default of 200000.
 	MaxExpandedEdges int
 
-	// DisableExpansion forces the solver to fall back to the label search
-	// as soon as per-edge elimination stalls (used to exercise the
-	// fallback path in tests and ablation benches).
+	// DisableExpansion forces the solver to fall back to the Pareto DP as
+	// soon as per-edge elimination stalls (used to exercise the fallback
+	// path in tests and ablation benches).
 	DisableExpansion bool
 
 	// ConservativeElimination restricts edge elimination to the paper's
@@ -229,16 +229,6 @@ func (w *workGraph) enabledCount() int {
 	return n
 }
 
-// unbundle adds every enabled bundle member to its entry face's out-list,
-// after the base edges, for the label search that cannot use cursors.
-func (w *workGraph) unbundle() {
-	for _, b := range w.bundles {
-		for id := b.cur; id < b.hi; id++ {
-			w.out[b.entry] = append(w.out[b.entry], id)
-		}
-	}
-}
-
 // minSigmaPath runs the O(V+E) monotone-DAG pass — the §5.4 observation
 // that the min-S path needs no general shortest-path search. A bundle is
 // relaxed through its first enabled member, after its entry face's base
@@ -324,15 +314,16 @@ func (w *workGraph) measures(ids []int) (s, b float64, bottleneck model.Satellit
 // it (the bottleneck colour contributes through several edges), expand that
 // colour's contiguous bands into super-edges, exactly the Figure-9/10
 // procedure. If a colour's sensors are split into several bands — a case
-// the paper's construction does not cover — the solver falls back to the
-// exact coloured label search on the already-reduced graph, which is sound
-// because eliminated edges cannot carry a path beating the candidate.
+// the paper's construction does not cover — or an expansion exceeds its
+// budget, the solver falls back to the exact per-region Pareto DP of
+// package exact on the whole tree and keeps the better of its answer and
+// the loop's candidate.
 func (g *Graph) SolveAdapted(opt Options) (*Solution, error) {
 	return g.SolveAdaptedContext(context.Background(), opt)
 }
 
 // SolveAdaptedContext is SolveAdapted with cancellation: the context is
-// checked once per elimination round and inside the label-search fallback,
+// checked once per elimination round and inside the Pareto DP fallback,
 // so deadlines stop the solve promptly. On cancellation the returned error
 // is the context's.
 func (g *Graph) SolveAdaptedContext(ctx context.Context, opt Options) (*Solution, error) {
@@ -413,14 +404,14 @@ func (g *Graph) solveAdapted(ctx context.Context, opt Options, trace bool) (*Sol
 				entry.Note = "fallback"
 				record(entry)
 				sol.Stats.FellBack = true
-				return g.finishWithLabelSearch(ctx, w, sol, bestEdges, wts, opt)
+				return g.finishWithPareto(ctx, w, sol, bestEdges, wts)
 			}
 			created, ok := w.expandColour(g, bottleneck, opt.maxExpanded())
 			if !ok {
 				entry.Note = "fallback"
 				record(entry)
 				sol.Stats.FellBack = true
-				return g.finishWithLabelSearch(ctx, w, sol, bestEdges, wts, opt)
+				return g.finishWithPareto(ctx, w, sol, bestEdges, wts)
 			}
 			w.expanded[bottleneck] = true
 			sol.Stats.Expansions++
@@ -589,24 +580,25 @@ func (w *workGraph) mergeFrontier(heads []mergeHead) {
 	w.arena = arena
 }
 
-// finishWithLabelSearch completes a stalled adapted solve exactly: the best
-// path in the reduced graph is compared against the candidate found so far
-// (sound because eliminated edges cannot be on a better path).
-func (g *Graph) finishWithLabelSearch(ctx context.Context, w *workGraph, sol *Solution, bestEdges []int, wts dwg.Weights, opt Options) (*Solution, error) {
-	w.unbundle()
-	res, labels, err := labelSearch(ctx, w, len(g.tree.Satellites()), wts, sol.Objective)
-	sol.Stats.Labels = labels
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+// finishWithPareto completes a stalled adapted solve exactly: the Pareto
+// DP solves the whole tree under the solve's weights, and its assignment,
+// mapped back to a path, replaces the loop's candidate only if its
+// objective is strictly lower. Any DP error, the context's included, ends
+// the solve.
+func (g *Graph) finishWithPareto(ctx context.Context, w *workGraph, sol *Solution, bestEdges []int, wts dwg.Weights) (*Solution, error) {
+	res, err := exact.ParetoWeighted(ctx, g.tree, wts, 0)
+	if err != nil {
+		return nil, err
+	}
+	ids, err := g.Encode(res.Assignment)
+	if err != nil {
 		return nil, err
 	}
 	sol.Stats.FinalEdges = w.enabledCount()
-	if err == nil && res.objective < sol.Objective {
-		sol.Objective = res.objective
-		sol.S, sol.B = res.s, res.b
-		bestEdges = res.edges
-	}
-	if math.IsInf(sol.Objective, 1) {
-		return nil, ErrUnsolvable
+	s, b, _ := w.measures(ids)
+	if obj := wts.Value(s, b); obj < sol.Objective {
+		sol.Objective, sol.S, sol.B = obj, s, b
+		bestEdges = ids
 	}
 	return g.packageSolution(w, sol, bestEdges)
 }
@@ -647,183 +639,6 @@ func (g *Graph) packageSolution(w *workGraph, sol *Solution, bestEdges []int) (*
 	return sol, nil
 }
 
-// SolveLabelSearch solves the coloured path problem exactly with a
-// dominance-pruned label-correcting sweep over the monotone face order.
-// It handles arbitrary (including non-contiguous) colour layouts and is the
-// independent reference the adapted solver is validated against.
-//
-// The search is seeded with the topmost (min-σ) path as the incumbent:
-// labels that already reach its objective are pruned, which keeps the
-// multi-dimensional Pareto frontiers from exploding on larger instances
-// while remaining exact (the incumbent itself is returned when nothing
-// beats it).
-func (g *Graph) SolveLabelSearch(opt Options) (*Solution, error) {
-	return g.SolveLabelSearchContext(context.Background(), opt)
-}
-
-// SolveLabelSearchContext is SolveLabelSearch with cancellation: the
-// context is checked periodically inside the label sweep. On cancellation
-// the returned error is the context's.
-func (g *Graph) SolveLabelSearchContext(ctx context.Context, opt Options) (*Solution, error) {
-	wts := opt.weights()
-	if !wts.Valid() {
-		return nil, dwg.ErrBadWeights
-	}
-	w := newWorkGraph(g)
-	defer w.release()
-	sol := &Solution{Objective: math.Inf(1)}
-	var seedEdges []int
-	if path, ok := w.minSigmaPath(); ok {
-		s, b, _ := w.measures(path)
-		sol.Objective = wts.Value(s, b)
-		sol.S, sol.B = s, b
-		seedEdges = append(seedEdges, path...)
-	}
-	res, labels, err := labelSearch(ctx, w, len(g.tree.Satellites()), wts, sol.Objective)
-	sol.Stats.Labels = labels
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-		return nil, err
-	}
-	sol.Stats.FinalEdges = w.enabledCount()
-	switch {
-	case err == nil && res.objective < sol.Objective:
-		sol.Objective = res.objective
-		sol.S, sol.B = res.s, res.b
-		seedEdges = res.edges
-	case err != nil && seedEdges == nil:
-		return nil, err // no incumbent and no path: genuinely unsolvable
-	}
-	return g.packageSolution(w, sol, seedEdges)
-}
-
-type labelResult struct {
-	edges     []int
-	s, b      float64
-	objective float64
-}
-
-type label struct {
-	s     float64
-	loads []float64
-	via   int // edge id taken to reach this label
-	prev  int // index of predecessor label in the per-face list of the from-face
-}
-
-// labelSearch sweeps faces left to right maintaining Pareto-minimal labels
-// (S, per-colour loads). upperBound prunes labels that already cannot beat
-// the incumbent candidate. The context is checked every checkEvery explored
-// labels so runaway sweeps stop at deadlines.
-func labelSearch(ctx context.Context, w *workGraph, numColours int, wts dwg.Weights, upperBound float64) (labelResult, int, error) {
-	const checkEvery = 1024
-	perFace := make([][]label, w.faces)
-	perFace[0] = []label{{loads: make([]float64, numColours), via: -1, prev: -1}}
-	explored := 0
-
-	dominated := func(ls []label, cand label) bool {
-		for i := range ls {
-			l := &ls[i]
-			if l.s > cand.s {
-				continue
-			}
-			ok := true
-			for c := range l.loads {
-				if l.loads[c] > cand.loads[c] {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				return true
-			}
-		}
-		return false
-	}
-
-	for f := 0; f < w.faces-1; f++ {
-		for li := 0; li < len(perFace[f]); li++ {
-			explored++
-			if explored%checkEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return labelResult{}, explored, err
-				}
-			}
-			// Copy the label: perFace[f] may grow while iterating (it
-			// cannot — edges go strictly forward — but keep index safety).
-			src := perFace[f][li]
-			for _, id := range w.out[f] {
-				e := &w.edges[id]
-				if e.disabled {
-					continue
-				}
-				next := label{
-					s:     src.s + e.sigma,
-					loads: append([]float64(nil), src.loads...),
-					via:   id,
-					prev:  li,
-				}
-				if int(e.colour) >= 0 && int(e.colour) < numColours {
-					next.loads[e.colour] += e.beta
-				}
-				maxLoad := 0.0
-				for _, v := range next.loads {
-					if v > maxLoad {
-						maxLoad = v
-					}
-				}
-				if wts.Value(next.s, maxLoad) >= upperBound {
-					continue // cannot beat the incumbent
-				}
-				if dominated(perFace[e.to], next) {
-					continue
-				}
-				// Drop labels the newcomer dominates.
-				kept := perFace[e.to][:0]
-				for _, old := range perFace[e.to] {
-					if next.s <= old.s && allLE(next.loads, old.loads) {
-						continue
-					}
-					kept = append(kept, old)
-				}
-				perFace[e.to] = append(kept, next)
-			}
-		}
-	}
-
-	best := labelResult{objective: math.Inf(1)}
-	bestIdx := -1
-	final := perFace[w.faces-1]
-	for i := range final {
-		maxLoad := 0.0
-		for _, v := range final[i].loads {
-			if v > maxLoad {
-				maxLoad = v
-			}
-		}
-		if obj := wts.Value(final[i].s, maxLoad); obj < best.objective {
-			best.objective = obj
-			best.s = final[i].s
-			best.b = maxLoad
-			bestIdx = i
-		}
-	}
-	if bestIdx < 0 {
-		return best, explored, ErrUnsolvable
-	}
-	// Reconstruct the edge list by walking prev links.
-	var edges []int
-	cur := final[bestIdx]
-	for cur.via >= 0 {
-		edges = append(edges, cur.via)
-		from := w.edges[cur.via].from
-		cur = perFace[from][cur.prev]
-	}
-	for i, j := 0, len(edges)-1; i < j; i, j = i+1, j-1 {
-		edges[i], edges[j] = edges[j], edges[i]
-	}
-	best.edges = edges
-	return best, explored, nil
-}
-
 // prefixNode is an arena entry of expandColour's Pareto DP: a traversal
 // prefix ending with `edge`, extending the prefix at `parent`. A band's
 // entry is the node with edge -1.
@@ -831,15 +646,6 @@ type prefixNode struct {
 	sigma, beta float64
 	edge        int
 	parent      int
-}
-
-func allLE(a, b []float64) bool {
-	for i := range a {
-		if a[i] > b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Solve builds the graph for t and runs the adapted SSB solver with default

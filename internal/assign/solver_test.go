@@ -1,9 +1,13 @@
 package assign
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/dwg"
 	"repro/internal/eval"
@@ -40,24 +44,6 @@ func TestSolveAdaptedPaperTree(t *testing.T) {
 	}
 }
 
-func TestSolveLabelSearchPaperTree(t *testing.T) {
-	tree := workload.PaperTree()
-	sol, err := Build(tree).SolveLabelSearch(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bf, err := exact.BruteForce(tree, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(sol.Delay, bf.Delay) {
-		t.Fatalf("label search delay %v != brute force %v", sol.Delay, bf.Delay)
-	}
-	if sol.Stats.Labels == 0 {
-		t.Error("label search reported zero explored labels")
-	}
-}
-
 func TestSolversAgreeOnScenarios(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -74,25 +60,20 @@ func TestSolversAgreeOnScenarios(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			labels, err := g.SolveLabelSearch(Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
 			pareto, err := exact.Pareto(tc.tree, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !almost(adapted.Delay, labels.Delay) || !almost(adapted.Delay, pareto.Delay) {
-				t.Fatalf("disagreement: adapted=%v labels=%v pareto=%v",
-					adapted.Delay, labels.Delay, pareto.Delay)
+			if !almost(adapted.Delay, pareto.Delay) {
+				t.Fatalf("disagreement: adapted=%v pareto=%v", adapted.Delay, pareto.Delay)
 			}
 		})
 	}
 }
 
 // TestAllSolversAgreeProperty is the core of experiment E9: the paper's
-// adapted SSB algorithm, the label search, and the three independent exact
-// solvers agree on random instances, clustered and scattered alike.
+// adapted SSB algorithm and brute force agree on random instances,
+// clustered and scattered alike.
 func TestAllSolversAgreeProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7777))
 	for trial := 0; trial < 80; trial++ {
@@ -113,10 +94,6 @@ func TestAllSolversAgreeProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: adapted: %v\n%s", trial, err, tree.Render())
 		}
-		labels, err := g.SolveLabelSearch(Options{})
-		if err != nil {
-			t.Fatalf("trial %d: labels: %v", trial, err)
-		}
 		bf, err := exact.BruteForce(tree, 0)
 		if err != nil {
 			t.Fatalf("trial %d: brute: %v", trial, err)
@@ -124,9 +101,6 @@ func TestAllSolversAgreeProperty(t *testing.T) {
 		if !almost(adapted.Delay, bf.Delay) {
 			t.Fatalf("trial %d: adapted %v != brute %v (fellback=%v)\n%s",
 				trial, adapted.Delay, bf.Delay, adapted.Stats.FellBack, tree.Render())
-		}
-		if !almost(labels.Delay, bf.Delay) {
-			t.Fatalf("trial %d: labels %v != brute %v\n%s", trial, labels.Delay, bf.Delay, tree.Render())
 		}
 		// Decoded assignments must evaluate to the reported delay.
 		if d := eval.MustDelay(tree, adapted.Assignment); !almost(d, adapted.Delay) {
@@ -165,6 +139,74 @@ func TestScatteredColoursFallBack(t *testing.T) {
 	if !almost(sol.Delay, bf.Delay) {
 		t.Fatalf("adapted %v != brute %v", sol.Delay, bf.Delay)
 	}
+}
+
+// TestScatteredDefaultSolveBounded runs default solves on seeded trees
+// whose satellites' sensors are scattered, not contiguous, at 16–96 CRUs.
+// Most of them stall on a multi-band colour and finish with the Pareto DP,
+// which takes milliseconds; the 10 s deadline only catches a finish whose
+// cost grows with the colour loads' combinations. Each answer must match
+// pareto-dp's delay and re-evaluate to the delay it reports; up to 48
+// CRUs, budgeted branch-and-bound cross-checks it too.
+func TestScatteredDefaultSolveBounded(t *testing.T) {
+	const bnbMaxCRUs = 48
+	for _, n := range []int{16, 32, 48, 64, 96} {
+		solves, fallbacks, bnbChecked := 0, 0, 0
+		for sats := 2; sats <= 4; sats++ {
+			for seed := int64(1); seed <= 2; seed++ {
+				spec := workload.DefaultRandomSpec(n, sats)
+				spec.Clustered = false
+				tree := workload.Random(rand.New(rand.NewSource(int64(n)*100+int64(sats)*10+seed)), spec)
+				name := fmt.Sprintf("%d CRUs, %d satellites, seed %d", n, sats, seed)
+
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				sol, err := Build(tree).SolveAdaptedContext(ctx, Options{})
+				cancel()
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				solves++
+				if sol.Stats.FellBack {
+					fallbacks++
+				}
+				if d := eval.PointerDelay(tree, sol.Assignment); !within(d, sol.Delay) {
+					t.Fatalf("%s: reports delay %v, its assignment evaluates to %v", name, sol.Delay, d)
+				}
+				dp, err := exact.Pareto(tree, 0)
+				if err != nil {
+					t.Fatalf("%s: pareto-dp: %v", name, err)
+				}
+				if !within(sol.Delay, dp.Delay) {
+					t.Fatalf("%s: adapted %v != pareto-dp %v", name, sol.Delay, dp.Delay)
+				}
+				if n > bnbMaxCRUs {
+					continue
+				}
+				bnb, err := exact.BranchAndBound(tree, 1<<18)
+				if errors.Is(err, exact.ErrBudget) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: branch-and-bound: %v", name, err)
+				}
+				bnbChecked++
+				if !within(sol.Delay, bnb.Delay) {
+					t.Fatalf("%s: adapted %v != branch-and-bound %v", name, sol.Delay, bnb.Delay)
+				}
+			}
+		}
+		if 2*fallbacks <= solves {
+			t.Errorf("%d CRUs: %d of %d solves fell back, want most", n, fallbacks, solves)
+		}
+		if n <= bnbMaxCRUs && bnbChecked == 0 {
+			t.Errorf("%d CRUs: branch-and-bound completed on no tree", n)
+		}
+	}
+}
+
+// within reports whether a and b agree to 1e-9 relative.
+func within(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b))
 }
 
 func TestDisableExpansionStillExact(t *testing.T) {
@@ -233,9 +275,10 @@ func TestExpansionHappensOnEngineeredInstance(t *testing.T) {
 // TestFallBackAfterExpansion stalls the loop after an expansion. Colour
 // s0's contiguous band (u, v) is the first spread-out bottleneck and
 // expands; colour s1's sensors a and c lie on either side of it, two
-// bands, so when s1 stalls the solver falls back to the label search. The
-// s0 base edges are disabled by then, so the optimum the label search
-// finds below the loop's candidate must run through an s0 super-edge.
+// bands, so when s1 stalls the solver falls back to the Pareto DP. The s0
+// base edges are disabled by then, so the optimum the DP finds below the
+// loop's candidate crosses tree edges the loop could only reach through
+// an s0 super-edge.
 func TestFallBackAfterExpansion(t *testing.T) {
 	b := model.NewBuilder()
 	s0 := b.Satellite("s0")
@@ -273,28 +316,32 @@ func TestFallBackAfterExpansion(t *testing.T) {
 		t.Fatalf("delay %v != brute force %v", sol.Delay, bf.Delay)
 	}
 	if last := sol.Trace[len(sol.Trace)-1]; !(sol.Objective < last.Candidate) {
-		t.Errorf("objective %v, loop candidate %v: the label search should have improved on it",
+		t.Errorf("objective %v, loop candidate %v: the Pareto DP finish should have improved on it",
 			sol.Objective, last.Candidate)
 	}
 }
 
 func TestWeightedObjectives(t *testing.T) {
 	// λ sweep (E11): for every λ the adapted solver must agree with the
-	// label search; λ=1 minimises host time alone (the topmost cut).
+	// weighted Pareto DP; λ=1 minimises host time alone (the topmost cut).
 	tree := workload.PaperTree()
 	g := Build(tree)
 	for _, l := range []float64{0, 0.25, 0.5, 0.75, 1} {
-		opt := Options{Weights: dwg.Lambda(l)}
-		adapted, err := g.SolveAdapted(opt)
+		wts := dwg.Lambda(l)
+		adapted, err := g.SolveAdapted(Options{Weights: wts})
 		if err != nil {
 			t.Fatalf("λ=%v: %v", l, err)
 		}
-		labels, err := g.SolveLabelSearch(opt)
+		dp, err := exact.ParetoWeighted(context.Background(), tree, wts, 0)
 		if err != nil {
 			t.Fatalf("λ=%v: %v", l, err)
 		}
-		if !almost(adapted.Objective, labels.Objective) {
-			t.Errorf("λ=%v: adapted %v != labels %v", l, adapted.Objective, labels.Objective)
+		bd, err := eval.Evaluate(tree, dp.Assignment)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if obj := wts.Value(bd.HostTime, bd.MaxSatLoad); !almost(adapted.Objective, obj) {
+			t.Errorf("λ=%v: adapted %v != pareto %v", l, adapted.Objective, obj)
 		}
 	}
 	// λ=1: the optimum host time is the must-host closure h1+h2+h3 = 10.
@@ -312,8 +359,9 @@ func TestBadWeightsRejected(t *testing.T) {
 	if _, err := g.SolveAdapted(Options{Weights: dwg.Weights{WS: -1, WB: 1}}); err == nil {
 		t.Error("negative weights accepted by SolveAdapted")
 	}
-	if _, err := g.SolveLabelSearch(Options{Weights: dwg.Weights{WS: math.NaN(), WB: 1}}); err == nil {
-		t.Error("NaN weights accepted by SolveLabelSearch")
+	nan := dwg.Weights{WS: math.NaN(), WB: 1}
+	if _, err := exact.ParetoWeighted(context.Background(), g.Tree(), nan, 0); err == nil {
+		t.Error("NaN weights accepted by ParetoWeighted")
 	}
 }
 

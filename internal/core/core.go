@@ -22,8 +22,6 @@ const (
 	// AdaptedSSB is the paper's §5.4 algorithm: coloured assignment graph +
 	// SSB path search with expansion. Exact; the default.
 	AdaptedSSB Algorithm = "adapted-ssb"
-	// LabelSearch is the exact dominance-pruned coloured path search.
-	LabelSearch Algorithm = "label-search"
 	// ParetoDP is the exact per-region Pareto dynamic program.
 	ParetoDP Algorithm = "pareto-dp"
 	// BruteForce enumerates every feasible assignment. Exact, exponential.
@@ -139,8 +137,7 @@ type SearchStats struct {
 	Expansions int  // band expansions performed
 	SuperEdges int  // super-edges created by expansions
 	FinalEdges int  // enabled edges at termination — the |E'| of §5.4
-	FellBack   bool // adapted SSB handed over to the label search
-	Labels     int  // labels explored by the label search (0 if unused)
+	FellBack   bool // adapted SSB handed over to the Pareto DP
 }
 
 // Outcome is a uniform solver result.

@@ -95,9 +95,9 @@ func TestAlgorithmsOrderedExactFirst(t *testing.T) {
 			t.Fatalf("exact algorithm %s after heuristics", a)
 		}
 	}
-	// The 11 built-ins must all be registered (other tests may add more).
+	// These built-ins must all be registered (other tests may add more).
 	for _, want := range []core.Algorithm{
-		core.AdaptedSSB, core.LabelSearch, core.ParetoDP, core.BruteForce,
+		core.AdaptedSSB, core.ParetoDP, core.BruteForce,
 		core.BranchBound, core.AllHost, core.MaxDistribution, core.GreedyHost,
 		core.GreedyTop, core.Annealing, core.Genetic,
 	} {

@@ -6,7 +6,9 @@
 //     instances only);
 //   - Pareto solves by dynamic programming over per-region Pareto frontiers
 //     of (host-time, satellite-load) pairs — polynomial for bounded
-//     frontier sizes and fully independent of the dual-graph machinery;
+//     frontier sizes and fully independent of the dual-graph machinery.
+//     ParetoWeighted minimises any WS·S + WB·B; the adapted SSB solver
+//     calls it to finish a solve its elimination loop cannot;
 //   - BranchAndBound prunes the brute-force tree with delay lower bounds —
 //     one of the two heuristic directions the paper's §6 names for future
 //     work (here made exact because the objective admits a monotone bound).

@@ -8,6 +8,7 @@ import (
 	"sort"
 
 	"repro/internal/core"
+	"repro/internal/dwg"
 	"repro/internal/eval"
 	"repro/internal/model"
 )
@@ -43,6 +44,19 @@ func Pareto(t *model.Tree, maxFrontier int) (*Result, error) {
 // stop adversarially large instances. On cancellation the returned error is
 // the context's.
 func ParetoContext(ctx context.Context, t *model.Tree, maxFrontier int) (*Result, error) {
+	return ParetoWeighted(ctx, t, dwg.Default, maxFrontier)
+}
+
+// ParetoWeighted is ParetoContext minimising WS·S + WB·B instead of the
+// delay S + B (the zero Weights select dwg.Default). The objective is
+// linear, so the same frontiers serve every weighting: step 4 minimises
+// WS·(coreHost + Σ_colours minHost(load ≤ B)) + WB·B. Result.Delay stays
+// the assignment's end-to-end delay.
+func ParetoWeighted(ctx context.Context, t *model.Tree, wts dwg.Weights, maxFrontier int) (*Result, error) {
+	wts = core.WeightsOr(wts)
+	if !wts.Valid() {
+		return nil, dwg.ErrBadWeights
+	}
 	maxFrontier = core.IntOr(maxFrontier, 1<<20)
 	plan := model.Compile(t)
 
@@ -112,7 +126,7 @@ func ParetoContext(ctx context.Context, t *model.Tree, maxFrontier int) (*Result
 				return nil, err
 			}
 		}
-		total := coreHost + b
+		total := wts.Value(coreHost, b)
 		choice := map[model.SatelliteID]*paretoOption{}
 		feasible := true
 		for _, c := range colours {
@@ -127,7 +141,7 @@ func ParetoContext(ctx context.Context, t *model.Tree, maxFrontier int) (*Result
 				feasible = false
 				break
 			}
-			total += pick.h
+			total += wts.WS * pick.h
 			choice[c] = pick
 		}
 		if feasible && total < best {
@@ -146,19 +160,19 @@ func ParetoContext(ctx context.Context, t *model.Tree, maxFrontier int) (*Result
 			placeSubtree(t, asg, child, model.OnSatellite(c))
 		}
 	}
-	d, err := eval.Delay(t, asg)
+	bd, err := eval.Evaluate(t, asg)
 	if err != nil {
 		return nil, fmt.Errorf("exact: pareto assignment invalid: %w", err)
 	}
-	// The enumeration bound equals the achieved delay: the
-	// chosen B is the max load candidate; the realised max load may be
-	// smaller, making the realised delay ≤ bound; both are optimal. The
-	// two sum the same terms in different orders, so the check allows
-	// rounding relative to the delay's magnitude.
-	if d > best+1e-9*math.Max(1, math.Abs(best)) {
-		return nil, fmt.Errorf("exact: pareto bound %v < realised delay %v", best, d)
+	// The enumeration bound equals the achieved objective: the chosen B
+	// is the max load candidate; the realised max load may be smaller,
+	// making the realised objective ≤ bound; both are optimal. The two
+	// sum the same terms in different orders, so the check allows
+	// rounding relative to the objective's magnitude.
+	if v := wts.Value(bd.HostTime, bd.MaxSatLoad); v > best+1e-9*math.Max(1, math.Abs(best)) {
+		return nil, fmt.Errorf("exact: pareto bound %v < realised objective %v", best, v)
 	}
-	return &Result{Assignment: asg, Delay: d}, nil
+	return &Result{Assignment: asg, Delay: bd.Delay}, nil
 }
 
 // regionFrontier computes the Pareto frontier of cuts of the monochromatic

@@ -5,7 +5,6 @@ import (
 	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/model"
 )
 
 // The three independent exact solvers register themselves with the core
@@ -15,15 +14,20 @@ import (
 // repro/internal/algorithms) makes them dispatchable by name.
 func init() {
 	core.Register(core.ParetoDP, core.Capabilities{
-		Exact:   true,
-		Budget:  true,
-		Summary: "exact per-region Pareto dynamic programming (frontier budget)",
-	}, exactSolver(ParetoContext))
+		Exact:    true,
+		Budget:   true,
+		Weighted: true,
+		Summary:  "exact per-region Pareto dynamic programming (frontier budget)",
+	}, exactSolver(func(ctx context.Context, req core.Request) (*Result, error) {
+		return ParetoWeighted(ctx, req.Tree, req.Weights, req.Budget)
+	}))
 	core.Register(core.BruteForce, core.Capabilities{
 		Exact:   true,
 		Budget:  true,
 		Summary: "exhaustive enumeration of feasible assignments (node budget)",
-	}, exactSolver(BruteForceContext))
+	}, exactSolver(func(ctx context.Context, req core.Request) (*Result, error) {
+		return BruteForceContext(ctx, req.Tree, req.Budget)
+	}))
 	core.Register(core.BranchBound, core.Capabilities{
 		Exact:     true,
 		Budget:    true,
@@ -78,10 +82,11 @@ func bnbSolver(parallel bool) core.SolveFunc {
 }
 
 // exactSolver adapts one of the exact entry points to the registry's
-// SolveFunc shape; Request.Budget maps onto the solver's exploration cap.
-func exactSolver(solve func(context.Context, *model.Tree, int) (*Result, error)) core.SolveFunc {
+// SolveFunc shape; the entry point maps Request.Budget onto its
+// exploration cap.
+func exactSolver(solve func(context.Context, core.Request) (*Result, error)) core.SolveFunc {
 	return func(ctx context.Context, req core.Request) (core.Finding, error) {
-		res, err := solve(ctx, req.Tree, req.Budget)
+		res, err := solve(ctx, req)
 		if err != nil {
 			return core.Finding{}, err
 		}

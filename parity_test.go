@@ -83,22 +83,6 @@ func TestParityAdaptedSSB(t *testing.T) {
 	}
 }
 
-func TestParityLabelSearch(t *testing.T) {
-	for i, tree := range parityScenarios(t) {
-		if tree.SensorCount() > 14 {
-			continue // the label sweep is exponential-ish; parity needs no giants
-		}
-		ptr, err1 := assign.BuildPointer(tree).SolveLabelSearch(assign.Options{})
-		cmp, err2 := assign.Build(tree).SolveLabelSearch(assign.Options{})
-		if err1 != nil || err2 != nil {
-			t.Fatalf("scenario %d: pointer err %v, compiled err %v", i, err1, err2)
-		}
-		if ptr.Objective != cmp.Objective || ptr.Assignment.Key() != cmp.Assignment.Key() {
-			t.Fatalf("scenario %d: label search diverges: %v vs %v", i, ptr.Objective, cmp.Objective)
-		}
-	}
-}
-
 func TestParityBranchAndBound(t *testing.T) {
 	ctx := context.Background()
 	for i, tree := range parityScenarios(t) {

@@ -174,7 +174,6 @@ type (
 // algorithm) is the default.
 const (
 	AdaptedSSB      = core.AdaptedSSB
-	LabelSearch     = core.LabelSearch
 	ParetoDP        = core.ParetoDP
 	BruteForce      = core.BruteForce
 	BranchBound     = core.BranchBound

@@ -95,11 +95,11 @@ func TestWithTimeoutOptionCancels(t *testing.T) {
 }
 
 func TestSolverCancellationGraphSolver(t *testing.T) {
-	// The graph solvers check the context per elimination round / label
-	// batch; an already-expired deadline must stop them too.
+	// The graph solver checks the context per elimination round; an
+	// already-expired deadline must stop it, and the genetic search, too.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, alg := range []repro.Algorithm{repro.AdaptedSSB, repro.LabelSearch, repro.Genetic} {
+	for _, alg := range []repro.Algorithm{repro.AdaptedSSB, repro.Genetic} {
 		_, err := repro.NewSolver().Solve(ctx, workload.Epilepsy(), repro.WithAlgorithm(alg))
 		if !errors.Is(err, repro.ErrCanceled) {
 			t.Fatalf("%s: err = %v, want ErrCanceled", alg, err)

@@ -16,8 +16,7 @@ import (
 const maxFuzzCRUs = 14
 
 // FuzzExactSolversAgree decodes the input as a JSON Spec and demands that
-// every exact solver — the paper's adapted SSB, the label search, Pareto
-// DP, brute force and the branch-and-bound engine at one and two workers
+// every exact solver — the paper's adapted SSB, Pareto DP, brute force and the branch-and-bound engine at one and two workers
 // — finds the same optimal delay, and that every returned assignment
 // re-evaluates through the pointer oracle to exactly the delay it
 // reports. parallel-bnb at one worker is the sequential search itself, so
@@ -45,7 +44,6 @@ func FuzzExactSolversAgree(f *testing.F) {
 	}
 	runs := []run{
 		{repro.AdaptedSSB, 0},
-		{repro.LabelSearch, 0},
 		{repro.ParetoDP, 0},
 		{repro.BruteForce, 0},
 		{repro.BranchBound, 0},
@@ -74,13 +72,13 @@ func FuzzExactSolversAgree(f *testing.F) {
 			}
 			outs[i] = out
 		}
-		want := outs[3].Delay // brute force
+		want := outs[2].Delay // brute force
 		for i, out := range outs {
 			if d := math.Abs(out.Delay - want); d > 1e-9*math.Max(1, math.Abs(want)) {
 				t.Fatalf("%s workers %d: delay %v, brute force %v", runs[i].alg, runs[i].workers, out.Delay, want)
 			}
 		}
-		seq, one := outs[4], outs[5]
+		seq, one := outs[3], outs[4]
 		if one.Delay != seq.Delay || one.Work != seq.Work || one.Assignment.Key() != seq.Assignment.Key() {
 			t.Fatalf("parallel-bnb at one worker (delay %v, work %d) != branch-and-bound (delay %v, work %d)",
 				one.Delay, one.Work, seq.Delay, seq.Work)
