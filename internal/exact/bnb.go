@@ -26,8 +26,11 @@ import (
 //     monochromatic CRU at least the smaller of sinking it whole and
 //     hosting it above its children's floors (colourFloors). rem is
 //     updated in O(1) per decision;
-//   - seeding: the incumbent starts at the better of all-host and maximal
-//     distribution rather than +∞;
+//   - seeding: the incumbent starts at the best of all-host, maximal
+//     distribution and the warm hint (BnBOptions.Warm), if any, rather
+//     than +∞. The search computes no seed of its own; a Session's first
+//     exact resolve passes adapted SSB's answer as the hint, leaving the
+//     search only the proof of optimality;
 //   - ordering: at each CRU the branch with the smaller immediate
 //     objective increase is explored first, so good incumbents appear
 //     early.
@@ -35,9 +38,10 @@ import (
 // The search runs entirely against the tree's compiled plan: the
 // must-host bounds table (Compiled.Forced) is indexed by post-order
 // position and precomputed per revision, the colour floors are computed
-// once per solve into pooled scratch, subtree sinks are span fills over
-// the flat location vector, satellite loads live in a dense pooled
-// array, and incumbents are evaluated with the flat kernel — the hot loop
+// once per solve into pooled scratch, a subtree sink marks only the sunk
+// CRU in the flat location vector (its span is filled in when an
+// incumbent is stored), satellite loads live in a dense pooled array,
+// and incumbents are evaluated with the flat kernel — the hot loop
 // performs no allocation and no pointer chasing. Every accumulator (host
 // time, forced remainder, loads, rem) is restored by writing its saved
 // value back, so backtracking is bit-exact even when one weight dwarfs
@@ -132,6 +136,10 @@ type BnBOptions struct {
 // along the stack, and the two incremental host-time bound terms. A
 // stealable frame of the work-stealing search is a pooled snapshot of it.
 type bnbState struct {
+	// loc holds the decision marks: a decided CRU's own location, every
+	// other position its base location (CRUs hosted, sensors on their
+	// satellites). A sunk CRU's descendants stay at base; storeLocs fills
+	// its span in when an incumbent is stored.
 	loc   []model.Location
 	stack []int32
 	loads []float64
@@ -184,6 +192,19 @@ type bnbRun struct {
 	id        int32 // the worker's deque
 	budgetHit bool
 	split     bool // the next dfs entry publishes its state as a frame
+}
+
+// storeLocs copies the decision marks loc[start:end] of a complete
+// assignment into best and fills in every sunk span: one descending pass
+// meets each topmost sunk CRU before its descendants and skips its span.
+func storeLocs(c *model.Compiled, best, loc []model.Location, start, end int32) {
+	copy(best[start:end], loc[start:end])
+	for q := end - 1; q >= start; q-- {
+		if c.Proc[q] && best[q] != model.Host {
+			c.FillSpan(best, q, best[q])
+			q = c.Start[q]
+		}
+	}
 }
 
 // pushExtra appends extra e to the prefix-maximum stack exm.
@@ -307,7 +328,7 @@ func (r *bnbRun) dfs() {
 				return
 			}
 			r.bestDelay = d
-			copy(r.sc.best[r.spanStart:r.spanEnd], r.loc[r.spanStart:r.spanEnd])
+			storeLocs(c, r.sc.best, r.loc, r.spanStart, r.spanEnd)
 			if r.onBetter != nil {
 				r.onBetter(r.res.Explored)
 			}
@@ -358,14 +379,16 @@ func (r *bnbRun) dfs() {
 	sinkable := sat != model.NoSatellite && p != c.RootPos
 	kids := c.Children(p)
 	// Locals (the vectors are never reallocated mid-search) keep sink
-	// cheap enough for the compiler to inline.
+	// cheap enough for the compiler to inline. A sink marks p alone; the
+	// descendants it takes along are filled in only if an incumbent is
+	// stored below it.
 	loads, loc := r.loads, r.loc
 	sink := func() {
 		satLoad := loads[sat]
 		loads[sat] += c.SubSat[p] + c.UpComm[p]
-		c.FillSpan(loc, p, model.OnSatellite(sat))
+		loc[p] = model.OnSatellite(sat)
 		r.dfs()
-		c.FillSpan(loc, p, model.Host)
+		loc[p] = model.Host
 		loads[sat] = satLoad
 	}
 	host := func() {
@@ -407,7 +430,7 @@ func (r *bnbRun) dfs() {
 	}
 	// Explore the branch with the smaller immediate objective increase
 	// first so strong incumbents appear early.
-	sinkFirst := math.Max(load, r.loads[sat]+c.SubSat[p]+c.UpComm[p])-load <= c.HostTime[p]
+	sinkFirst := max(load, r.loads[sat]+c.SubSat[p]+c.UpComm[p])-load <= c.HostTime[p]
 	if r.shared != nil && r.shared.shouldSplit(int(r.id)) {
 		// A hungry deque: enter the second branch first, with split set,
 		// so it is published as a frame; then search the first in-line.

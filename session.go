@@ -73,6 +73,11 @@ type Session struct {
 // re-search only the subtrees the edit touched, replaying proven bounds
 // for everything else. Pass a shared cache via WithBoundCache to pool
 // proofs across sessions solving related instances.
+//
+// Opening is cheap; the first Resolve does the cold solve. With an exact
+// warm-start algorithm (BranchBound, ParallelBnB) that solve is seeded
+// with adapted SSB's answer, so the search starts at the optimum and
+// only proves it (see ResolveRevision).
 func (s *Service) OpenSession(t *Tree, opts ...Option) (*Session, error) {
 	if t == nil {
 		return nil, fmt.Errorf("%w: nil tree", ErrInvalidTree)
@@ -147,6 +152,14 @@ func (sess *Session) Resolve(ctx context.Context, opts ...Option) (*Outcome, Cac
 // was solved against. A concurrent Mutate can advance the session while
 // a solve runs, so rendering an outcome against Tree() races; serving
 // layers must render against the returned revision instead.
+//
+// A resolve with no previous outcome to project has no warm hint of its
+// own. When the algorithm is exact and consumes hints (BranchBound,
+// ParallelBnB) and the result cache misses, the solve is then seeded
+// with adapted SSB's answer under the default weights: the search starts
+// from that incumbent, still records its proofs in the session's bound
+// cache, and still returns a proven optimum. A cache hit skips the seed,
+// heuristics are never seeded, and a seed that fails is simply left out.
 func (sess *Session) ResolveRevision(ctx context.Context, opts ...Option) (*Outcome, *Tree, CacheStatus, error) {
 	sess.mu.Lock()
 	tree := sess.tree
@@ -154,11 +167,15 @@ func (sess *Session) ResolveRevision(ctx context.Context, opts ...Option) (*Outc
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.warm == nil && sess.lastOut != nil {
+	if cfg.warm == nil {
 		// Projection is O(n); skip it when the chosen algorithm would
 		// drop the hint anyway (the default adapted-ssb does).
 		if caps, ok := Capability(cfg.algorithm); ok && caps.WarmStart {
-			cfg.warm = incremental.Project(sess.lastTree, sess.lastOut.Assignment, tree)
+			if sess.lastOut != nil {
+				cfg.warm = incremental.Project(sess.lastTree, sess.lastOut.Assignment, tree)
+			} else {
+				cfg.seedFirst = caps.Exact
+			}
 		}
 	}
 	sess.mu.Unlock()

@@ -68,3 +68,26 @@ func BenchmarkIncrementalResolve(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkSessionOpen measures what opening a live exact session costs:
+// OpenSession plus its first Resolve with branch-and-bound, on 20–32-CRU,
+// 3-satellite trees. Each iteration uses a fresh Service, so the result
+// cache never answers and every first resolve is a cold, seeded search.
+func BenchmarkSessionOpen(b *testing.B) {
+	trees := seededSessionTrees()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc := NewService(nil, len(trees))
+		for _, tree := range trees {
+			sess, err := svc.OpenSession(tree, WithAlgorithm(BranchBound))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, _, err := sess.Resolve(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 
+	"repro/internal/exact"
 	"repro/internal/workload"
 )
 
@@ -246,5 +248,134 @@ func TestSessionWarmHeuristicCacheRules(t *testing.T) {
 		t.Fatal(err)
 	} else if status != CacheHit {
 		t.Fatalf("warm resolve of revisited shape: status %v, want hit", status)
+	}
+}
+
+// seededSessionTrees is the first-resolve corpus: session-drift-shaped
+// trees of 20–32 CRUs over 3 satellites.
+func seededSessionTrees() []*Tree {
+	rng := rand.New(rand.NewSource(22))
+	trees := make([]*Tree, 8)
+	for i := range trees {
+		trees[i] = workload.Random(rng, workload.DefaultRandomSpec(20+i*13/len(trees), 3))
+	}
+	return trees
+}
+
+// TestSessionFirstResolveSeeded: a session's first exact resolve starts
+// from adapted SSB's answer. It still proves the optimum (Exact,
+// LowerBound == Delay, pareto-dp's delay, an assignment that re-evaluates
+// to it) and explores fewer nodes in total than the unseeded search with
+// a fresh bound cache, at the same worker count. Heuristic sessions are
+// not seeded: their first resolve is the cold solve.
+func TestSessionFirstResolveSeeded(t *testing.T) {
+	ctx := context.Background()
+	trees := seededSessionTrees()
+	for _, alg := range []Algorithm{BranchBound, ParallelBnB} {
+		workers := 1
+		if alg == ParallelBnB {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		seeded, cold := 0, 0
+		for i, tree := range trees {
+			sess, err := NewService(nil, 16).OpenSession(tree, WithAlgorithm(alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, status, err := sess.Resolve(ctx)
+			if err != nil {
+				t.Fatalf("%s tree %d: %v", alg, i, err)
+			}
+			if status != CacheMiss || !out.Exact || out.LowerBound != out.Delay {
+				t.Fatalf("%s tree %d: status %v, exact %v, lower bound %v, delay %v",
+					alg, i, status, out.Exact, out.LowerBound, out.Delay)
+			}
+			ref, err := NewSolver().Solve(ctx, tree, WithAlgorithm(ParetoDP))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(out.Delay-ref.Delay) > 1e-9*ref.Delay {
+				t.Fatalf("%s tree %d: delay %v, pareto-dp %v", alg, i, out.Delay, ref.Delay)
+			}
+			bd, err := Evaluate(tree, out.Assignment)
+			if err != nil || bd.Delay != out.Delay {
+				t.Fatalf("%s tree %d: re-evaluates to %v (%v), reports %v", alg, i, bd, err, out.Delay)
+			}
+			res, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{
+				Bounds: NewBoundCache(BoundCacheConfig{}), Workers: workers,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			seeded += out.Work
+			cold += res.Explored
+		}
+		if seeded >= cold {
+			t.Fatalf("%s: seeded first resolves explored %d nodes, unseeded %d", alg, seeded, cold)
+		}
+		t.Logf("%s: seeded %d nodes, unseeded %d", alg, seeded, cold)
+	}
+
+	for _, alg := range []Algorithm{GreedyHost, GreedyTop} {
+		for i, tree := range trees {
+			sess, err := NewService(nil, 16).OpenSession(tree, WithAlgorithm(alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _, err := sess.Resolve(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := NewSolver().Solve(ctx, tree, WithAlgorithm(alg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Assignment.Key() != ref.Assignment.Key() {
+				t.Fatalf("%s tree %d: first resolve %v, cold solve %v", alg, i, out.Delay, ref.Delay)
+			}
+		}
+	}
+}
+
+// TestSessionFirstResolveHitSkipsSeed: the seed solve runs only on a
+// result-cache miss. A second session opened on an already solved shape
+// is answered from the cache without it, and heuristic sessions and
+// direct solves never run it.
+func TestSessionFirstResolveHitSkipsSeed(t *testing.T) {
+	ctx := context.Background()
+	tree := seededSessionTrees()[0]
+	svc := NewService(nil, 16)
+	resolve := func(alg Algorithm) CacheStatus {
+		t.Helper()
+		sess, err := svc.OpenSession(tree, WithAlgorithm(alg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, status, err := sess.Resolve(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return status
+	}
+
+	before := coldSeeds.Load()
+	if status := resolve(BranchBound); status != CacheMiss {
+		t.Fatalf("first session: status %v, want miss", status)
+	}
+	if n := coldSeeds.Load() - before; n != 1 {
+		t.Fatalf("first session's resolve ran %d seed solves, want 1", n)
+	}
+	before = coldSeeds.Load()
+	if status := resolve(BranchBound); status != CacheHit {
+		t.Fatalf("second session: status %v, want hit", status)
+	}
+	if status := resolve(GreedyHost); status != CacheMiss {
+		t.Fatalf("greedy session: status %v, want miss", status)
+	}
+	if _, err := NewSolver().Solve(ctx, tree, WithAlgorithm(BranchBound)); err != nil {
+		t.Fatal(err)
+	}
+	if n := coldSeeds.Load() - before; n != 0 {
+		t.Fatalf("cache hit, heuristic session and direct solve ran %d seed solves, want 0", n)
 	}
 }

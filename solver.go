@@ -3,6 +3,7 @@ package repro
 import (
 	"context"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/boundcache"
@@ -32,6 +33,10 @@ type settings struct {
 	onIncumbent func(Incumbent)
 	bestEffort  bool
 	bounds      *boundcache.Cache
+	// seedFirst marks a session's first exact resolve: on a cache miss,
+	// with no warm hint given, the solve is warm-started from adapted
+	// SSB's answer (see coldSeed).
+	seedFirst bool
 }
 
 // Option configures a Solver (in NewSolver) or a single call (in Solve and
@@ -177,8 +182,27 @@ func solveOne(ctx context.Context, t *Tree, cfg settings) (*Outcome, error) {
 		// items, cache misses, session re-solves — reuses the revision's
 		// memoised arrays explicitly rather than via the registry fallback.
 		req.Plan = model.Compile(t)
+		if cfg.seedFirst && req.Warm == nil {
+			req.Warm = coldSeed(ctx, req)
+		}
 	}
 	return core.SolveContext(ctx, req)
+}
+
+// coldSeeds counts coldSeed solves, so tests can check that a result
+// cache hit runs none.
+var coldSeeds atomic.Int64
+
+// coldSeed returns adapted SSB's answer for req's tree under the default
+// weights: an optimal assignment that an exact warm-start search then
+// only has to prove. Any error, cancellation included, means no seed.
+func coldSeed(ctx context.Context, req core.Request) *Assignment {
+	coldSeeds.Add(1)
+	out, err := core.SolveContext(ctx, core.Request{Tree: req.Tree, Algorithm: AdaptedSSB, Plan: req.Plan})
+	if err != nil {
+		return nil
+	}
+	return out.Assignment
 }
 
 // BatchResult is one SolveBatch item's result: exactly one of Outcome and
