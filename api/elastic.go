@@ -70,7 +70,8 @@ type MigrateSessionsRequest struct {
 }
 
 // MigratedBound is one proven bound-cache entry: a subtree Merkle hash
-// with its proven lower bound (and, when complete, the optimal pattern).
+// with its proven lower bound (and, for a complete whole-instance entry,
+// the optimal pattern).
 // Entries are never wrong — at worst they never match a hash again — so
 // they migrate to any node that might re-solve overlapping instances.
 type MigratedBound struct {

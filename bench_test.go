@@ -89,7 +89,8 @@ func BenchmarkE7_GenericSSBScaling(b *testing.B) {
 }
 
 // BenchmarkE8_AdaptedScaling sweeps the adapted solver over tree sizes
-// (the §5.4 complexity claim).
+// (the §5.4 complexity claim), and pareto-dp, which shares its frontier
+// kernel, on the same trees.
 func BenchmarkE8_AdaptedScaling(b *testing.B) {
 	for _, n := range []int{15, 63, 255} {
 		tree := workload.Random(rand.New(rand.NewSource(2)), workload.DefaultRandomSpec(n, 4))
@@ -97,6 +98,14 @@ func BenchmarkE8_AdaptedScaling(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := assign.Solve(tree); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(size(n)+"-pareto-dp", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := exact.Pareto(tree, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

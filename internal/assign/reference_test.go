@@ -199,7 +199,7 @@ func (r *refGraph) expandColour(g *Graph, colour model.SatelliteID, budget int) 
 	}
 	entry, exit := lo, hi+1
 	frontier := make([][]int, exit-entry+1)
-	arena := []prefixNode{{edge: -1, parent: -1}}
+	arena := []dwg.Point{{A: -1, P: -1}}
 	frontier[0] = append(frontier[0], 0)
 	for face := entry; face < exit; face++ {
 		cur := frontier[face-entry]
@@ -213,7 +213,7 @@ func (r *refGraph) expandColour(g *Graph, colour model.SatelliteID, budget int) 
 			}
 			for _, pi := range cur {
 				p := arena[pi]
-				cand := prefixNode{sigma: p.sigma + e.sigma, beta: p.beta + e.beta, edge: id, parent: pi}
+				cand := dwg.Point{S: p.S + e.sigma, B: p.B + e.beta, A: int32(id), P: int32(pi)}
 				kept, added := paretoInsert(arena, frontier[e.to-entry], cand, len(arena))
 				if added {
 					arena = append(arena, cand)
@@ -237,14 +237,14 @@ func (r *refGraph) expandColour(g *Graph, colour model.SatelliteID, budget int) 
 	}
 	for _, pi := range paths {
 		var rev []int
-		for i := pi; arena[i].edge >= 0; i = arena[i].parent {
-			rev = append(rev, arena[i].edge)
+		for i := pi; arena[i].A >= 0; i = int(arena[i].P) {
+			rev = append(rev, int(arena[i].A))
 		}
 		var children []model.NodeID
 		for i := len(rev) - 1; i >= 0; i-- {
 			children = append(children, r.edges[rev[i]].cutChildren...)
 		}
-		r.add(refEdge{from: entry, to: exit, sigma: arena[pi].sigma, beta: arena[pi].beta,
+		r.add(refEdge{from: entry, to: exit, sigma: arena[pi].S, beta: arena[pi].B,
 			colour: colour, cutChildren: children})
 	}
 	return len(paths), true
@@ -419,15 +419,15 @@ func refPackage(g *Graph, r *refGraph, sol *Solution, bestEdges []int) (*Solutio
 }
 
 // paretoInsert maintains a Pareto frontier as an index list sorted by
-// strictly increasing σ and strictly decreasing β. A dominated candidate
+// strictly increasing S (σ) and strictly decreasing B (β). A dominated candidate
 // (ties included) is rejected in O(log n); otherwise the (contiguous) run
 // of entries the candidate dominates is replaced by candIdx.
-func paretoInsert(arena []prefixNode, list []int, cand prefixNode, candIdx int) (kept []int, added bool) {
+func paretoInsert(arena []dwg.Point, list []int, cand dwg.Point, candIdx int) (kept []int, added bool) {
 	// First position whose σ exceeds the candidate's.
 	lo, hi := 0, len(list)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if arena[list[mid]].sigma <= cand.sigma {
+		if arena[list[mid]].S <= cand.S {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -437,15 +437,15 @@ func paretoInsert(arena []prefixNode, list []int, cand prefixNode, candIdx int) 
 	start := pos
 	if pos > 0 {
 		prev := arena[list[pos-1]]
-		if prev.beta <= cand.beta {
+		if prev.B <= cand.B {
 			return list, false // dominated (σ ≤, β ≤), possibly an exact tie
 		}
-		if prev.sigma == cand.sigma {
+		if prev.S == cand.S {
 			start = pos - 1 // equal σ with worse β: replaced by the candidate
 		}
 	}
 	end := pos
-	for end < len(list) && arena[list[end]].beta >= cand.beta {
+	for end < len(list) && arena[list[end]].B >= cand.B {
 		end++ // σ ≥ and β ≥: dominated by the candidate
 	}
 	if removed := end - start; removed > 0 {
@@ -541,14 +541,14 @@ func TestAdaptedMatchesReferenceLoop(t *testing.T) {
 func TestMergeFrontierMatchesParetoInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 2000; trial++ {
-		arena := []prefixNode{{edge: -1, parent: -1}}
-		var heads []mergeHead
+		arena := []dwg.Point{{A: -1, P: -1}}
+		var heads []dwg.Shift
 		for k := rng.Intn(5); k >= 0; k-- {
 			// A predecessor frontier built by insertion, so it is a
 			// valid one: σ ascending, β strictly descending.
 			var list []int
 			for c := rng.Intn(7); c >= 0; c-- {
-				cand := prefixNode{sigma: float64(rng.Intn(6)), beta: float64(rng.Intn(6)), parent: -1}
+				cand := dwg.Point{S: float64(rng.Intn(6)), B: float64(rng.Intn(6)), P: -1}
 				if kept, added := paretoInsert(arena, list, cand, len(arena)); added {
 					arena = append(arena, cand)
 					list = kept
@@ -559,7 +559,7 @@ func TestMergeFrontierMatchesParetoInsert(t *testing.T) {
 				arena = append(arena, arena[i])
 			}
 			ds, db := float64(rng.Intn(4)), float64(rng.Intn(4))
-			heads = append(heads, mergeHead{pos: first, end: len(arena), edge: 100 + k, dsigma: ds, dbeta: db})
+			heads = append(heads, dwg.Shift{Pos: first, End: len(arena), A: int32(100 + k), DS: ds, DB: db})
 		}
 		checkMerge(t, arena, heads)
 	}
@@ -570,50 +570,48 @@ func TestMergeFrontierMatchesParetoInsert(t *testing.T) {
 // values round to the same float, within one in-edge and across two.
 func TestMergeFrontierFloatRoundingTies(t *testing.T) {
 	eps := math.Ldexp(1, -60)
-	arena := []prefixNode{
-		{edge: -1, parent: -1},
+	arena := []dwg.Point{
+		{A: -1, P: -1},
 		// σ 0 and 2⁻⁶⁰ both become 1 after +1; β 1+2⁻⁵² and 1 both
 		// become 2 after +1: an exact tie inside one shifted list.
-		{sigma: 0, beta: 1 + math.Ldexp(1, -52)},
-		{sigma: eps, beta: 1},
+		{S: 0, B: 1 + math.Ldexp(1, -52)},
+		{S: eps, B: 1},
 		// σ ties after +1, β does not: the lower β must win.
-		{sigma: 2, beta: 0.5},
-		{sigma: 2 + 2*eps, beta: 0.25},
+		{S: 2, B: 0.5},
+		{S: 2 + 2*eps, B: 0.25},
 	}
-	if arena[1].sigma+1 != arena[2].sigma+1 || arena[1].beta+1 != arena[2].beta+1 {
+	if arena[1].S+1 != arena[2].S+1 || arena[1].B+1 != arena[2].B+1 {
 		t.Fatal("test values do not round together")
 	}
-	one := func(edge int, ds, db float64) mergeHead {
-		return mergeHead{pos: 1, end: 5, edge: edge, dsigma: ds, dbeta: db}
+	one := func(edge int32, ds, db float64) dwg.Shift {
+		return dwg.Shift{Pos: 1, End: 5, A: edge, DS: ds, DB: db}
 	}
-	checkMerge(t, arena, []mergeHead{one(7, 1, 1)})
-	checkMerge(t, arena, []mergeHead{one(7, 1, 1), one(8, 1, 1)})
-	checkMerge(t, arena, []mergeHead{one(7, 1, 1.5), one(8, 1, 1)})
+	checkMerge(t, arena, []dwg.Shift{one(7, 1, 1)})
+	checkMerge(t, arena, []dwg.Shift{one(7, 1, 1), one(8, 1, 1)})
+	checkMerge(t, arena, []dwg.Shift{one(7, 1, 1.5), one(8, 1, 1)})
 }
 
-// checkMerge runs mergeFrontier and the insertion reference on the same
-// heads and compares the survivors.
-func checkMerge(t *testing.T, arena []prefixNode, heads []mergeHead) {
+// checkMerge runs dwg.MergeFrontier and the insertion reference on the
+// same heads and compares the survivors.
+func checkMerge(t *testing.T, arena []dwg.Point, heads []dwg.Shift) {
 	t.Helper()
 	var list []int
 	ref := slices.Clone(arena)
 	for _, h := range heads {
-		for pos := h.pos; pos < h.end; pos++ {
-			cand := prefixNode{sigma: arena[pos].sigma + h.dsigma, beta: arena[pos].beta + h.dbeta,
-				edge: h.edge, parent: pos}
+		for pos := h.Pos; pos < h.End; pos++ {
+			cand := dwg.Point{S: arena[pos].S + h.DS, B: arena[pos].B + h.DB, A: h.A, P: int32(pos)}
 			if kept, added := paretoInsert(ref, list, cand, len(ref)); added {
 				ref = append(ref, cand)
 				list = kept
 			}
 		}
 	}
-	want := make([]prefixNode, len(list))
+	want := make([]dwg.Point, len(list))
 	for i, idx := range list {
 		want[i] = ref[idx]
 	}
-	w := &workGraph{arena: slices.Clone(arena)}
-	w.mergeFrontier(slices.Clone(heads))
-	if got := w.arena[len(arena):]; !slices.Equal(got, want) {
+	merged := dwg.MergeFrontier(slices.Clone(arena), slices.Clone(heads))
+	if got := merged[len(arena):]; !slices.Equal(got, want) {
 		t.Fatalf("merged frontier %+v\ninsertion reference %+v\nheads %+v", got, want, heads)
 	}
 }

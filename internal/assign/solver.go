@@ -126,13 +126,15 @@ type workGraph struct {
 
 	// arena holds the Pareto prefixes of every band expansion of the solve;
 	// super-edges point into it. It is append-only until the next solve.
+	// A prefix is a point (σ, β) whose A is its last edge and P the arena
+	// index of the prefix it extends; a band's entry has A and P -1.
 	// faceStart, inStart, inEdges and heads are expandColour's per-band
 	// scratch.
-	arena     []prefixNode
+	arena     []dwg.Point
 	faceStart []int
 	inStart   []int
 	inEdges   []int
-	heads     []mergeHead
+	heads     []dwg.Shift
 
 	// path is minSigmaPath's result buffer (callers copy what they keep);
 	// loads is measures' dense per-colour accumulator.
@@ -480,7 +482,7 @@ func (w *workGraph) expandColour(g *Graph, colour model.SatelliteID, budget int)
 	base := len(w.arena)
 	fs := pool.Keep(w.faceStart, span+1)
 	w.faceStart = fs
-	w.arena = append(w.arena, prefixNode{edge: -1, parent: -1})
+	w.arena = append(w.arena, dwg.Point{A: -1, P: -1})
 	fs[0], fs[1] = base, base+1
 	for t := 1; t < span; t++ {
 		heads := w.heads[:0]
@@ -488,11 +490,11 @@ func (w *workGraph) expandColour(g *Graph, colour model.SatelliteID, budget int)
 			e := &w.edges[id]
 			f := e.from - entry
 			if first, end := fs[f], fs[f+1]; first < end {
-				heads = append(heads, mergeHead{pos: first, end: end, edge: id, dsigma: e.sigma, dbeta: e.beta})
+				heads = append(heads, dwg.Shift{Pos: first, End: end, A: int32(id), DS: e.sigma, DB: e.beta})
 			}
 		}
 		w.heads = heads
-		w.mergeFrontier(heads)
+		w.arena = dwg.MergeFrontier(w.arena, heads)
 		fs[t+1] = len(w.arena)
 		if fs[t+1]-fs[t] > budget {
 			w.arena = w.arena[:base]
@@ -518,7 +520,7 @@ func (w *workGraph) expandColour(g *Graph, colour model.SatelliteID, budget int)
 	for i := first; i < end; i++ {
 		p := &w.arena[i]
 		w.edges = append(w.edges, workEdge{
-			from: entry, to: exit, sigma: p.sigma, beta: p.beta,
+			from: entry, to: exit, sigma: p.S, beta: p.B,
 			colour: colour, prefix: i,
 		})
 	}
@@ -526,58 +528,6 @@ func (w *workGraph) expandColour(g *Graph, colour model.SatelliteID, budget int)
 	w.bundleAt[entry] = len(w.bundles)
 	w.bundles = append(w.bundles, b)
 	return end - first, true
-}
-
-// mergeHead is one in-edge's predecessor frontier arena[pos:end], shifted
-// by the in-edge's (dsigma, dbeta). During mergeFrontier, sigma is the
-// shifted σ of arena[pos], and exhausted heads are dropped.
-type mergeHead struct {
-	pos, end      int
-	edge          int
-	sigma         float64
-	dsigma, dbeta float64
-}
-
-// mergeFrontier appends a face's Pareto frontier to the arena: it merges
-// the in-edges' shifted predecessor frontiers by σ, ties going to the
-// earlier in-edge and then the earlier prefix (arrival order), and keeps a
-// candidate only if its β is below the last survivor's. An equal-σ
-// candidate with lower β replaces that survivor, so an exact (σ, β) tie
-// keeps the earlier arrival and equal σ keeps the lower β, even when
-// float rounding makes two shifted σ of one list equal.
-func (w *workGraph) mergeFrontier(heads []mergeHead) {
-	arena := w.arena
-	first := len(arena)
-	for i := range heads {
-		heads[i].sigma = arena[heads[i].pos].sigma + heads[i].dsigma
-	}
-	for len(heads) > 0 {
-		k, s := 0, heads[0].sigma
-		for i := 1; i < len(heads); i++ {
-			if heads[i].sigma < s {
-				k, s = i, heads[i].sigma
-			}
-		}
-		h := &heads[k]
-		cand := prefixNode{sigma: s, beta: arena[h.pos].beta + h.dbeta, edge: h.edge, parent: h.pos}
-		if h.pos++; h.pos < h.end {
-			h.sigma = arena[h.pos].sigma + h.dsigma
-		} else {
-			heads = append(heads[:k], heads[k+1:]...) // keeps arrival order
-		}
-		if n := len(arena); n > first {
-			last := &arena[n-1]
-			if last.beta <= cand.beta {
-				continue // dominated (σ ≥, β ≥), possibly an exact tie
-			}
-			if last.sigma == cand.sigma {
-				*last = cand // equal σ, lower β
-				continue
-			}
-		}
-		arena = append(arena, cand)
-	}
-	w.arena = arena
 }
 
 // finishWithPareto completes a stalled adapted solve exactly: the Pareto
@@ -623,8 +573,8 @@ func (g *Graph) packageSolution(w *workGraph, sol *Solution, bestEdges []int) (*
 		}
 		// A super-edge: walk its traversal's prefix chain back to the
 		// band entry. The order does not matter, CutChildren is sorted.
-		for i := e.prefix; w.arena[i].edge >= 0; i = w.arena[i].parent {
-			place(w.edges[w.arena[i].edge].child, loc)
+		for i := e.prefix; w.arena[i].A >= 0; i = int(w.arena[i].P) {
+			place(w.edges[w.arena[i].A].child, loc)
 		}
 	}
 	if covered != g.tree.SensorCount() {
@@ -637,15 +587,6 @@ func (g *Graph) packageSolution(w *workGraph, sol *Solution, bestEdges []int) (*
 	sol.Assignment = asg
 	sol.Delay = sol.S + sol.B
 	return sol, nil
-}
-
-// prefixNode is an arena entry of expandColour's Pareto DP: a traversal
-// prefix ending with `edge`, extending the prefix at `parent`. A band's
-// entry is the node with edge -1.
-type prefixNode struct {
-	sigma, beta float64
-	edge        int
-	parent      int
 }
 
 // Solve builds the graph for t and runs the adapted SSB solver with default

@@ -2,7 +2,7 @@
 // searches: a sharded, bounded, concurrency-safe map from a subtree's
 // identity — its Merkle (cr2) hash plus the boundary context the search
 // sees — to a proven lower bound on that subtree's standalone delay and,
-// for exhausted subtrees, the optimal sub-assignment pattern itself.
+// for an exhausted whole instance, the optimal assignment pattern itself.
 //
 // # Key semantics
 //
@@ -71,12 +71,13 @@ type Entry struct {
 	// hosted). When Complete, LB is the exact optimum.
 	LB float64
 	// Complete marks an exhausted search: LB is the optimal standalone
-	// delay and Pattern reconstructs the optimal sub-assignment.
+	// delay.
 	Complete bool
-	// Pattern is the optimal sub-assignment, one flag per post-order
-	// offset into the subtree's span: true = the processing CRU is sunk
-	// to its subtree colour, false = it stays on the host. Sensor
-	// offsets are ignored (sensors are pinned). Nil unless Complete.
+	// Pattern is the optimal assignment of a whole instance (a Root
+	// key), one flag per post-order position: true = the processing CRU
+	// is sunk to its subtree colour, false = it stays on the host.
+	// Sensor positions are ignored (sensors are pinned). Subtree entries
+	// carry none: only their LB is ever read. Nil unless Complete.
 	Pattern []bool
 
 	used atomic.Bool // second-chance bit, set on hit

@@ -15,6 +15,14 @@
 // container/heap). The adapted solver of the coloured assignment graph
 // keeps its own monotone pass in package assign.
 //
+// MergeFrontier is the repo's one Pareto-frontier kernel: it merges
+// shifted (S, B) staircases into an arena under one set of tie rules.
+// Adapted SSB's band expansion (package assign) and pareto-dp (package
+// exact) build every frontier with it. The oracles that check them share
+// none of it: the insertion-based band DP and the sort-based pareto-dp
+// kept in those packages' tests, and brute force and branch-and-bound in
+// FuzzExactSolversAgree.
+//
 // One deliberate deviation from the paper's prose: edges with β ≥ B(P) are eliminated, not only β > B(P). The strict rule can
 // stall (no edge removed when the min-S path is its own bottleneck), while
 // the inclusive rule is equally sound — any path through a removed edge has

@@ -604,7 +604,7 @@ func rootHitResult(t *model.Tree, c *model.Compiled, e *boundcache.Entry, res *R
 	res.LowerBound = e.LB
 	loc := make([]model.Location, c.Len())
 	c.BaseLocations(loc)
-	applyPattern(c, loc, c.RootPos, e.Pattern)
+	applyPattern(c, loc, e.Pattern)
 	asg := model.NewAssignment(t)
 	c.StoreAssignment(asg, loc)
 	res.Assignment = asg

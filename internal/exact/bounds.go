@@ -147,7 +147,7 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 			} else {
 				seed.Misses++
 				if d, ok := run.solveSpan(p, v-c.Forced[p]); ok {
-					bc.Insert(k, completedEntry(c, sc.best, p, d))
+					bc.Insert(k, &boundcache.Entry{LB: d, Complete: true})
 					if d > tb {
 						tb = d
 					}
@@ -179,18 +179,24 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 
 // RecordRoot inserts a completed search's whole-instance proof — the
 // optimal locations and their delay — under the pre-pass's root key, so
-// the next solve of the same instance is a cache hit.
+// the next solve of the same instance is a cache hit. The pattern is
+// colour-relative — one sunk bit per position — so it replays onto any
+// structurally identical tree.
 func (seed *BoundSeed) RecordRoot(bc *boundcache.Cache, c *model.Compiled, best []model.Location, d float64) {
-	bc.Insert(seed.RootKey, completedEntry(c, best, c.RootPos, d))
+	pat := make([]bool, c.Len())
+	for q := range pat {
+		pat[q] = !c.Proc[q] || best[q] != model.Host
+	}
+	bc.Insert(seed.RootKey, &boundcache.Entry{LB: d, Complete: true, Pattern: pat})
 }
 
 // solveSpan runs the standalone branch-and-bound of the subtree at p —
 // parent hosted, sinking allowed (p is never the global root here) —
-// and returns its exact optimal delay, leaving the optimal locations in
-// best's span. rootExtra seeds the stack's prefix maximum with p's own
-// static floor so a tight baseline can prune the root node itself. ok
-// is false when the budget or deadline expired first; nothing is then
-// proven and the caller falls back to the static floor.
+// and returns its exact optimal delay. rootExtra seeds the stack's
+// prefix maximum with p's own static floor so a tight baseline can
+// prune the root node itself. ok is false when the budget or deadline
+// expired first; nothing is then proven and the caller falls back to
+// the static floor.
 func (r *bnbRun) solveSpan(p int32, rootExtra float64) (float64, bool) {
 	if r.budgetHit || r.ctxErr != nil {
 		return 0, false
@@ -211,18 +217,13 @@ func (r *bnbRun) solveSpan(p int32, rootExtra float64) (float64, bool) {
 			r.loads[c.Sensor[q]] += c.UpComm[q]
 		}
 	}
-	r.bestDelay = hostAdd + maxOf(r.loads)
+	r.bestDelay = min(hostAdd+maxOf(r.loads), c.SubSat[p]+c.UpComm[p])
 	for q := start; q < end; q++ {
 		if !c.Proc[q] {
 			r.loads[c.Sensor[q]] = 0
 		}
 	}
 	r.spanStart, r.spanEnd = start, end
-	copy(r.sc.best[start:end], r.loc[start:end]) // all-host baseline
-	if s := c.SubSat[p] + c.UpComm[p]; s < r.bestDelay {
-		r.bestDelay = s
-		c.FillSpan(r.sc.best, p, model.OnSatellite(c.Colour[p]))
-	}
 
 	r.hostTime = 0
 	r.forcedRemaining = c.Forced[p]
@@ -269,29 +270,12 @@ func spanKey(c *model.Compiled, hashes [][32]byte, epoch []int32, gen *int32, p 
 	return k
 }
 
-// completedEntry packages the optimal sub-assignment of the subtree at
-// p (read from best's span) as a complete cache entry of delay d. The
-// pattern is colour-relative — one sunk bit per span offset — so it
-// replays onto any structurally identical subtree.
-func completedEntry(c *model.Compiled, best []model.Location, p int32, d float64) *boundcache.Entry {
-	start := c.Start[p]
-	pat := make([]bool, p+1-start)
-	for i := range pat {
-		q := start + int32(i)
-		pat[i] = !c.Proc[q] || best[q] != model.Host
-	}
-	return &boundcache.Entry{LB: d, Complete: true, Pattern: pat}
-}
-
-// applyPattern replays a complete entry's pattern onto loc's span
-// (pre-filled with BaseLocations): sunk CRUs go to their own subtree
-// colour, which is uniform over a sunk monochromatic region, so the
-// pattern is position-local and valid across structurally identical
-// trees.
-func applyPattern(c *model.Compiled, loc []model.Location, p int32, pat []bool) {
-	start := c.Start[p]
-	for i, sunk := range pat {
-		q := start + int32(i)
+// applyPattern replays a root entry's pattern onto loc (pre-filled with
+// BaseLocations): sunk CRUs go to their own subtree colour, which is
+// uniform over a sunk monochromatic region, so the pattern is
+// position-local and valid across structurally identical trees.
+func applyPattern(c *model.Compiled, loc []model.Location, pat []bool) {
+	for q, sunk := range pat {
 		if sunk && c.Proc[q] {
 			loc[q] = model.OnSatellite(c.Colour[q])
 		}

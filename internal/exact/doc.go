@@ -5,8 +5,11 @@
 //   - BruteForce enumerates every feasible assignment (exponential; small
 //     instances only);
 //   - Pareto solves by dynamic programming over per-region Pareto frontiers
-//     of (host-time, satellite-load) pairs — polynomial for bounded
-//     frontier sizes and fully independent of the dual-graph machinery.
+//     of (satellite-load, host-time) pairs on the compiled plan —
+//     polynomial for bounded frontier sizes. It shares only the frontier
+//     kernel, dwg.MergeFrontier, with the dual-graph machinery; the
+//     sort-based DP it replaced (pareto_ref_test.go), brute force and
+//     branch-and-bound (FuzzExactSolversAgree) stay independent checks.
 //     ParetoWeighted minimises any WS·S + WB·B; the adapted SSB solver
 //     calls it to finish a solve its elimination loop cannot;
 //   - BranchAndBound prunes the brute-force tree with delay lower bounds —

@@ -35,8 +35,8 @@ func reevaluated(tree *model.Tree, asg *model.Assignment, d float64) error {
 // re-evaluates to the delay it reports. That covers the fill-in of the
 // sequential search, of the work-stealing publish, and of the root
 // pattern a completed memoized solve records: a second solve on the same
-// cache replays it. TestPrepassPatternsReevaluate covers the pre-pass's
-// subtree patterns.
+// cache replays it. TestPrepassSubtreeEntriesExact covers the pre-pass's
+// subtree entries.
 func TestBranchAndBoundIncumbentsReevaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 12; trial++ {

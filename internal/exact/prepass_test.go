@@ -2,6 +2,7 @@ package exact
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,36 +12,41 @@ import (
 	"repro/internal/workload"
 )
 
-// spanDelay is subtree p's standalone delay under loc, parent hosted,
-// priced independently of the search: the host time of its hosted CRUs
-// plus the largest satellite load, where a satellite carries its sunk
-// CRUs' satellite time and the uplink of every edge that leaves it for
-// the host (p's own uplink counts when p is off the host).
-func spanDelay(c *model.Compiled, loc []model.Location, p int32) float64 {
-	host := 0.0
-	loads := make([]float64, c.NumSats)
-	for q := c.Start[p]; q <= p; q++ {
-		s, onSat := loc[q].Satellite()
-		if !onSat {
-			host += c.HostTime[q]
-			continue
+// hungSubtree copies the subtree at p under a root that costs nothing:
+// the copy's optimal delay is p's standalone optimum, parent hosted.
+func hungSubtree(t *testing.T, c *model.Compiled, p int32) *model.Tree {
+	t.Helper()
+	b := model.NewBuilder()
+	sats := make([]model.SatelliteID, c.NumSats)
+	for i := range sats {
+		sats[i] = b.Satellite(fmt.Sprint("s", i))
+	}
+	var add func(parent model.NodeID, q int32)
+	add = func(parent model.NodeID, q int32) {
+		name := fmt.Sprint("n", q)
+		if !c.Proc[q] {
+			b.Sensor(parent, name, sats[c.Sensor[q]], c.UpComm[q])
+			return
 		}
-		if c.Proc[q] {
-			loads[s] += c.SatTime[q]
-		}
-		if q == p || loc[c.Parent[q]] == model.Host {
-			loads[s] += c.UpComm[q]
+		id := b.Child(parent, name, c.HostTime[q], c.SatTime[q], c.UpComm[q])
+		for _, ch := range c.Children(q) {
+			add(id, ch)
 		}
 	}
-	return host + maxOf(loads)
+	add(b.Root("root", 0, 0), p)
+	tree, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tree
 }
 
-// TestPrepassPatternsReevaluate: the memoization pre-pass proves each
-// memoizable subtree with a standalone search that marks only the CRUs
-// it sinks. The pattern it records must be the filled-in optimum: on
-// random trees, replaying every subtree entry's pattern onto the base
-// locations prices it, standalone, at the entry's proven bound.
-func TestPrepassPatternsReevaluate(t *testing.T) {
+// TestPrepassSubtreeEntriesExact: the memoization pre-pass proves each
+// memoizable subtree with a standalone search and stores only its bound.
+// On random trees every such entry must be complete, carry no pattern,
+// and prove the subtree's standalone optimum, which pareto-dp computes
+// independently on the subtree hung under a zero-time root.
+func TestPrepassSubtreeEntriesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	checked := 0
 	for trial := 0; trial < 10; trial++ {
@@ -54,19 +60,20 @@ func TestPrepassPatternsReevaluate(t *testing.T) {
 		}
 		hashes := model.SubtreeHashes(tree)
 		epoch, gen := make([]int32, c.NumSats), int32(0)
-		loc := make([]model.Location, c.Len())
 		for p := int32(0); p < int32(c.Len()); p++ {
 			if !c.Proc[p] || p == c.RootPos || p+1-c.Start[p] < int32(bc.MinSpan()) {
 				continue
 			}
 			e, ok := bc.Lookup(spanKey(c, hashes, epoch, &gen, p, false))
-			if !ok || !e.Complete {
-				t.Fatalf("trial %d: subtree %d has no complete entry", trial, p)
+			if !ok || !e.Complete || e.Pattern != nil {
+				t.Fatalf("trial %d: subtree %d entry %+v, want complete with no pattern", trial, p, e)
 			}
-			c.BaseLocations(loc)
-			applyPattern(c, loc, p, e.Pattern)
-			if d := spanDelay(c, loc, p); math.Abs(d-e.LB) > 1e-9*math.Max(1, e.LB) {
-				t.Fatalf("trial %d: subtree %d pattern prices at %v, entry proves %v", trial, p, d, e.LB)
+			opt, err := Pareto(hungSubtree(t, c, p), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(opt.Delay-e.LB) > 1e-9*math.Max(1, e.LB) {
+				t.Fatalf("trial %d: subtree %d standalone optimum %v, entry proves %v", trial, p, opt.Delay, e.LB)
 			}
 			checked++
 		}
