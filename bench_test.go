@@ -5,6 +5,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -64,9 +65,10 @@ func BenchmarkE5_AdaptedSSB(b *testing.B) {
 // BenchmarkE6_Epilepsy times the motivating scenario end to end.
 func BenchmarkE6_Epilepsy(b *testing.B) {
 	tree := workload.Epilepsy()
+	solver := repro.NewSolver()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := repro.Solve(tree); err != nil {
+		if _, err := solver.Solve(context.Background(), tree); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,11 +178,12 @@ func BenchmarkE11_LambdaSweep(b *testing.B) {
 func BenchmarkE12_SpeedRatio(b *testing.B) {
 	base := workload.Epilepsy()
 	ratios := []float64{0.25, 1, 4, 16}
+	solver := repro.NewSolver()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, r := range ratios {
 			tree := base.ScaleProfiles(1, r, 1)
-			if _, err := repro.Solve(tree); err != nil {
+			if _, err := solver.Solve(context.Background(), tree); err != nil {
 				b.Fatal(err)
 			}
 		}

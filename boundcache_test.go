@@ -75,7 +75,7 @@ func TestParityBoundCache(t *testing.T) {
 		spec := workload.DefaultRandomSpec(8+int(seed)*4, 2+int(seed)%4)
 		spec.Clustered = seed%2 == 0
 		tree := workload.Random(rng, spec)
-		bc := boundcache.New(boundcache.Config{})
+		bc := boundcache.New()
 
 		for step := 0; step < 6; step++ {
 			cold, err := exact.BranchAndBound(tree, 0)
@@ -171,8 +171,7 @@ func TestBoundCacheConcurrentSolves(t *testing.T) {
 		want[i] = cold.Delay
 	}
 
-	bc := repro.NewBoundCache(repro.BoundCacheConfig{})
-	solver := repro.NewSolver(repro.WithBoundCache(bc))
+	svc := repro.NewService(nil, 0)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for g := 0; g < 8; g++ {
@@ -184,7 +183,7 @@ func TestBoundCacheConcurrentSolves(t *testing.T) {
 				alg = repro.ParallelBnB
 			}
 			for i, tree := range revs {
-				out, err := solver.Solve(context.Background(), tree, repro.WithAlgorithm(alg))
+				out, _, err := svc.Solve(context.Background(), tree, repro.WithAlgorithm(alg))
 				if err != nil {
 					errs <- err
 					return
@@ -201,7 +200,7 @@ func TestBoundCacheConcurrentSolves(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("concurrent solve: %v", err)
 	}
-	if st := bc.Stats(); st.Hits == 0 {
+	if st := svc.Bounds().Stats(); st.Hits == 0 {
 		t.Fatalf("shared cache never hit: %+v", st)
 	}
 }
@@ -215,7 +214,7 @@ func TestBoundCacheLookupZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates; the guard runs in the non-race lane")
 	}
 	tree := workload.Random(rand.New(rand.NewSource(3)), workload.DefaultRandomSpec(30, 3))
-	bc := boundcache.New(boundcache.Config{})
+	bc := boundcache.New()
 	if _, err := exact.BranchAndBoundOpts(context.Background(), tree, exact.BnBOptions{Bounds: bc}); err != nil {
 		t.Fatalf("populating solve: %v", err)
 	}
@@ -259,7 +258,7 @@ func TestBoundCacheLookupZeroAlloc(t *testing.T) {
 func TestWarmMemoizedResolveFewerNodes(t *testing.T) {
 	ctx := context.Background()
 	tree := workload.Random(rand.New(rand.NewSource(5)), workload.DefaultRandomSpec(40, 4))
-	bc := boundcache.New(boundcache.Config{})
+	bc := boundcache.New()
 
 	// Cold memoized solve: populates the cache and yields the incumbent
 	// the next revision warm-starts from.

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -170,7 +171,7 @@ func E6Epilepsy() (*Table, error) {
 		Paper:   "minimising end-to-end delay (SSB) beats both trivial placements and the bottleneck (SB) objective on delay",
 		Columns: []string{"policy", "delay", "host time", "max sat load", "vs optimal"},
 	}
-	opt, err := core.Solve(core.Request{Tree: tree})
+	opt, err := core.SolveContext(context.Background(), core.Request{Tree: tree})
 	if err != nil {
 		return nil, err
 	}
@@ -180,7 +181,7 @@ func E6Epilepsy() (*Table, error) {
 	}
 	addRow("adapted-ssb (paper)", opt.Breakdown)
 	for _, alg := range []core.Algorithm{core.AllHost, core.MaxDistribution, core.GreedyHost} {
-		out, err := core.Solve(core.Request{Tree: tree, Algorithm: alg})
+		out, err := core.SolveContext(context.Background(), core.Request{Tree: tree, Algorithm: alg})
 		if err != nil {
 			return nil, err
 		}
@@ -299,7 +300,7 @@ func E9Agreement() (*Table, error) {
 		tree := workload.Random(rng, spec)
 		delays := map[core.Algorithm]float64{}
 		for _, alg := range []core.Algorithm{core.AdaptedSSB, core.ParetoDP, core.BranchBound, core.BruteForce} {
-			out, err := core.Solve(core.Request{Tree: tree, Algorithm: alg})
+			out, err := core.SolveContext(context.Background(), core.Request{Tree: tree, Algorithm: alg})
 			if err != nil {
 				return nil, fmt.Errorf("trial %d %s: %w", trial, alg, err)
 			}
@@ -319,7 +320,7 @@ func E9Agreement() (*Table, error) {
 			exactAgree++
 		}
 		for _, alg := range heuristicAlgs {
-			out, err := core.Solve(core.Request{Tree: tree, Algorithm: alg, Seed: int64(trial)})
+			out, err := core.SolveContext(context.Background(), core.Request{Tree: tree, Algorithm: alg, Seed: int64(trial)})
 			if err != nil {
 				return nil, err
 			}
@@ -367,7 +368,7 @@ func E10FutureWork() (*Table, error) {
 			return nil, err
 		}
 		start := time.Now()
-		ssb, err := core.Solve(core.Request{Tree: tree, Algorithm: core.AdaptedSSB})
+		ssb, err := core.SolveContext(context.Background(), core.Request{Tree: tree, Algorithm: core.AdaptedSSB})
 		if err != nil {
 			return nil, err
 		}
@@ -394,7 +395,7 @@ func E10FutureWork() (*Table, error) {
 			bbTime = fmt.Sprintf("%v", time.Since(start).Round(time.Microsecond))
 		}
 		start = time.Now()
-		ga, err := core.Solve(core.Request{Tree: tree, Algorithm: core.Genetic, Seed: 42})
+		ga, err := core.SolveContext(context.Background(), core.Request{Tree: tree, Algorithm: core.Genetic, Seed: 42})
 		if err != nil {
 			return nil, err
 		}
@@ -440,15 +441,15 @@ func E12SpeedRatio() (*Table, error) {
 	}
 	for _, ratio := range []float64{0.25, 0.5, 1, 2, 4, 8, 16} {
 		tree := base.ScaleProfiles(1, ratio, 1)
-		opt, err := core.Solve(core.Request{Tree: tree})
+		opt, err := core.SolveContext(context.Background(), core.Request{Tree: tree})
 		if err != nil {
 			return nil, err
 		}
-		ah, err := core.Solve(core.Request{Tree: tree, Algorithm: core.AllHost})
+		ah, err := core.SolveContext(context.Background(), core.Request{Tree: tree, Algorithm: core.AllHost})
 		if err != nil {
 			return nil, err
 		}
-		md, err := core.Solve(core.Request{Tree: tree, Algorithm: core.MaxDistribution})
+		md, err := core.SolveContext(context.Background(), core.Request{Tree: tree, Algorithm: core.MaxDistribution})
 		if err != nil {
 			return nil, err
 		}

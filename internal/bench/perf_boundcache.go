@@ -7,7 +7,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/boundcache"
+	"repro"
 	"repro/internal/exact"
 	"repro/internal/incremental"
 	"repro/internal/model"
@@ -81,8 +81,9 @@ func P5BoundMemo() (*Table, error) {
 		var coldExplored, bareExplored, warmExplored int
 		var warmDelay float64
 		for it := 0; it < iters; it++ {
-			// Prime: the previous revision's solve, outside the timed region.
-			bc := boundcache.New(boundcache.Config{})
+			// Prime: the previous revision's solve, outside the timed region,
+			// into a fresh Service's empty bound cache.
+			bc := repro.NewService(nil, 0).Bounds()
 			prev, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{Bounds: bc, MaxNodes: 1 << 28})
 			if err != nil {
 				return nil, fmt.Errorf("%s: prime: %w", in.name, err)

@@ -85,15 +85,12 @@ type Entry struct {
 
 const numShards = 64
 
-// minSpan is the smallest subtree span worth memoizing; solvers fall back
+// MinSpan is the smallest subtree span worth memoizing; solvers fall back
 // to their static bound below it.
-const minSpan = 8
+const MinSpan = 8
 
-// Config sizes a Cache. Zero values select the defaults.
-type Config struct {
-	// Capacity bounds the total entries held (default 1 << 14).
-	Capacity int
-}
+// capacity bounds the total entries a Cache holds.
+const capacity = 1 << 14
 
 // Stats is a point-in-time snapshot of a cache's counters.
 type Stats struct {
@@ -121,25 +118,14 @@ type Cache struct {
 	evictions atomic.Int64
 }
 
-// New returns an empty cache sized by cfg.
-func New(cfg Config) *Cache {
-	capacity := cfg.Capacity
-	if capacity <= 0 {
-		capacity = 1 << 14
-	}
-	per := (capacity + numShards - 1) / numShards
-	if per < 1 {
-		per = 1
-	}
-	c := &Cache{perShrd: per}
+// New returns an empty cache.
+func New() *Cache {
+	c := &Cache{perShrd: capacity / numShards}
 	for i := range c.shards {
 		c.shards[i].m = make(map[Key]*Entry)
 	}
 	return c
 }
-
-// MinSpan is the smallest subtree span worth memoizing.
-func (c *Cache) MinSpan() int { return minSpan }
 
 func (c *Cache) shardFor(k *Key) *shard {
 	return &c.shards[k.Hash[0]&(numShards-1)]

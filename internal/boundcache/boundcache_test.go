@@ -15,7 +15,7 @@ func keyN(n int) Key {
 }
 
 func TestLookupInsertRoundTrip(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	k := keyN(1)
 	if _, ok := c.Lookup(k); ok {
 		t.Fatal("empty cache claims a hit")
@@ -41,7 +41,7 @@ func TestLookupInsertRoundTrip(t *testing.T) {
 // order, and among incomplete entries the higher (tighter) bound wins —
 // racing solvers of one subtree can only strengthen the store.
 func TestInsertKeepsMoreProven(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	k := keyN(2)
 	c.Insert(k, &Entry{LB: 10})
 	c.Insert(k, &Entry{LB: 5}) // weaker bound: ignored
@@ -63,8 +63,9 @@ func TestInsertKeepsMoreProven(t *testing.T) {
 }
 
 func TestEvictionBoundsCapacity(t *testing.T) {
-	cap := 128
-	c := New(Config{Capacity: cap})
+	c := New()
+	c.perShrd = 2 // shrink the store so the stream overflows it
+	cap := 2 * numShards
 	n := 4 * cap
 	for i := 0; i < n; i++ {
 		c.Insert(keyN(i), &Entry{LB: float64(i)})
@@ -84,7 +85,8 @@ func TestEvictionBoundsCapacity(t *testing.T) {
 // TestEvictionSecondChance: a recently hit entry survives the sweep that
 // recycles cold ones.
 func TestEvictionSecondChance(t *testing.T) {
-	c := New(Config{Capacity: 2 * numShards}) // two entries per shard
+	c := New()
+	c.perShrd = 2 // two entries per shard
 	hot := keyN(0)
 	c.Insert(hot, &Entry{LB: 1})
 	for round := 0; round < 8; round++ {
@@ -104,7 +106,8 @@ func TestEvictionSecondChance(t *testing.T) {
 }
 
 func TestConcurrentInsertLookup(t *testing.T) {
-	c := New(Config{Capacity: 256})
+	c := New()
+	c.perShrd = 4 // small shards, so the racing inserts also evict
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -130,7 +133,7 @@ func TestConcurrentInsertLookup(t *testing.T) {
 // TestBoundCacheLookupZeroAlloc, which exercises this same path through
 // the public API; this is the unit-level pin.)
 func TestLookupZeroAlloc(t *testing.T) {
-	c := New(Config{})
+	c := New()
 	k := keyN(3)
 	c.Insert(k, &Entry{LB: 1})
 	allocs := testing.AllocsPerRun(200, func() {
@@ -144,7 +147,7 @@ func TestLookupZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkLookupHit(b *testing.B) {
-	c := New(Config{})
+	c := New()
 	keys := make([]Key, 256)
 	for i := range keys {
 		keys[i] = keyN(i)
@@ -158,7 +161,7 @@ func BenchmarkLookupHit(b *testing.B) {
 }
 
 func ExampleCache() {
-	c := New(Config{Capacity: 1024})
+	c := New()
 	k := Key{Sats: 2, Bands: 3}
 	c.Insert(k, &Entry{LB: 41.5, Complete: true, Pattern: []bool{true, false, true}})
 	if e, ok := c.Lookup(k); ok && e.Complete {

@@ -101,8 +101,10 @@ type Request struct {
 	// Bounds is an optional bound-memoization cache for the exact
 	// searches (capability Bounds): proven subtree lower bounds, keyed
 	// by Merkle hash, tighten pruning across solves — session revisions
-	// re-search only the dirty spine, corpus siblings share proofs. It
-	// is advisory and never changes an exact solver's answer (property-
+	// re-search only the dirty spine, corpus siblings share proofs. A
+	// repro.Service sets its own cache here on every solve it runs;
+	// other callers leave it nil unless they hold a cache. It is
+	// advisory and never changes an exact solver's answer (property-
 	// tested), only the nodes explored, so the serving layers exclude it
 	// from cache identity exactly like Warm and Parallelism; solvers
 	// without the capability ignore it.
@@ -165,14 +167,6 @@ type Outcome struct {
 	Pruned      int
 	BoundHits   int
 	BoundMisses int
-}
-
-// Solve dispatches the request without cancellation support.
-//
-// Deprecated: use SolveContext (or the public repro.Solver service), which
-// honours deadlines and cancellation.
-func Solve(req Request) (*Outcome, error) {
-	return SolveContext(context.Background(), req)
 }
 
 // SolveContext dispatches the request through the algorithm registry. The

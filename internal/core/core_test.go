@@ -19,7 +19,7 @@ func TestAllAlgorithmsRunOnPaperTree(t *testing.T) {
 	var exactDelay float64
 	first := true
 	for _, alg := range core.Algorithms() {
-		out, err := core.Solve(core.Request{Tree: tree, Algorithm: alg, Seed: 7})
+		out, err := core.SolveContext(context.Background(), core.Request{Tree: tree, Algorithm: alg, Seed: 7})
 		if err != nil {
 			t.Fatalf("%s: %v", alg, err)
 		}
@@ -46,7 +46,7 @@ func TestAllAlgorithmsRunOnPaperTree(t *testing.T) {
 }
 
 func TestDefaultAlgorithm(t *testing.T) {
-	out, err := core.Solve(core.Request{Tree: workload.Epilepsy()})
+	out, err := core.SolveContext(context.Background(), core.Request{Tree: workload.Epilepsy()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestDefaultAlgorithm(t *testing.T) {
 }
 
 func TestUnknownAlgorithm(t *testing.T) {
-	_, err := core.Solve(core.Request{Tree: workload.Epilepsy(), Algorithm: "nope"})
+	_, err := core.SolveContext(context.Background(), core.Request{Tree: workload.Epilepsy(), Algorithm: "nope"})
 	if err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
@@ -76,7 +76,7 @@ func TestUnknownAlgorithm(t *testing.T) {
 }
 
 func TestNilTree(t *testing.T) {
-	_, err := core.Solve(core.Request{})
+	_, err := core.SolveContext(context.Background(), core.Request{})
 	if err == nil {
 		t.Fatal("nil tree accepted")
 	}
@@ -160,7 +160,7 @@ func TestCanceledBeforeDispatch(t *testing.T) {
 func TestElapsedCoversEvaluation(t *testing.T) {
 	// The stamp must come after eval.Evaluate: a solve that is instant
 	// still reports a positive, monotone elapsed time.
-	out, err := core.Solve(core.Request{Tree: workload.PaperTree(), Algorithm: core.AllHost})
+	out, err := core.SolveContext(context.Background(), core.Request{Tree: workload.PaperTree(), Algorithm: core.AllHost})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,8 +170,8 @@ type bnbRun struct {
 	maxNodes int
 	ctxErr   error
 
-	// sc holds the colour floors w the bound reads and, except for a
-	// worker, the incumbent locations best.
+	// sc holds the colour floors w the bound reads and, for the
+	// top-level run, the incumbent locations best.
 	sc *bnbScratch
 	// extra[p] is subtree p's proven standalone lower bound minus
 	// Forced[p] — the part of its future cost the forced-host term
@@ -181,9 +181,10 @@ type bnbRun struct {
 	// bestDelay is the delay a branch must beat: the run's own incumbent,
 	// or for a worker the shared one as read on entry to the node.
 	bestDelay float64
-	spanStart int32
-	spanEnd   int32
-	onBetter  func(work int) // top level only: publish res.Delay + stream
+	// onBetter publishes res.Delay and streams the incumbent. It is set
+	// on the top-level run only, which alone stores its incumbents in
+	// sc.best: a pre-pass sub-solve needs just its optimal delay.
+	onBetter func(work int)
 
 	// shared is the work-stealing search this run is one worker of; nil
 	// for the sequential search, which then never forks a frame.
@@ -194,12 +195,12 @@ type bnbRun struct {
 	split     bool // the next dfs entry publishes its state as a frame
 }
 
-// storeLocs copies the decision marks loc[start:end] of a complete
-// assignment into best and fills in every sunk span: one descending pass
-// meets each topmost sunk CRU before its descendants and skips its span.
-func storeLocs(c *model.Compiled, best, loc []model.Location, start, end int32) {
-	copy(best[start:end], loc[start:end])
-	for q := end - 1; q >= start; q-- {
+// storeLocs copies the decision marks loc of a complete assignment into
+// best and fills in every sunk span: one descending pass meets each
+// topmost sunk CRU before its descendants and skips its span.
+func storeLocs(c *model.Compiled, best, loc []model.Location) {
+	copy(best, loc)
+	for q := int32(len(loc)) - 1; q >= 0; q-- {
 		if c.Proc[q] && best[q] != model.Host {
 			c.FillSpan(best, q, best[q])
 			q = c.Start[q]
@@ -328,8 +329,8 @@ func (r *bnbRun) dfs() {
 				return
 			}
 			r.bestDelay = d
-			storeLocs(c, r.sc.best, r.loc, r.spanStart, r.spanEnd)
 			if r.onBetter != nil {
+				storeLocs(c, r.sc.best, r.loc)
 				r.onBetter(r.res.Explored)
 			}
 		}
@@ -490,7 +491,7 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	run := &bnbRun{
 		bnbState: bnbState{loc: sc.loc, loads: sc.loads, rem: sc.rem},
 		ctx:      ctx, c: c, res: res, maxNodes: maxNodes, sc: sc,
-		bestDelay: math.Inf(1), spanStart: 0, spanEnd: int32(n),
+		bestDelay: math.Inf(1),
 	}
 
 	// The search's own bound at the root — the forced host time plus the

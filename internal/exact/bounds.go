@@ -42,8 +42,8 @@ type BoundSeed struct {
 
 // PrepareBounds consults and populates the bound cache for one solve of
 // t. It walks the subtrees in post order (children before parents):
-// each memoizable subtree — processing, non-root, span at least the
-// cache's MinSpan — either replays its proven standalone bound from the
+// each memoizable subtree — processing, non-root, span at least
+// boundcache.MinSpan — either replays its proven standalone bound from the
 // cache or is solved standalone right here (a bounded branch-and-bound
 // of just that span, itself pruned by the extras already proven for its
 // descendants) and the proof inserted. Smaller subtrees get a static
@@ -94,7 +94,6 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 	sc.lbc = pool.Keep(sc.lbc, n)
 	lbc := sc.lbc
 	sc.loc = pool.Keep(sc.loc, n)
-	sc.best = pool.Keep(sc.best, n)
 	sc.loads = pool.Slice(sc.loads, c.NumSats)
 	sc.rem = pool.Keep(sc.rem, c.NumSats)
 	sc.w = pool.Keep(sc.w, n)
@@ -104,7 +103,6 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 		ctx:      ctx, c: c, res: res, maxNodes: maxNodes, sc: sc, extra: extra,
 	}
 	c.BaseLocations(sc.loc)
-	minSpan := int32(bc.MinSpan())
 
 	// One ascending pass: positions are post-ordered, so every child's
 	// static floor and extra are ready before its parent needs them, and
@@ -137,7 +135,7 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 		}
 		lbc[p] = v
 		tb := v
-		if p != c.RootPos && p+1-c.Start[p] >= minSpan {
+		if p != c.RootPos && p+1-c.Start[p] >= boundcache.MinSpan {
 			k := spanKey(c, hashes, epoch, &gen, p, false)
 			if e, ok := bc.Lookup(k); ok {
 				seed.Hits++
@@ -223,7 +221,6 @@ func (r *bnbRun) solveSpan(p int32, rootExtra float64) (float64, bool) {
 			r.loads[c.Sensor[q]] = 0
 		}
 	}
-	r.spanStart, r.spanEnd = start, end
 
 	r.hostTime = 0
 	r.forcedRemaining = c.Forced[p]
@@ -233,7 +230,6 @@ func (r *bnbRun) solveSpan(p int32, rootExtra float64) (float64, bool) {
 		rootExtra = 0
 	}
 	r.exm = append(r.exm[:0], rootExtra)
-	r.onBetter = nil
 	r.dfs()
 	r.stack = r.stack[:0]
 	r.exm = r.exm[:0]

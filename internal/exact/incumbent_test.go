@@ -50,7 +50,7 @@ func TestBranchAndBoundIncumbentsReevaluate(t *testing.T) {
 						trial, spec.CRUs, workers, memo, starved)
 					opts := exact.BnBOptions{Workers: workers}
 					if memo {
-						opts.Bounds = boundcache.New(boundcache.Config{})
+						opts.Bounds = boundcache.New()
 					}
 					if starved {
 						opts.MaxNodes = 8 + rng.Intn(40)

@@ -354,7 +354,7 @@ func TestParallelBnBNilContext(t *testing.T) {
 		t.Fatalf("instance explores %d nodes, too few to reach a context poll", seq.Explored)
 	}
 	for _, workers := range append([]int{0}, workerCounts()...) {
-		for _, bc := range []*boundcache.Cache{nil, boundcache.New(boundcache.Config{})} {
+		for _, bc := range []*boundcache.Cache{nil, boundcache.New()} {
 			res, err := exact.BranchAndBoundOpts(nil, tree, exact.BnBOptions{Workers: workers, Bounds: bc})
 			if err != nil {
 				t.Fatalf("workers %d memoized %v: %v", workers, bc != nil, err)

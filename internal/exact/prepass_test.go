@@ -54,14 +54,14 @@ func TestPrepassSubtreeEntriesExact(t *testing.T) {
 		spec.Clustered = trial%2 == 1
 		tree := workload.Random(rng, spec)
 		c := model.Compile(tree)
-		bc := boundcache.New(boundcache.Config{})
+		bc := boundcache.New()
 		if seed := PrepareBounds(context.Background(), tree, bc, 1<<22); seed.BudgetHit || seed.Err != nil {
 			t.Fatalf("trial %d: pre-pass stopped early", trial)
 		}
 		hashes := model.SubtreeHashes(tree)
 		epoch, gen := make([]int32, c.NumSats), int32(0)
 		for p := int32(0); p < int32(c.Len()); p++ {
-			if !c.Proc[p] || p == c.RootPos || p+1-c.Start[p] < int32(bc.MinSpan()) {
+			if !c.Proc[p] || p == c.RootPos || p+1-c.Start[p] < boundcache.MinSpan {
 				continue
 			}
 			e, ok := bc.Lookup(spanKey(c, hashes, epoch, &gen, p, false))

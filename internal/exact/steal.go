@@ -177,7 +177,7 @@ func (s *search) improve(loc []model.Location, d float64) {
 	s.incMu.Lock()
 	if top := s.top; d < top.bestDelay {
 		top.bestDelay = d
-		storeLocs(top.c, top.sc.best, loc, 0, int32(len(loc)))
+		storeLocs(top.c, top.sc.best, loc)
 		top.onBetter(int(s.explored.Load()))
 	}
 	s.incMu.Unlock()

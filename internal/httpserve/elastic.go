@@ -125,7 +125,7 @@ func (s *server) exportSessions(dest func(fingerprint string) string) map[string
 // exportBounds renders the most valuable proven bound-cache entries in
 // wire form, for seeding a joining node.
 func (s *server) exportBounds(limit int) []api.MigratedBound {
-	exported := s.bounds.Export(limit)
+	exported := s.cfg.Service.Bounds().Export(limit)
 	out := make([]api.MigratedBound, 0, len(exported))
 	for i := range exported {
 		e := &exported[i]
@@ -278,7 +278,8 @@ func (s *server) handleMigrateCache(w http.ResponseWriter, r *http.Request) {
 // handleMigrateSessions adopts pushed session snapshots: each is
 // re-opened under its original ID (so the old owner's tombstone and the
 // ID itself both keep resolving) with its revision counter and warm hint
-// restored. Compiled plans and bound caches rebuild on first resolve.
+// restored. Compiled plans rebuild on first resolve; proven bounds
+// arrive separately over /v1/migrate/bounds.
 //
 //	POST /v1/migrate/sessions
 func (s *server) handleMigrateSessions(w http.ResponseWriter, r *http.Request) {
@@ -308,7 +309,7 @@ func (s *server) handleMigrateSessions(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			continue
 		}
-		sess, err := s.cfg.Service.OpenSession(tree, s.solveOpts(snap.Defaults.Options())...)
+		sess, err := s.cfg.Service.OpenSession(tree, snap.Defaults.Options()...)
 		if err != nil {
 			continue
 		}
@@ -327,7 +328,7 @@ func (s *server) handleMigrateSessions(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMigrateBounds adopts pushed proven bound-cache entries into the
-// server-wide bound cache. Bounds are never wrong, only possibly never
+// Service's bound cache. Bounds are never wrong, only possibly never
 // matched again, so adoption needs no placement check — just the epoch
 // guard against superseded pushers.
 //
@@ -363,7 +364,7 @@ func (s *server) handleMigrateBounds(w http.ResponseWriter, r *http.Request) {
 			Key: k, LB: e.LB, Complete: e.Complete, Pattern: e.Pattern,
 		})
 	}
-	adopted := s.bounds.Import(entries)
+	adopted := s.cfg.Service.Bounds().Import(entries)
 	mgr.CountAdopted(adopted)
 	writeJSON(w, http.StatusOK, &api.MigrateResponse{APIVersion: api.Version, Adopted: adopted})
 }

@@ -96,7 +96,6 @@ func New(cfg Config) *Server {
 		cfg: cfg, started: time.Now(), metrics: newMetrics(),
 		sessions:  map[string]*sessionEntry{},
 		relocated: map[string]string{},
-		bounds:    repro.NewBoundCache(repro.BoundCacheConfig{}),
 	}
 	if cfg.MaxInflight > 0 {
 		s.slots = make(chan struct{}, cfg.MaxInflight)
@@ -153,10 +152,6 @@ type server struct {
 	// elastic is the dynamic-membership manager (nil = static seed list).
 	// Set by AttachElastic before the server starts serving.
 	elastic *elastic.Manager
-	// bounds is the server-wide bound-memoization cache every solve and
-	// session shares; proven facts survive their session and migrate to
-	// joining nodes.
-	bounds *repro.BoundCache
 	// relocated maps migrated session IDs to their adopting node — the
 	// tombstones ownerRouted consults so pinned IDs outlive a migration.
 	relocMu   sync.Mutex
@@ -171,7 +166,7 @@ type server struct {
 	// (the async job tier keeps its own in jobs.Stats): nodes explored,
 	// branches pruned, and bound-memoization hits/misses. Exposed as the
 	// "search" block of /debug/vars so a dashboard can watch the
-	// explored-per-solve trend fall as session bound caches warm up.
+	// explored-per-solve trend fall as the Service's bound cache warms up.
 	// replayed is the nodes of outcomes served from the result cache or a
 	// joined concurrent solve, counted at their original search: no
 	// search ran for them here.
@@ -247,15 +242,6 @@ func (s *server) limited(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// solveOpts layers a request's options over the server-wide bound cache:
-// every exact solve on this node reads and proves into one shared pool,
-// which is also what the elastic layer exports to joining nodes.
-func (s *server) solveOpts(reqOpts []repro.Option) []repro.Option {
-	opts := make([]repro.Option, 0, len(reqOpts)+1)
-	opts = append(opts, repro.WithBoundCache(s.bounds))
-	return append(opts, reqOpts...)
-}
-
 // requestContext applies the server-side timeout ceiling.
 func (s *server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
 	if s.cfg.RequestTimeout > 0 {
@@ -283,7 +269,7 @@ func (s *server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	out, status, err := s.cfg.Service.Solve(ctx, tree, s.solveOpts(req.Options())...)
+	out, status, err := s.cfg.Service.Solve(ctx, tree, req.Options()...)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -347,7 +333,7 @@ func (s *server) solveItem(ctx context.Context, item *api.SolveRequest) api.Batc
 	if err != nil {
 		return api.BatchItem{Error: api.FromError(err)}
 	}
-	out, status, err := s.cfg.Service.Solve(ctx, tree, s.solveOpts(item.Options())...)
+	out, status, err := s.cfg.Service.Solve(ctx, tree, item.Options()...)
 	if err != nil {
 		return api.BatchItem{Error: api.FromError(err)}
 	}
@@ -379,7 +365,7 @@ func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
-	out, status, err := s.cfg.Service.Solve(ctx, tree, s.solveOpts(req.Options())...)
+	out, status, err := s.cfg.Service.Solve(ctx, tree, req.Options()...)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -466,7 +452,8 @@ func (s *server) handleVars(w http.ResponseWriter, _ *http.Request) {
 			"rejected":     s.rejected.Load(),
 			"failed":       s.failed.Load(),
 		},
-		"jobs": s.jobs.Stats(),
+		"jobs":        s.jobs.Stats(),
+		"bound_cache": s.cfg.Service.Bounds().Stats(),
 		"search": map[string]int64{
 			"explored":     s.explored.Load(),
 			"pruned":       s.pruned.Load(),

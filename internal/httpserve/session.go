@@ -46,7 +46,7 @@ func (s *server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	if s.maybeForward(w, r, repro.Fingerprint(tree), body, false) {
 		return
 	}
-	sess, err := s.cfg.Service.OpenSession(tree, s.solveOpts(req.Options())...)
+	sess, err := s.cfg.Service.OpenSession(tree, req.Options()...)
 	if err != nil {
 		s.fail(w, err)
 		return

@@ -124,7 +124,7 @@ type Stats struct {
 	Live       int   `json:"live"`
 
 	// Search-node accounting summed over finished solves: nodes explored,
-	// branches pruned, and the shared bound cache's hit/miss split. The
+	// branches pruned, and the Service bound cache's hit/miss split. The
 	// explored-per-job trend is the live measure of how much the bound
 	// memoization is saving the tier.
 	Explored    int64 `json:"explored"`
@@ -133,7 +133,13 @@ type Stats struct {
 	BoundMisses int64 `json:"bound_misses"`
 }
 
-// Manager owns the job table, the bounded queue and the worker pool.
+// Manager owns the job table, the bounded queue and the worker pool. Its
+// solves run on Config.Service and so share the Service's bound cache
+// with every other solve there: jobs over the same (or mutated copies of
+// the same) instance replay each other's proven subtree bounds, and a
+// resubmitted identical instance — whose anytime solve bypasses the
+// result cache by design — is answered by replaying the recorded optimal
+// pattern instead of re-searching.
 type Manager struct {
 	cfg    Config
 	queue  chan *Job
@@ -151,14 +157,6 @@ type Manager struct {
 
 	explored, pruned       atomic.Int64
 	boundHits, boundMisses atomic.Int64
-
-	// bounds is the tier-wide bound-memoization cache, attached to every
-	// solve: jobs over the same (or mutated copies of the same) instance
-	// replay each other's proven subtree bounds, and a resubmitted
-	// identical instance — whose anytime solve bypasses the Service's
-	// outcome cache by design — is answered by replaying the recorded
-	// optimal pattern instead of re-searching.
-	bounds *repro.BoundCache
 }
 
 // New starts a Manager with cfg.Workers workers.
@@ -180,12 +178,11 @@ func New(cfg Config) *Manager {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:    cfg,
-		queue:  make(chan *Job, cfg.QueueDepth),
-		ctx:    ctx,
-		stop:   stop,
-		jobs:   map[string]*Job{},
-		bounds: repro.NewBoundCache(repro.BoundCacheConfig{}),
+		cfg:   cfg,
+		queue: make(chan *Job, cfg.QueueDepth),
+		ctx:   ctx,
+		stop:  stop,
+		jobs:  map[string]*Job{},
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		m.wg.Add(1)
@@ -409,14 +406,13 @@ func (m *Manager) noteOutcome(out *repro.Outcome) {
 }
 
 // solveOpts assembles one solve's option list: the request parameters,
-// the plan's algorithm and budget, best-effort mode, the shared bound
-// cache and the incumbent hook feeding the job's ring.
+// the plan's algorithm and budget, best-effort mode and the incumbent
+// hook feeding the job's ring.
 func (m *Manager) solveOpts(j *Job, plan Plan, alg repro.Algorithm) []repro.Option {
 	opts := []repro.Option{
 		repro.WithAlgorithm(alg),
 		repro.WithSeed(j.req.Seed),
 		repro.WithBestEffort(),
-		repro.WithBoundCache(m.bounds),
 		repro.WithIncumbents(func(inc repro.Incumbent) { j.record(alg, inc) }),
 	}
 	if budget := j.req.Budget; budget != 0 {

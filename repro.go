@@ -131,20 +131,15 @@ type (
 	Incumbent = core.Incumbent
 	// SearchStats details a graph-based solver's run.
 	SearchStats = core.SearchStats
-	// Request is a parameterised solve call (see the deprecated SolveWith;
-	// new code passes options to Solver.Solve instead).
-	Request = core.Request
 	// Weights are the WS·S + WB·B objective coefficients.
 	Weights = dwg.Weights
 	// SimConfig parameterises the discrete-event simulator.
 	SimConfig = sim.Config
 	// SimResult is a simulation outcome.
 	SimResult = sim.Result
-	// BoundCache memoizes proven subtree bounds across exact solves; attach
-	// one with WithBoundCache.
+	// BoundCache memoizes proven subtree bounds across exact solves; a
+	// Service owns one (Service.Bounds).
 	BoundCache = boundcache.Cache
-	// BoundCacheConfig sizes a BoundCache.
-	BoundCacheConfig = boundcache.Config
 	// BoundCacheStats reports a BoundCache's hit/store/eviction counters.
 	BoundCacheStats = boundcache.Stats
 )
@@ -225,11 +220,6 @@ func DOT(t *Tree, title string) string { return model.DOT(t, title) }
 // instance identity the Service caches by.
 func Fingerprint(t *Tree) string { return model.Fingerprint(t) }
 
-// NewBoundCache returns a bound-memoization cache for the exact searches
-// (see WithBoundCache). The zero BoundCacheConfig selects the default
-// capacity and minimum memoized span.
-func NewBoundCache(cfg BoundCacheConfig) *BoundCache { return boundcache.New(cfg) }
-
 // NewAssignment returns the everything-on-host assignment for t.
 func NewAssignment(t *Tree) *Assignment { return model.NewAssignment(t) }
 
@@ -238,22 +228,6 @@ func OnSatellite(id SatelliteID) Location { return model.OnSatellite(id) }
 
 // Host is the host machine's location.
 var Host = model.Host
-
-// Solve finds the minimum end-to-end-delay assignment of t with the
-// paper's adapted SSB algorithm.
-//
-// Deprecated: use a Solver, which supports cancellation, options and
-// batches: repro.NewSolver().Solve(ctx, t).
-func Solve(t *Tree) (*Outcome, error) {
-	return core.Solve(core.Request{Tree: t})
-}
-
-// SolveWith dispatches a fully parameterised solve (algorithm choice,
-// objective weights, seeds, budgets).
-//
-// Deprecated: use a Solver with options:
-// repro.NewSolver().Solve(ctx, t, repro.WithAlgorithm(...), ...).
-func SolveWith(req Request) (*Outcome, error) { return core.Solve(req) }
 
 // Algorithms lists every registered solver, exact ones first.
 func Algorithms() []Algorithm { return core.Algorithms() }

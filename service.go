@@ -7,6 +7,7 @@ import (
 	"math"
 	"strconv"
 
+	"repro/internal/boundcache"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dwg"
@@ -42,11 +43,17 @@ type CacheStats = cache.Stats
 // per-call timeout (WithTimeout) shapes quality of service, not the
 // answer, so it is deliberately excluded from the cache key.
 //
+// A Service also owns the bound cache of the exact searches (see
+// Bounds): every solve it runs — Solve, SolveBatch, Session resolves and
+// the anytime bypass alike — replays and records proven subtree bounds
+// in that one store.
+//
 // A Service is safe for concurrent use; cmd/crserve exposes one over
 // HTTP with the wire DTOs of package api.
 type Service struct {
 	solver *Solver
 	cache  *cache.Cache
+	bounds *boundcache.Cache
 
 	// solve runs one uncached solve; a test seam defaulting to solveOne.
 	solve func(ctx context.Context, t *Tree, cfg settings) (*Outcome, error)
@@ -59,7 +66,7 @@ func NewService(solver *Solver, cacheSize int) *Service {
 	if solver == nil {
 		solver = NewSolver()
 	}
-	return &Service{solver: solver, cache: cache.New(cacheSize), solve: solveOne}
+	return &Service{solver: solver, cache: cache.New(cacheSize), bounds: boundcache.New(), solve: solveOne}
 }
 
 // Solver returns the wrapped Solver.
@@ -67,6 +74,16 @@ func (s *Service) Solver() *Solver { return s.solver }
 
 // Stats returns a snapshot of the cache's hit/miss/shared counters.
 func (s *Service) Stats() CacheStats { return s.cache.Stats() }
+
+// Bounds returns the Service's bound-memoization cache: proven subtree
+// lower bounds, keyed by the subtrees' canonical content hashes, that
+// the exact searches (BranchBound, ParallelBnB — see Capabilities.Bounds)
+// replay across every solve of this Service, so re-solving a mutated
+// instance re-searches only the subtrees the edit touched and re-solving
+// an identical one is a lookup. Memoized bounds change the nodes
+// explored, never an exact answer, so the cache stays out of the result
+// cache's identity. Its Export and Import move proofs between nodes.
+func (s *Service) Bounds() *BoundCache { return s.bounds }
 
 // Solve is Solver.Solve behind the cache: identical instances (same
 // fingerprint and solve parameters) are answered from the store or, when
@@ -89,6 +106,7 @@ func (s *Service) solveCached(ctx context.Context, t *Tree, cfg settings) (*Outc
 	if t == nil {
 		return nil, CacheMiss, fmt.Errorf("%w: nil tree", ErrInvalidTree)
 	}
+	cfg.bounds = s.bounds
 	// Anytime requests bypass the cache entirely: a best-effort outcome is
 	// deadline-shaped (Partial results must never be stored or served as
 	// the instance's answer), and an incumbent callback is a side effect a

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/boundcache"
 	"repro/internal/incremental"
 )
 
@@ -68,11 +67,11 @@ type Session struct {
 // solve defaults, layered over the Service solver's own defaults and
 // overridable per Resolve call.
 //
-// Every session carries its own bound-memoization cache (unless the
-// options attach one explicitly): exact re-solves after a mutation then
-// re-search only the subtrees the edit touched, replaying proven bounds
-// for everything else. Pass a shared cache via WithBoundCache to pool
-// proofs across sessions solving related instances.
+// Every session solves through the Service's bound cache (Bounds), which
+// all its sessions share: exact re-solves after a mutation re-search only
+// the subtrees the edit touched, replaying proven bounds for everything
+// else, and a session opened on an instance another session already
+// proved starts from those proofs.
 //
 // Opening is cheap; the first Resolve does the cold solve. With an exact
 // warm-start algorithm (BranchBound, ParallelBnB) that solve is seeded
@@ -82,11 +81,7 @@ func (s *Service) OpenSession(t *Tree, opts ...Option) (*Session, error) {
 	if t == nil {
 		return nil, fmt.Errorf("%w: nil tree", ErrInvalidTree)
 	}
-	cfg := s.solver.settingsFor(opts)
-	if cfg.bounds == nil {
-		cfg.bounds = boundcache.New(boundcache.Config{})
-	}
-	return &Session{svc: s, cfg: cfg, tree: t}, nil
+	return &Session{svc: s, cfg: s.solver.settingsFor(opts), tree: t}, nil
 }
 
 // Tree returns the current revision's tree (immutable; a later Mutate
@@ -157,7 +152,7 @@ func (sess *Session) Resolve(ctx context.Context, opts ...Option) (*Outcome, Cac
 // own. When the algorithm is exact and consumes hints (BranchBound,
 // ParallelBnB) and the result cache misses, the solve is then seeded
 // with adapted SSB's answer under the default weights: the search starts
-// from that incumbent, still records its proofs in the session's bound
+// from that incumbent, still records its proofs in the Service's bound
 // cache, and still returns a proven optimum. A cache hit skips the seed,
 // heuristics are never seeded, and a seed that fails is simply left out.
 func (sess *Session) ResolveRevision(ctx context.Context, opts ...Option) (*Outcome, *Tree, CacheStatus, error) {

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/boundcache"
 	"repro/internal/exact"
 	"repro/internal/workload"
 )
@@ -302,7 +303,7 @@ func TestSessionFirstResolveSeeded(t *testing.T) {
 				t.Fatalf("%s tree %d: re-evaluates to %v (%v), reports %v", alg, i, bd, err, out.Delay)
 			}
 			res, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{
-				Bounds: NewBoundCache(BoundCacheConfig{}), Workers: workers,
+				Bounds: boundcache.New(), Workers: workers,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -377,5 +378,43 @@ func TestSessionFirstResolveHitSkipsSeed(t *testing.T) {
 	}
 	if n := coldSeeds.Load() - before; n != 0 {
 		t.Fatalf("cache hit, heuristic session and direct solve ran %d seed solves, want 0", n)
+	}
+}
+
+// TestSessionsShareServiceBounds: every session of one Service solves
+// through the Service's bound cache. With the result store off, a second
+// session on an already proven instance still reaches the search, whose
+// pre-pass replays the first session's whole-instance proof: no node is
+// explored and the delay is the one proven before.
+func TestSessionsShareServiceBounds(t *testing.T) {
+	ctx := context.Background()
+	tree := seededSessionTrees()[0]
+	svc := NewService(nil, 0)
+	resolve := func() *Outcome {
+		t.Helper()
+		sess, err := svc.OpenSession(tree, WithAlgorithm(BranchBound))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, status, err := sess.Resolve(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status != CacheMiss || !out.Exact {
+			t.Fatalf("status %v, exact %v", status, out.Exact)
+		}
+		return out
+	}
+	first := resolve()
+	if first.Work == 0 {
+		t.Fatal("first session's resolve explored no nodes")
+	}
+	second := resolve()
+	if second.Work != 0 || second.BoundHits == 0 || second.Delay != first.Delay {
+		t.Fatalf("second session: work %d, bound hits %d, delay %v; want 0, > 0, %v",
+			second.Work, second.BoundHits, second.Delay, first.Delay)
+	}
+	if st := svc.Bounds().Stats(); st.Stores == 0 || st.Hits == 0 {
+		t.Fatalf("service bound cache not shared: %+v", st)
 	}
 }

@@ -32,7 +32,9 @@ type settings struct {
 	warm        *Assignment
 	onIncumbent func(Incumbent)
 	bestEffort  bool
-	bounds      *boundcache.Cache
+	// bounds is the owning Service's bound cache (Service.Bounds); no
+	// option sets it, so a bare Solver solves without memoization.
+	bounds *boundcache.Cache
 	// seedFirst marks a session's first exact resolve: on a cache miss,
 	// with no warm hint given, the solve is warm-started from adapted
 	// SSB's answer (see coldSeed).
@@ -100,18 +102,6 @@ func WithBestEffort() Option { return func(s *settings) { s.bestEffort = true } 
 // changes an exact answer, the hint is excluded from the Service's cache
 // identity.
 func WithWarmStart(a *Assignment) Option { return func(s *settings) { s.warm = a } }
-
-// WithBoundCache attaches a bound-memoization cache to the exact searches
-// (BranchBound, ParallelBnB — see Capabilities.Bounds): proven per-subtree
-// lower bounds, keyed by the subtrees' canonical content hashes, carry
-// across solves, so re-solving a mutated instance re-searches only the
-// subtrees the edit actually touched and re-solving an identical instance
-// is a lookup. The hint is advisory and never changes an exact solver's
-// answer — only the nodes it explores — so, like WithWarmStart and
-// WithSolveParallelism, it is excluded from the Service's cache identity.
-// The same cache may back any number of concurrent solves; Session
-// attaches one per session automatically.
-func WithBoundCache(bc *BoundCache) Option { return func(s *settings) { s.bounds = bc } }
 
 // NewSolver returns a Solver whose defaults are the given options.
 func NewSolver(opts ...Option) *Solver {
@@ -196,13 +186,20 @@ var coldSeeds atomic.Int64
 // coldSeed returns adapted SSB's answer for req's tree under the default
 // weights: an optimal assignment that an exact warm-start search then
 // only has to prove. Any error, cancellation included, means no seed.
+// It calls the registered solve function directly, skipping the delay
+// breakdown core.SolveContext would evaluate for an answer only used as
+// a hint; the search validates the hint before using it.
 func coldSeed(ctx context.Context, req core.Request) *Assignment {
 	coldSeeds.Add(1)
-	out, err := core.SolveContext(ctx, core.Request{Tree: req.Tree, Algorithm: AdaptedSSB, Plan: req.Plan})
+	_, fn, ok := core.Lookup(AdaptedSSB)
+	if !ok {
+		return nil
+	}
+	f, err := fn(ctx, core.Request{Tree: req.Tree, Algorithm: AdaptedSSB, Plan: req.Plan})
 	if err != nil {
 		return nil
 	}
-	return out.Assignment
+	return f.Assignment
 }
 
 // BatchResult is one SolveBatch item's result: exactly one of Outcome and
