@@ -31,19 +31,22 @@ type MembersUpdateResponse struct {
 
 // MigratedResult is one warm result-cache entry in flight between nodes.
 // The cache key is node-independent (fingerprint + normalized solve
-// parameters), so it travels verbatim; the outcome travels as the spec
-// plus the assignment by node/satellite *names*, and the adopter rebuilds
-// the in-memory form against its own decoded tree — the same re-anchoring
-// the cross-tree cache hit path performs locally.
+// parameters), so it travels verbatim. The assignment travels as a
+// canonical placement: one entry per pre-order position of the
+// instance, -1 for the host, otherwise the satellite's rank by first
+// appearance in pre-order. No tree travels; the adopter places and
+// re-evaluates the assignment on each requester's own tree, as for any
+// cross-tree cache hit. An entry without a placement — the spec and
+// name-keyed assignment older nodes push — is not adopted, which costs
+// only a cold solve.
 type MigratedResult struct {
-	Key        string            `json:"key"`
-	Spec       *repro.Spec       `json:"spec"`
-	Algorithm  string            `json:"algorithm"`
-	Assignment map[string]string `json:"assignment"`
-	Exact      bool              `json:"exact,omitempty"`
-	LowerBound float64           `json:"lower_bound,omitempty"`
-	Work       int               `json:"work,omitempty"`
-	ElapsedUS  int64             `json:"elapsed_us,omitempty"`
+	Key        string  `json:"key"`
+	Placement  []int32 `json:"placement"`
+	Algorithm  string  `json:"algorithm"`
+	Exact      bool    `json:"exact,omitempty"`
+	LowerBound float64 `json:"lower_bound,omitempty"`
+	Work       int     `json:"work,omitempty"`
+	ElapsedUS  int64   `json:"elapsed_us,omitempty"`
 }
 
 // MigrateResultsRequest is the POST /v1/migrate/cache payload.

@@ -2,8 +2,8 @@ package repro
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"time"
 )
 
 // This file is the solver-side seam of the elastic cluster layer: how a
@@ -13,12 +13,13 @@ import (
 // composes.
 
 // WarmEntry is one result-cache entry prepared for migration: the
-// node-independent cache key, the tree the outcome was solved on, and
-// the outcome itself.
+// node-independent cache key, the outcome, and its assignment as a
+// canonical placement (model.CanonicalPlacement), which any tree with
+// the key's fingerprint reads in its own numbering.
 type WarmEntry struct {
-	Key     string
-	Tree    *Tree
-	Outcome *Outcome
+	Key       string
+	Placement []int32
+	Outcome   *Outcome
 }
 
 // FingerprintOfKey extracts the instance fingerprint from a Service
@@ -52,60 +53,39 @@ func (s *Service) ExportWarm(limit int, dest func(fingerprint string) string) ma
 	out := make(map[string][]WarmEntry)
 	for _, kv := range kvs {
 		cs, ok := kv.Val.(*cachedSolve)
-		if !ok || cs.out == nil || cs.tree == nil || cs.out.Partial {
+		if !ok || cs.out == nil || cs.out.Partial {
 			continue
 		}
 		node := dest(FingerprintOfKey(kv.Key))
 		if node == "" {
 			continue
 		}
-		out[node] = append(out[node], WarmEntry{Key: kv.Key, Tree: cs.tree, Outcome: cs.out})
+		out[node] = append(out[node], WarmEntry{Key: kv.Key, Placement: cs.placement, Outcome: cs.out})
 	}
 	return out
 }
 
 // AdoptWarm stores a migrated outcome under its original cache key, so
-// the next identical request on this node is a warm hit. The entry goes
-// through the same delivery machinery as locally computed ones — a hit
-// against a structurally identical tree is remapped before it leaves
-// the Service.
-func (s *Service) AdoptWarm(key string, t *Tree, out *Outcome) error {
+// the next identical request on this node is a warm hit. Only out's
+// metadata (algorithm, exactness, bound, work, time) is kept: every hit
+// rebuilds the assignment from placement on the requester's tree and
+// re-evaluates it, as for any cross-tree hit, so a placement that does
+// not fit fails the hit instead of serving a wrong answer.
+func (s *Service) AdoptWarm(key string, placement []int32, out *Outcome) error {
 	if key == "" || FingerprintOfKey(key) == "" {
 		return fmt.Errorf("repro: AdoptWarm: malformed cache key %q", key)
 	}
-	if t == nil || out == nil {
-		return fmt.Errorf("repro: AdoptWarm: nil tree or outcome")
+	if out == nil {
+		return fmt.Errorf("repro: AdoptWarm: nil outcome")
 	}
 	if out.Partial {
 		return fmt.Errorf("repro: AdoptWarm: partial outcomes are never cached")
 	}
-	s.cache.Put(key, &cachedSolve{out: out, tree: t})
+	if len(placement) == 0 || slices.Min(placement) < -1 {
+		return fmt.Errorf("repro: AdoptWarm: malformed placement")
+	}
+	s.cache.Put(key, &cachedSolve{out: out, placement: placement})
 	return nil
-}
-
-// AdoptedOutcome rebuilds a full Outcome from its migrated wire parts:
-// the assignment is evaluated on t (which also validates it), restoring
-// the breakdown and delay the wire form does not carry. This mirrors the
-// cross-tree cache-hit remap — an adopted entry sits in exactly the
-// correctness envelope of every remapped hit.
-func AdoptedOutcome(t *Tree, algorithm string, asg *Assignment, exact bool, lowerBound float64, work int, elapsed time.Duration) (*Outcome, error) {
-	if t == nil || asg == nil {
-		return nil, fmt.Errorf("repro: AdoptedOutcome: nil tree or assignment")
-	}
-	bd, err := Evaluate(t, asg)
-	if err != nil {
-		return nil, fmt.Errorf("repro: adopting migrated outcome: %w", err)
-	}
-	return &Outcome{
-		Algorithm:  Algorithm(algorithm),
-		Assignment: asg,
-		Breakdown:  bd,
-		Delay:      bd.Delay,
-		Exact:      exact,
-		Elapsed:    elapsed,
-		Work:       work,
-		LowerBound: lowerBound,
-	}, nil
 }
 
 // WarmState returns the tree and assignment of the session's last

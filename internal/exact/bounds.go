@@ -72,11 +72,13 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 	epoch := make([]int32, c.NumSats)
 	gen := int32(0)
 
-	seed.RootKey = spanKey(c, hashes, epoch, &gen, c.RootPos, true)
+	var e *boundcache.Entry
+	var complete bool
+	seed.RootKey, e, complete = lookupRoot(c, hashes, epoch, &gen, bc)
 	cachedRoot := 0.0
-	if e, ok := bc.Lookup(seed.RootKey); ok {
+	if e != nil {
 		seed.Hits++
-		if e.Complete && len(e.Pattern) == n {
+		if complete {
 			seed.RootEntry = e
 			seed.RootLB = e.LB
 			return seed
@@ -237,6 +239,25 @@ func (r *bnbRun) solveSpan(p int32, rootExtra float64) (float64, bool) {
 		return 0, false
 	}
 	return r.bestDelay, true
+}
+
+// RootProven reports whether bc holds a complete proof of t's whole
+// instance, which a memoized exact search replays without exploring a
+// node.
+func RootProven(t *model.Tree, bc *boundcache.Cache) bool {
+	c := model.Compile(t)
+	var gen int32
+	_, _, complete := lookupRoot(c, model.SubtreeHashes(t), make([]int32, c.NumSats), &gen, bc)
+	return complete
+}
+
+// lookupRoot looks up the whole instance's entry: its key, the entry (nil
+// on a miss), and whether the entry is complete — the optimum with the
+// pattern that reconstructs it.
+func lookupRoot(c *model.Compiled, hashes [][32]byte, epoch []int32, gen *int32, bc *boundcache.Cache) (boundcache.Key, *boundcache.Entry, bool) {
+	k := spanKey(c, hashes, epoch, gen, c.RootPos, true)
+	e, ok := bc.Lookup(k)
+	return k, e, ok && e.Complete && len(e.Pattern) == c.Len()
 }
 
 // spanKey builds subtree p's cache key: its Merkle hash, the root

@@ -62,9 +62,8 @@ func (s *server) exportResults(dest func(fingerprint string) string, limit int) 
 		for _, e := range entries {
 			batch = append(batch, api.MigratedResult{
 				Key:        e.Key,
-				Spec:       repro.ToSpec(e.Tree, "migrated"),
+				Placement:  e.Placement,
 				Algorithm:  string(e.Outcome.Algorithm),
-				Assignment: api.AssignmentNames(e.Tree, e.Outcome.Assignment),
 				Exact:      e.Outcome.Exact,
 				LowerBound: e.Outcome.LowerBound,
 				Work:       e.Outcome.Work,
@@ -230,8 +229,10 @@ func (s *server) handleMembersUpdate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMigrateCache adopts pushed warm result-cache entries. Entries
-// that fail to decode are skipped, not fatal: migrated state is a
-// performance asset, and a dropped entry costs one cold solve.
+// AdoptWarm rejects are skipped, not fatal: migrated state is a
+// performance asset, and a dropped entry costs one cold solve. No tree
+// is built here; each hit on an adopted entry is placed and
+// re-evaluated on the requester's tree.
 //
 //	POST /v1/migrate/cache
 func (s *server) handleMigrateCache(w http.ResponseWriter, r *http.Request) {
@@ -254,20 +255,14 @@ func (s *server) handleMigrateCache(w http.ResponseWriter, r *http.Request) {
 	adopted := 0
 	for i := range req.Entries {
 		e := &req.Entries[i]
-		tree, err := repro.FromSpec(e.Spec)
-		if err != nil {
-			continue
+		out := &repro.Outcome{
+			Algorithm:  repro.Algorithm(e.Algorithm),
+			Exact:      e.Exact,
+			Elapsed:    time.Duration(e.ElapsedUS) * time.Microsecond,
+			Work:       e.Work,
+			LowerBound: e.LowerBound,
 		}
-		asg, err := api.AssignmentFromNames(tree, e.Assignment)
-		if err != nil {
-			continue
-		}
-		out, err := repro.AdoptedOutcome(tree, e.Algorithm, asg, e.Exact, e.LowerBound,
-			e.Work, time.Duration(e.ElapsedUS)*time.Microsecond)
-		if err != nil {
-			continue
-		}
-		if s.cfg.Service.AdoptWarm(e.Key, tree, out) == nil {
+		if s.cfg.Service.AdoptWarm(e.Key, e.Placement, out) == nil {
 			adopted++
 		}
 	}

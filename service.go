@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"weak"
 
 	"repro/internal/boundcache"
 	"repro/internal/cache"
@@ -92,14 +93,17 @@ func (s *Service) Solve(ctx context.Context, t *Tree, opts ...Option) (*Outcome,
 	return s.solveCached(ctx, t, s.solver.settingsFor(opts))
 }
 
-// cachedSolve is what the cache stores: the Outcome together with the
-// tree it was computed against. Fingerprints are canonical — trees with
+// cachedSolve is what the cache stores: the Outcome, a weak reference to
+// the tree it was solved on, and its assignment as a canonical placement
+// (model.CanonicalPlacement). Fingerprints are canonical — trees with
 // different NodeID/SatelliteID numberings share one — so a hit served to
-// a different (structurally identical) tree must remap the assignment
-// onto the requester's numbering before it leaves the Service.
+// any other tree is rebuilt from the placement in the requester's
+// numbering. The entry never keeps a tree, or its compiled plan and
+// fingerprint memo, alive.
 type cachedSolve struct {
-	out  *Outcome
-	tree *Tree
+	out       *Outcome
+	tree      weak.Pointer[Tree]
+	placement []int32
 }
 
 func (s *Service) solveCached(ctx context.Context, t *Tree, cfg settings) (*Outcome, CacheStatus, error) {
@@ -175,7 +179,7 @@ func (s *Service) solveMiss(ctx context.Context, t *Tree, cfg settings, key stri
 			if err != nil {
 				return nil, err
 			}
-			return &cachedSolve{out: out, tree: t}, nil
+			return &cachedSolve{out: out, tree: weak.Make(t), placement: model.CanonicalPlacement(t, out.Assignment)}, nil
 		})
 		if err != nil {
 			if how == CacheShared && attempt < 2 && ctx.Err() == nil && canceledElsewhere(err) {
@@ -187,13 +191,13 @@ func (s *Service) solveMiss(ctx context.Context, t *Tree, cfg settings, key stri
 	}
 }
 
-// deliver hands a cached solve to the caller, remapping the outcome when
-// it was computed on a different (structurally identical) tree.
+// deliver hands a cached solve to the caller: as stored to the tree it
+// was solved on, re-placed and re-evaluated for any other.
 func (s *Service) deliver(cs *cachedSolve, t *Tree, how CacheStatus) (*Outcome, CacheStatus, error) {
-	if cs.tree == t {
+	if cs.tree.Value() == t {
 		return cs.out, how, nil
 	}
-	out, err := remapOutcome(cs.out, cs.tree, t)
+	out, err := remapOutcome(cs.out, cs.placement, t)
 	if err != nil {
 		return nil, how, err
 	}
@@ -208,50 +212,14 @@ func canceledElsewhere(err error) bool {
 		errors.Is(err, context.DeadlineExceeded)
 }
 
-// remapOutcome translates an Outcome computed on from onto the
-// structurally identical tree to: node i of from's pre-order corresponds
-// to node i of to's pre-order, and satellites correspond by first
-// appearance in that order — exactly the canonicalisation Fingerprint
-// hashes, so fingerprint equality guarantees the correspondence is
-// well-defined. The breakdown is re-evaluated on to, which also
-// re-validates the translated assignment.
-func remapOutcome(out *Outcome, from, to *Tree) (*Outcome, error) {
-	fromPre, toPre := from.Preorder(), to.Preorder()
-	if len(fromPre) != len(toPre) {
-		return nil, fmt.Errorf("repro: cached outcome for a %d-node tree served a %d-node tree (fingerprint collision?)",
-			len(fromPre), len(toPre))
-	}
-	// Satellite correspondence by pre-order first appearance.
-	fromRank := make(map[SatelliteID]int)
-	for _, id := range fromPre {
-		n := from.Node(id)
-		if n.Kind == model.SensorKind {
-			if _, ok := fromRank[n.Satellite]; !ok {
-				fromRank[n.Satellite] = len(fromRank)
-			}
-		}
-	}
-	toByRank := make([]SatelliteID, 0, len(fromRank))
-	seen := make(map[SatelliteID]bool)
-	for _, id := range toPre {
-		n := to.Node(id)
-		if n.Kind == model.SensorKind && !seen[n.Satellite] {
-			seen[n.Satellite] = true
-			toByRank = append(toByRank, n.Satellite)
-		}
-	}
-
-	asg := NewAssignment(to)
-	for i, fromID := range fromPre {
-		if sat, onSat := out.Assignment.At(fromID).Satellite(); onSat {
-			rank, ok := fromRank[sat]
-			if !ok || rank >= len(toByRank) {
-				return nil, fmt.Errorf("repro: cached assignment references unmapped satellite %d", sat)
-			}
-			asg.Set(toPre[i], OnSatellite(toByRank[rank]))
-		} else {
-			asg.Set(toPre[i], Host)
-		}
+// remapOutcome rebuilds an Outcome on to from its canonical placement:
+// fingerprint equality guarantees that pre-order positions and satellite
+// ranks correspond. The breakdown is re-evaluated on to, which also
+// re-validates the placed assignment.
+func remapOutcome(out *Outcome, placement []int32, to *Tree) (*Outcome, error) {
+	asg, err := model.PlaceCanonical(to, placement)
+	if err != nil {
+		return nil, fmt.Errorf("repro: cached placement does not fit the requesting tree: %w", err)
 	}
 	bd, err := Evaluate(to, asg)
 	if err != nil {

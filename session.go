@@ -154,7 +154,9 @@ func (sess *Session) Resolve(ctx context.Context, opts ...Option) (*Outcome, Cac
 // with adapted SSB's answer under the default weights: the search starts
 // from that incumbent, still records its proofs in the Service's bound
 // cache, and still returns a proven optimum. A cache hit skips the seed,
-// heuristics are never seeded, and a seed that fails is simply left out.
+// as does a complete proof of the instance already in the bound cache
+// (the search replays it without exploring); heuristics are never
+// seeded, and a seed that fails is simply left out.
 func (sess *Session) ResolveRevision(ctx context.Context, opts ...Option) (*Outcome, *Tree, CacheStatus, error) {
 	sess.mu.Lock()
 	tree := sess.tree

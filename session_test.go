@@ -409,7 +409,13 @@ func TestSessionsShareServiceBounds(t *testing.T) {
 	if first.Work == 0 {
 		t.Fatal("first session's resolve explored no nodes")
 	}
+	// The first resolve's complete root proof also makes the second
+	// session's adapted-SSB warm seed pointless: it must not run.
+	before := coldSeeds.Load()
 	second := resolve()
+	if n := coldSeeds.Load() - before; n != 0 {
+		t.Fatalf("second session ran %d seed solves, want 0", n)
+	}
 	if second.Work != 0 || second.BoundHits == 0 || second.Delay != first.Delay {
 		t.Fatalf("second session: work %d, bound hits %d, delay %v; want 0, > 0, %v",
 			second.Work, second.BoundHits, second.Delay, first.Delay)
