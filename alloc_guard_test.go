@@ -47,16 +47,57 @@ func TestFromSpecAllocsSizeIndependent(t *testing.T) {
 	}
 }
 
+// TestEvaluateAllocsSizeIndependent is the allocs/op regression guard on
+// the delay breakdown every solve and every cross-tree cache hit builds:
+// one walk into pooled per-satellite scratch, maps presized and filled
+// once, cut edges copied at their exact length, so a Breakdown makes the
+// same number of objects at any tree size. That equality is the guard;
+// the ceiling is the count measured on go1.24/amd64, 8 at 16 and at 128
+// CRUs with 4 satellites, plus 10%.
+func TestEvaluateAllocsSizeIndependent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
+	}
+	const ceiling = 9
+	first := -1.0
+	for _, crus := range []int{16, 128} {
+		tree, err := repro.FromSpec(randomSpec(int64(crus), crus, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := repro.NewSolver().Solve(context.Background(), tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := repro.Evaluate(tree, out.Assignment); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("Evaluate at %d CRUs: %.0f allocs/op", crus, allocs)
+		if allocs > ceiling {
+			t.Errorf("Evaluate at %d CRUs allocates %.0f objects/op, want at most %d", crus, allocs, ceiling)
+		}
+		if first < 0 {
+			first = allocs
+		} else if allocs != first {
+			t.Errorf("Evaluate at %d CRUs allocates %.0f objects/op, at 16 CRUs %.0f: want the same", crus, allocs, first)
+		}
+	}
+}
+
 // TestColdSolveAllocCeiling is the allocs/op regression guard on one
 // cache-missing adapted-SSB Service.Solve of a fresh 64-CRU tree: plan
-// compilation, fingerprinting, the SSB search with no trace recorded and
-// the Outcome. The ceiling is the count measured on go1.24/amd64, 170,
-// plus 10%.
+// compilation, fingerprinting, the SSB search on a work graph filled from
+// the plan with no trace recorded, the Outcome and its cache entry
+// (canonical placement and weak tree handle, built even though this
+// Service has no store). The ceiling is the count measured on
+// go1.24/amd64, 80, plus 10%.
 func TestColdSolveAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
 	}
-	const runs, ceiling = 20, 187
+	const runs, ceiling = 20, 88
 	spec := randomSpec(64, 64, 4)
 	trees := make([]*repro.Tree, runs+1) // AllocsPerRun adds one warm-up call
 	for i := range trees {
@@ -76,6 +117,7 @@ func TestColdSolveAllocCeiling(t *testing.T) {
 			t.Fatalf("cold solve: status %v, err %v", status, err)
 		}
 	})
+	t.Logf("cold adapted-SSB Service.Solve: %.0f allocs/op", allocs)
 	if allocs > ceiling {
 		t.Fatalf("cold adapted-SSB Service.Solve allocates %.0f objects/op, want at most %d", allocs, ceiling)
 	}

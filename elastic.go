@@ -69,8 +69,10 @@ func (s *Service) ExportWarm(limit int, dest func(fingerprint string) string) ma
 // the next identical request on this node is a warm hit. Only out's
 // metadata (algorithm, exactness, bound, work, time) is kept: every hit
 // rebuilds the assignment from placement on the requester's tree and
-// re-evaluates it, as for any cross-tree hit, so a placement that does
-// not fit fails the hit instead of serving a wrong answer.
+// re-evaluates it, as for any cross-tree hit. A placement that does not
+// fit, or an exact claim whose re-evaluated delay exceeds its lower
+// bound, turns that request into a miss that replaces the entry instead
+// of serving a wrong answer.
 func (s *Service) AdoptWarm(key string, placement []int32, out *Outcome) error {
 	if key == "" || FingerprintOfKey(key) == "" {
 		return fmt.Errorf("repro: AdoptWarm: malformed cache key %q", key)

@@ -3,7 +3,6 @@ package assign
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/model"
@@ -26,7 +25,6 @@ type Graph struct {
 	plan  *model.Compiled
 	faces int // L+1: terminal S is face 0, terminal T is face L
 	edges []Edge
-	out   [][]int // face -> edge IDs (enabled and disabled alike)
 
 	// treeSigma holds BuildPointer's own σ labels; it is nil on plan-built
 	// graphs, which read plan.Sigma and place subtrees by span fills.
@@ -49,36 +47,32 @@ func Build(t *model.Tree) *Graph {
 	return BuildPlan(model.Compile(t))
 }
 
-// BuildPlan returns the assignment graph of a compiled plan. The graph is
-// never mutated: solvers work on pooled workGraph copies.
+// BuildPlan returns the assignment graph of a compiled plan: the base
+// edges planWorkGraph fills, each given its crossed child as CutChildren.
+// The graph is never mutated: SolveAdapted works on a pooled workGraph
+// copy, and registry solves build no Graph at all.
 func BuildPlan(c *model.Compiled) *Graph {
-	t := c.Tree()
+	w := planWorkGraph(c)
+	defer w.release()
 	g := &Graph{
-		tree:  t,
+		tree:  c.Tree(),
 		plan:  c,
-		faces: t.SensorCount() + 1,
+		faces: w.faces,
+		edges: make([]Edge, len(w.edges)),
 	}
-	g.out = make([][]int, g.faces)
-	g.edges = make([]Edge, 0, c.Len()-1)
 	// One arena for every edge's single-element CutChildren slice.
-	children := make([]model.NodeID, 0, c.Len()-1)
-	for _, p := range c.Pre {
-		if c.Parent[p] < 0 {
-			continue
+	children := make([]model.NodeID, len(w.edges))
+	for id, e := range w.edges {
+		children[id] = e.child
+		g.edges[id] = Edge{
+			ID:          id,
+			From:        e.from,
+			To:          e.to,
+			Sigma:       e.sigma,
+			Beta:        e.beta,
+			Colour:      e.colour,
+			CutChildren: children[id : id+1 : id+1],
 		}
-		colour := c.Colour[p]
-		if colour == model.NoSatellite {
-			continue // the cut may never pass through a conflicting edge
-		}
-		children = append(children, c.Post[p])
-		g.addEdge(Edge{
-			From:        int(c.LeafLo[p]),
-			To:          int(c.LeafHi[p]) + 1,
-			Sigma:       c.Sigma[p],
-			Beta:        c.SubSat[p] + c.UpComm[p],
-			Colour:      colour,
-			CutChildren: children[len(children)-1 : len(children) : len(children)],
-		})
 	}
 	return g
 }
@@ -97,7 +91,6 @@ func BuildPointer(t *model.Tree) *Graph {
 		faces:     t.SensorCount() + 1,
 		treeSigma: make([]float64, t.Len()),
 	}
-	g.out = make([][]int, g.faces)
 
 	// Figure-8 σ labelling: pre-order; the edge to a node's leftmost child
 	// carries (label of the edge into the node) + h(node); other child
@@ -141,11 +134,9 @@ func BuildPointer(t *model.Tree) *Graph {
 	return g
 }
 
-func (g *Graph) addEdge(e Edge) int {
+func (g *Graph) addEdge(e Edge) {
 	e.ID = len(g.edges)
 	g.edges = append(g.edges, e)
-	g.out[e.From] = append(g.out[e.From], e.ID)
-	return e.ID
 }
 
 // Tree returns the underlying tree.
@@ -153,8 +144,8 @@ func (g *Graph) Tree() *model.Tree { return g.tree }
 
 // bandRange returns the colour's single leaf band; ok is false when the
 // colour's sensors split into several bands (or none).
-func (g *Graph) bandRange(sat model.SatelliteID) (lo, hi int, ok bool) {
-	b := g.plan.Bands(sat)
+func bandRange(c *model.Compiled, sat model.SatelliteID) (lo, hi int, ok bool) {
+	b := c.Bands(sat)
 	if len(b) != 1 {
 		return 0, 0, false
 	}
@@ -228,7 +219,7 @@ func (g *Graph) Decode(edgeIDs []int) (*model.Assignment, error) {
 		for _, child := range e.CutChildren {
 			lo, hi := g.tree.LeafRange(child)
 			covered += hi - lo + 1
-			g.placeSubtree(asg, child, model.OnSatellite(e.Colour))
+			placeSubtree(g.plan, asg, child, model.OnSatellite(e.Colour), g.treeSigma != nil)
 		}
 	}
 	if covered != g.tree.SensorCount() {
@@ -241,10 +232,9 @@ func (g *Graph) Decode(edgeIDs []int) (*model.Assignment, error) {
 }
 
 // placeSubtree sinks the processing CRUs under root onto loc: a span fill
-// over the compiled plan, or BuildPointer's stack walk.
-func (g *Graph) placeSubtree(asg *model.Assignment, root model.NodeID, loc model.Location) {
-	if g.treeSigma == nil {
-		c := g.plan
+// over the compiled plan or, with walk set, BuildPointer's stack walk.
+func placeSubtree(c *model.Compiled, asg *model.Assignment, root model.NodeID, loc model.Location, walk bool) {
+	if !walk {
 		p := c.Pos[root]
 		for q := c.Start[p]; q <= p; q++ {
 			if c.Proc[q] {
@@ -253,40 +243,17 @@ func (g *Graph) placeSubtree(asg *model.Assignment, root model.NodeID, loc model
 		}
 		return
 	}
+	t := c.Tree()
 	stack := []model.NodeID{root}
 	for len(stack) > 0 {
 		id := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		n := g.tree.Node(id)
+		n := t.Node(id)
 		if n.Kind == model.Processing {
 			asg.Set(id, loc)
 		}
 		stack = append(stack, n.Children...)
 	}
-}
-
-// Encode is the inverse of Decode: it maps a feasible assignment to the
-// dual-edge IDs of the S→T path representing it. The adapted solver uses
-// it to bring the Pareto DP's answer back onto the graph, and tests use it
-// to show the path↔assignment correspondence is a bijection.
-func (g *Graph) Encode(asg *model.Assignment) ([]int, error) {
-	if err := asg.Validate(g.tree); err != nil {
-		return nil, err
-	}
-	byChild := map[model.NodeID]int{}
-	for _, e := range g.edges {
-		byChild[e.CutChildren[0]] = e.ID
-	}
-	var ids []int
-	for _, pair := range asg.CutEdges(g.tree) {
-		id, ok := byChild[pair[1]]
-		if !ok {
-			return nil, fmt.Errorf("assign: cut edge into %s has no dual edge", g.tree.Node(pair[1]).Name)
-		}
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return g.edges[ids[i]].From < g.edges[ids[j]].From })
-	return ids, nil
 }
 
 // Report renders the graph in the style of Figure 6: the face count and one

@@ -1,17 +1,50 @@
 package assign
 
 import (
+	"cmp"
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/dwg"
 	"repro/internal/eval"
+	"repro/internal/exact"
 	"repro/internal/model"
 	"repro/internal/workload"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
+
+// encode validates asg and maps it to its S→T path on g through a work
+// graph copy.
+func encode(g *Graph, asg *model.Assignment) ([]int, error) {
+	if err := asg.Validate(g.Tree()); err != nil {
+		return nil, err
+	}
+	w := newWorkGraph(g)
+	defer w.release()
+	ids, err := w.encode(asg)
+	return slices.Clone(ids), err
+}
+
+// refEncode is the reference encoding: the dual edge crossing each of the
+// assignment's cut edges, ordered along the path.
+func refEncode(g *Graph, asg *model.Assignment) ([]int, error) {
+	var ids []int
+	for _, pair := range asg.CutEdges(g.Tree()) {
+		e, ok := g.EdgeCrossing(pair[1])
+		if !ok {
+			return nil, fmt.Errorf("cut edge into %d has no dual edge", pair[1])
+		}
+		ids = append(ids, e.ID)
+	}
+	slices.SortFunc(ids, func(a, b int) int { return cmp.Compare(g.Edge(a).From, g.Edge(b).From) })
+	return ids, nil
+}
 
 // TestFigure6GraphShape is experiment E3: the coloured assignment graph of
 // the paper tree has 8 faces (7 sensors + 1) and 17 coloured dual edges
@@ -129,7 +162,7 @@ func TestConflictEdgesHaveNoDual(t *testing.T) {
 	}
 }
 
-// TestDecodeEncodeBijection: for random feasible assignments, Encode then
+// TestDecodeEncodeBijection: for random feasible assignments, encode then
 // Decode must round-trip, and the path's S + coloured-B must equal the
 // assignment's delay — the core semantic guarantee of the construction.
 func TestDecodeEncodeBijection(t *testing.T) {
@@ -141,7 +174,7 @@ func TestDecodeEncodeBijection(t *testing.T) {
 		g := Build(tree)
 
 		asg := randomFeasible(rng, tree)
-		ids, err := g.Encode(asg)
+		ids, err := encode(g, asg)
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
@@ -239,7 +272,7 @@ func TestSigmaSumEqualsHostTimeProperty(t *testing.T) {
 		g := Build(tree)
 		for k := 0; k < 5; k++ {
 			asg := randomFeasible(rng, tree)
-			ids, err := g.Encode(asg)
+			ids, err := encode(g, asg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -253,4 +286,79 @@ func TestSigmaSumEqualsHostTimeProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPlanWorkGraphMatchesBuildPlan: the registry fills its work graph
+// straight from the compiled plan, and BuildPlan copies those edges out.
+// Both must equal BuildPointer's independently built edges field for
+// field, each face's out-list must be the edges leaving it, the Pareto
+// DP's answer must encode to the reference path, and solves on the plan
+// and on the pointer graph must agree exactly, stalled ones included.
+func TestPlanWorkGraphMatchesBuildPlan(t *testing.T) {
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(26))
+	fellBack := 0
+	for i := range 40 {
+		spec := workload.DefaultRandomSpec(16+rng.Intn(113), 2+rng.Intn(4))
+		spec.Clustered = i%4 != 3
+		tree := workload.Random(rng, spec)
+		c := model.Compile(tree)
+		g := BuildPointer(tree)
+
+		w := planWorkGraph(c)
+		if len(w.edges) != g.NumEdges() || w.outStart[w.faces] != g.NumEdges() || w.faces != g.Faces() {
+			t.Fatalf("tree %d: %d edges, %d faces; BuildPointer has %d, %d", i, len(w.edges), w.faces, g.NumEdges(), g.Faces())
+		}
+		plan := BuildPlan(c).Edges()
+		for id, e := range g.Edges() {
+			want := workEdge{from: e.From, to: e.To, sigma: e.Sigma, beta: e.Beta,
+				colour: e.Colour, child: e.CutChildren[0], prefix: -1}
+			if w.edges[id] != want {
+				t.Fatalf("tree %d, edge %d: %+v, BuildPointer %+v", i, id, w.edges[id], want)
+			}
+			if p := plan[id]; p.ID != e.ID || p.From != e.From || p.To != e.To || p.Sigma != e.Sigma ||
+				p.Beta != e.Beta || p.Colour != e.Colour || !slices.Equal(p.CutChildren, e.CutChildren) {
+				t.Fatalf("tree %d, edge %d: BuildPlan %+v, BuildPointer %+v", i, id, p, e)
+			}
+		}
+		for f := range w.faces {
+			for id := w.outStart[f]; id < w.outStart[f+1]; id++ {
+				if w.edges[id].from != f {
+					t.Fatalf("tree %d: edge %d leaves face %d, listed under %d", i, id, w.edges[id].from, f)
+				}
+			}
+		}
+		dp, err := exact.ParetoWeighted(ctx, tree, dwg.Default, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, asg := range []*model.Assignment{dp.Assignment, model.NewAssignment(tree), c.TopmostAssignment()} {
+			want, err1 := refEncode(g, asg)
+			got, err2 := w.encode(asg)
+			if err1 != nil || err2 != nil || !slices.Equal(got, want) {
+				t.Fatalf("tree %d: encode %v (%v), reference %v (%v)", i, got, err2, want, err1)
+			}
+		}
+		w.release()
+
+		for _, opt := range []Options{{}, {DisableExpansion: true}} {
+			want, err1 := g.SolveAdapted(opt)
+			got, err2 := solvePlan(ctx, c, opt)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("tree %d, %+v: pointer err %v, plan err %v", i, opt, err1, err2)
+			}
+			if got.S != want.S || got.B != want.B || got.Objective != want.Objective || got.Delay != want.Delay ||
+				got.Stats != want.Stats || got.Assignment.Key() != want.Assignment.Key() ||
+				!slices.Equal(got.CutChildren, want.CutChildren) {
+				t.Fatalf("tree %d, %+v: plan solve %+v, pointer solve %+v", i, opt, got, want)
+			}
+			if got.Stats.FellBack {
+				fellBack++
+			}
+		}
+	}
+	if fellBack == 0 {
+		t.Fatal("no solve fell back to the Pareto DP; the encode path went untested")
+	}
+	t.Logf("%d of 80 solves fell back to the Pareto DP", fellBack)
 }

@@ -193,7 +193,7 @@ func refSolveAdapted(g *Graph, opt Options) (*Solution, error) {
 }
 
 func (r *refGraph) expandColour(g *Graph, colour model.SatelliteID, budget int) (int, bool) {
-	lo, hi, ok := g.bandRange(colour)
+	lo, hi, ok := bandRange(g.plan, colour)
 	if !ok {
 		return 0, false
 	}
@@ -250,16 +250,11 @@ func (r *refGraph) expandColour(g *Graph, colour model.SatelliteID, budget int) 
 	return len(paths), true
 }
 
-// refFinish runs the label search on a workGraph copy of the reference
-// graph, super-edges in the out-lists in id order: an exact engine
-// independent of the Pareto DP that finishes the production loop.
+// refFinish runs the label search on the reference graph, super-edges in
+// the out-lists in id order: an exact engine independent of the Pareto DP
+// that finishes the production loop.
 func refFinish(g *Graph, r *refGraph, sol *Solution, bestEdges []int, opt Options) (*Solution, error) {
-	w := &workGraph{faces: r.faces, out: r.out}
-	for _, e := range r.edges {
-		w.edges = append(w.edges, workEdge{from: e.from, to: e.to, sigma: e.sigma, beta: e.beta,
-			colour: e.colour, prefix: -1, disabled: e.disabled})
-	}
-	res, err := labelSearch(w, len(r.expanded), opt.weights(), sol.Objective)
+	res, err := labelSearch(r, len(r.expanded), opt.weights(), sol.Objective)
 	sol.Stats.FinalEdges = r.enabledCount()
 	if err == nil && res.objective < sol.Objective {
 		sol.Objective = res.objective
@@ -288,7 +283,7 @@ type label struct {
 // labelSearch sweeps faces left to right maintaining Pareto-minimal labels
 // (S, per-colour loads). upperBound prunes labels that already cannot beat
 // the incumbent candidate.
-func labelSearch(w *workGraph, numColours int, wts dwg.Weights, upperBound float64) (labelResult, error) {
+func labelSearch(w *refGraph, numColours int, wts dwg.Weights, upperBound float64) (labelResult, error) {
 	perFace := make([][]label, w.faces)
 	perFace[0] = []label{{loads: make([]float64, numColours), via: -1, prev: -1}}
 
@@ -405,7 +400,7 @@ func refPackage(g *Graph, r *refGraph, sol *Solution, bestEdges []int) (*Solutio
 	for _, id := range bestEdges {
 		e := &r.edges[id]
 		for _, child := range e.cutChildren {
-			g.placeSubtree(asg, child, model.OnSatellite(e.colour))
+			placeSubtree(g.plan, asg, child, model.OnSatellite(e.colour), g.treeSigma != nil)
 			sol.CutChildren = append(sol.CutChildren, child)
 		}
 	}

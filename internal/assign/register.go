@@ -8,15 +8,14 @@ import (
 
 // The adapted SSB solver registers itself with the core registry;
 // importing this package (directly or via repro/internal/algorithms) makes
-// it dispatchable by name without any edit to core. The registry serves
-// solves whose trace nobody reads, so it records none.
+// it dispatchable by name without any edit to core.
 func init() {
 	core.Register(core.AdaptedSSB, core.Capabilities{
 		Exact:    true,
 		Weighted: true,
 		Summary:  "paper §5.4: coloured assignment graph + adapted SSB search with expansion",
 	}, func(ctx context.Context, req core.Request) (core.Finding, error) {
-		sol, err := BuildPlan(req.Plan).solveAdapted(ctx, Options{Weights: req.Weights}, false)
+		sol, err := solvePlan(ctx, req.Plan, Options{Weights: req.Weights})
 		if err != nil {
 			return core.Finding{}, err
 		}

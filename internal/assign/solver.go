@@ -103,9 +103,17 @@ type bundle struct {
 }
 
 type workGraph struct {
+	// plan is the solve's compiled plan; walk places cut subtrees by
+	// BuildPointer's stack walk instead of span fills (the pointer twin).
+	plan *model.Compiled
+	walk bool
+
 	faces int
 	edges []workEdge
-	out   [][]int // face -> base edge ids; super-edges live in bundles
+	// outStart is the face out-lists in CSR form: face f's base edges are
+	// the ids outStart[f] to outStart[f+1]-1, and outStart[faces] counts
+	// the base edges. Super-edges live in bundles.
+	outStart []int
 
 	bundles  []bundle
 	bundleAt []int // face -> index of the bundle entered there, or -1
@@ -148,41 +156,82 @@ type workGraph struct {
 // steady-state adapted-SSB loop allocates only its Solution.
 var workGraphs = pool.NewArena(func() *workGraph { return new(workGraph) })
 
-func newWorkGraph(g *Graph) *workGraph {
+// getWorkGraph checks out a workGraph for a solve on plan c, every
+// buffer resized and its edge set empty.
+func getWorkGraph(c *model.Compiled, walk bool) *workGraph {
 	w := workGraphs.Get()
-	w.faces = g.faces
-	w.dist = pool.Keep(w.dist, g.faces)
-	w.via = pool.Keep(w.via, g.faces)
-	w.bundleAt = pool.Keep(w.bundleAt, g.faces)
+	w.plan, w.walk = c, walk
+	w.faces = len(c.Leaves) + 1
+	w.dist = pool.Keep(w.dist, w.faces)
+	w.via = pool.Keep(w.via, w.faces)
+	w.bundleAt = pool.Keep(w.bundleAt, w.faces)
 	for i := range w.bundleAt {
 		w.bundleAt[i] = -1
 	}
-	w.expanded = pool.Slice(w.expanded, len(g.tree.Satellites()))
-	w.loads = pool.Slice(w.loads, len(g.tree.Satellites()))
-	if cap(w.out) < g.faces {
-		w.out = make([][]int, g.faces)
-	} else {
-		w.out = w.out[:g.faces]
-		for i := range w.out {
-			w.out[i] = w.out[i][:0]
-		}
-	}
+	w.expanded = pool.Slice(w.expanded, c.NumSats)
+	w.loads = pool.Slice(w.loads, c.NumSats)
 	w.edges = w.edges[:0]
 	w.bundles = w.bundles[:0]
 	w.arena = w.arena[:0]
+	return w
+}
+
+// newWorkGraph copies a built graph's edges into a pooled workGraph.
+func newWorkGraph(g *Graph) *workGraph {
+	w := getWorkGraph(g.plan, g.treeSigma != nil)
 	for _, e := range g.edges {
-		w.out[e.From] = append(w.out[e.From], len(w.edges))
 		w.edges = append(w.edges, workEdge{
 			from: e.From, to: e.To, sigma: e.Sigma, beta: e.Beta,
 			colour: e.Colour, child: e.CutChildren[0], prefix: -1,
 		})
 	}
+	w.index()
 	return w
 }
 
+// planWorkGraph fills a pooled workGraph straight from the compiled plan,
+// one base edge per non-conflicting tree edge in pre-order of the crossed
+// child: tree edge p's dual edge runs across p's leaf span and carries
+// σ(p) and β(p). It is the one place that rule lives; BuildPlan copies
+// its edges out.
+func planWorkGraph(c *model.Compiled) *workGraph {
+	w := getWorkGraph(c, false)
+	for _, p := range c.Pre {
+		colour := c.Colour[p]
+		if c.Parent[p] < 0 || colour == model.NoSatellite {
+			continue // the cut may never pass through a conflicting edge
+		}
+		w.edges = append(w.edges, workEdge{
+			from: int(c.LeafLo[p]), to: int(c.LeafHi[p]) + 1,
+			sigma: c.Sigma[p], beta: c.SubSat[p] + c.UpComm[p],
+			colour: colour, child: c.Post[p], prefix: -1,
+		})
+	}
+	w.index()
+	return w
+}
+
+// index builds the out-lists of the base edges. Both fills emit the edges
+// in pre-order of the crossed child, where the leaf spans' low ends never
+// decrease, so the edges are already grouped by From and each out-list is
+// one id range.
+func (w *workGraph) index() {
+	out := pool.Slice(w.outStart, w.faces+1)
+	for i := range w.edges {
+		out[w.edges[i].from+1]++
+	}
+	for f := 1; f <= w.faces; f++ {
+		out[f] += out[f-1]
+	}
+	w.outStart = out
+}
+
 // release returns the workGraph to the arena; every buffer stays for the
-// next solve.
-func (w *workGraph) release() { workGraphs.Put(w) }
+// next solve, the plan does not.
+func (w *workGraph) release() {
+	w.plan = nil
+	workGraphs.Put(w)
+}
 
 // betaRef is a base edge's entry in the elimination order.
 type betaRef struct {
@@ -247,7 +296,7 @@ func (w *workGraph) minSigmaPath() ([]int, bool) {
 		if math.IsInf(d, 1) {
 			continue
 		}
-		for _, id := range w.out[f] {
+		for id := w.outStart[f]; id < w.outStart[f+1]; id++ {
 			e := &w.edges[id]
 			if e.disabled {
 				continue
@@ -329,19 +378,27 @@ func (g *Graph) SolveAdapted(opt Options) (*Solution, error) {
 // so deadlines stop the solve promptly. On cancellation the returned error
 // is the context's.
 func (g *Graph) SolveAdaptedContext(ctx context.Context, opt Options) (*Solution, error) {
-	return g.solveAdapted(ctx, opt, true)
+	w := newWorkGraph(g)
+	defer w.release()
+	return w.solveAdapted(ctx, opt, true)
 }
 
-// solveAdapted is SolveAdaptedContext with the per-iteration trace made
-// optional: the registry adapter serves solves whose trace nobody reads,
-// so it records none.
-func (g *Graph) solveAdapted(ctx context.Context, opt Options, trace bool) (*Solution, error) {
+// solvePlan is the registry's adapted SSB solve: the work graph is filled
+// straight from the compiled plan, so no Graph is built, and no trace is
+// recorded because nobody reads it.
+func solvePlan(ctx context.Context, c *model.Compiled, opt Options) (*Solution, error) {
+	w := planWorkGraph(c)
+	defer w.release()
+	return w.solveAdapted(ctx, opt, false)
+}
+
+// solveAdapted runs the adapted SSB loop on a filled work graph, with the
+// per-iteration trace made optional.
+func (w *workGraph) solveAdapted(ctx context.Context, opt Options, trace bool) (*Solution, error) {
 	wts := opt.weights()
 	if !wts.Valid() {
 		return nil, dwg.ErrBadWeights
 	}
-	w := newWorkGraph(g)
-	defer w.release()
 	w.sortByBeta()
 	sol := &Solution{Objective: math.Inf(1)}
 	var bestEdges []int
@@ -402,18 +459,18 @@ func (g *Graph) solveAdapted(ctx context.Context, opt Options, trace bool) (*Sol
 			// back when expansion cannot help (multi-band colour, budget
 			// exceeded, or expansion disabled).
 			if opt.DisableExpansion || bottleneck == model.NoSatellite ||
-				w.expanded[bottleneck] || !g.plan.Contiguous(bottleneck) {
+				w.expanded[bottleneck] || !w.plan.Contiguous(bottleneck) {
 				entry.Note = "fallback"
 				record(entry)
 				sol.Stats.FellBack = true
-				return g.finishWithPareto(ctx, w, sol, bestEdges, wts)
+				return w.finishWithPareto(ctx, sol, bestEdges, wts)
 			}
-			created, ok := w.expandColour(g, bottleneck, opt.maxExpanded())
+			created, ok := w.expandColour(bottleneck, opt.maxExpanded())
 			if !ok {
 				entry.Note = "fallback"
 				record(entry)
 				sol.Stats.FellBack = true
-				return g.finishWithPareto(ctx, w, sol, bestEdges, wts)
+				return w.finishWithPareto(ctx, sol, bestEdges, wts)
 			}
 			w.expanded[bottleneck] = true
 			sol.Stats.Expansions++
@@ -426,7 +483,7 @@ func (g *Graph) solveAdapted(ctx context.Context, opt Options, trace bool) (*Sol
 	if math.IsInf(sol.Objective, 1) {
 		return nil, ErrUnsolvable
 	}
-	return g.packageSolution(w, sol, bestEdges)
+	return w.packageSolution(sol, bestEdges)
 }
 
 // expandColour replaces every enabled edge of the (contiguous) colour with
@@ -438,8 +495,8 @@ func (g *Graph) solveAdapted(ctx context.Context, opt Options, trace bool) (*Sol
 // The super-edges form one bundle. Returns the number of super-edges
 // created and false when the band is disconnected or some face's frontier
 // exceeds the budget.
-func (w *workGraph) expandColour(g *Graph, colour model.SatelliteID, budget int) (int, bool) {
-	lo, hi, ok := g.bandRange(colour)
+func (w *workGraph) expandColour(colour model.SatelliteID, budget int) (int, bool) {
+	lo, hi, ok := bandRange(w.plan, colour)
 	if !ok {
 		return 0, false
 	}
@@ -452,24 +509,20 @@ func (w *workGraph) expandColour(g *Graph, colour model.SatelliteID, budget int)
 	// would see their candidates arrive; arrival decides exact ties.
 	in := pool.Slice(w.inStart, span+1)
 	n := 0
-	for f := entry; f < exit; f++ {
-		for _, id := range w.out[f] {
-			if e := &w.edges[id]; !e.disabled && e.colour == colour {
-				in[e.to-entry+1]++
-				n++
-			}
+	for id := w.outStart[entry]; id < w.outStart[exit]; id++ {
+		if e := &w.edges[id]; !e.disabled && e.colour == colour {
+			in[e.to-entry+1]++
+			n++
 		}
 	}
 	for t := 1; t <= span; t++ {
 		in[t] += in[t-1]
 	}
 	inEdges := pool.Keep(w.inEdges, n)
-	for f := entry; f < exit; f++ {
-		for _, id := range w.out[f] {
-			if e := &w.edges[id]; !e.disabled && e.colour == colour {
-				inEdges[in[e.to-entry]] = id
-				in[e.to-entry]++
-			}
+	for id := w.outStart[entry]; id < w.outStart[exit]; id++ {
+		if e := &w.edges[id]; !e.disabled && e.colour == colour {
+			inEdges[in[e.to-entry]] = id
+			in[e.to-entry]++
 		}
 	}
 	// Now face t's in-edges are inEdges[in[t-1]:in[t]].
@@ -509,11 +562,9 @@ func (w *workGraph) expandColour(g *Graph, colour model.SatelliteID, budget int)
 		return 0, false
 	}
 	// Disable the band's edges, then bundle one super-edge per traversal.
-	for f := entry; f < exit; f++ {
-		for _, id := range w.out[f] {
-			if e := &w.edges[id]; e.colour == colour {
-				e.disabled = true
-			}
+	for id := w.outStart[entry]; id < w.outStart[exit]; id++ {
+		if e := &w.edges[id]; e.colour == colour {
+			e.disabled = true
 		}
 	}
 	b := bundle{entry: entry, exit: exit, lo: len(w.edges)}
@@ -535,12 +586,12 @@ func (w *workGraph) expandColour(g *Graph, colour model.SatelliteID, budget int)
 // mapped back to a path, replaces the loop's candidate only if its
 // objective is strictly lower. Any DP error, the context's included, ends
 // the solve.
-func (g *Graph) finishWithPareto(ctx context.Context, w *workGraph, sol *Solution, bestEdges []int, wts dwg.Weights) (*Solution, error) {
-	res, err := exact.ParetoWeighted(ctx, g.tree, wts, 0)
+func (w *workGraph) finishWithPareto(ctx context.Context, sol *Solution, bestEdges []int, wts dwg.Weights) (*Solution, error) {
+	res, err := exact.ParetoWeighted(ctx, w.plan.Tree(), wts, 0)
 	if err != nil {
 		return nil, err
 	}
-	ids, err := g.Encode(res.Assignment)
+	ids, err := w.encode(res.Assignment)
 	if err != nil {
 		return nil, err
 	}
@@ -550,18 +601,43 @@ func (g *Graph) finishWithPareto(ctx context.Context, w *workGraph, sol *Solutio
 		sol.Objective, sol.S, sol.B = obj, s, b
 		bestEdges = ids
 	}
-	return g.packageSolution(w, sol, bestEdges)
+	return w.packageSolution(sol, bestEdges)
 }
 
-func (g *Graph) packageSolution(w *workGraph, sol *Solution, bestEdges []int) (*Solution, error) {
-	// Gather the crossed tree edges and decode through the primary graph's
-	// machinery by rebuilding the assignment directly.
-	asg := model.NewAssignment(g.tree)
+// encode is the inverse of Graph.Decode: it maps a feasible assignment to
+// the base edges of its S→T path, the edges crossing from a host parent
+// into a satellite child. Base edges are grouped by From, so the path comes out
+// in order; the result lives in the path buffer.
+func (w *workGraph) encode(a *model.Assignment) ([]int, error) {
+	t := w.plan.Tree()
+	ids, face := w.path[:0], 0
+	for id := 0; id < w.outStart[w.faces]; id++ {
+		e := &w.edges[id]
+		if a.Loc[e.child].IsHost() || !a.Loc[t.Node(e.child).Parent].IsHost() {
+			continue
+		}
+		if e.from != face {
+			return nil, fmt.Errorf("assign: cut of the assignment jumps from face %d to face %d", face, e.from)
+		}
+		ids = append(ids, id)
+		face = e.to
+	}
+	if face != w.faces-1 {
+		return nil, fmt.Errorf("assign: cut of the assignment stops at face %d of %d", face, w.faces-1)
+	}
+	w.path = ids
+	return ids, nil
+}
+
+func (w *workGraph) packageSolution(sol *Solution, bestEdges []int) (*Solution, error) {
+	// Rebuild the assignment from the crossed tree edges directly.
+	t := w.plan.Tree()
+	asg := model.NewAssignment(t)
 	covered := 0
 	place := func(child model.NodeID, loc model.Location) {
-		lo, hi := g.tree.LeafRange(child)
+		lo, hi := t.LeafRange(child)
 		covered += hi - lo + 1
-		g.placeSubtree(asg, child, loc)
+		placeSubtree(w.plan, asg, child, loc, w.walk)
 		sol.CutChildren = append(sol.CutChildren, child)
 	}
 	for _, id := range bestEdges {
@@ -577,10 +653,10 @@ func (g *Graph) packageSolution(w *workGraph, sol *Solution, bestEdges []int) (*
 			place(w.edges[w.arena[i].A].child, loc)
 		}
 	}
-	if covered != g.tree.SensorCount() {
-		return nil, fmt.Errorf("assign: optimal path covers %d of %d leaves", covered, g.tree.SensorCount())
+	if covered != t.SensorCount() {
+		return nil, fmt.Errorf("assign: optimal path covers %d of %d leaves", covered, t.SensorCount())
 	}
-	if err := asg.Validate(g.tree); err != nil {
+	if err := asg.Validate(t); err != nil {
 		return nil, fmt.Errorf("assign: optimal path decodes to infeasible assignment: %w", err)
 	}
 	slices.Sort(sol.CutChildren)

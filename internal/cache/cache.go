@@ -302,6 +302,24 @@ func (c *Cache) Put(key string, val any) {
 	s.mu.Unlock()
 }
 
+// CompareAndDelete removes key only while it still maps to val: the
+// caller found val unusable, and an entry stored under key since the
+// caller's lookup must survive. It reports whether it removed the entry
+// and counts neither a hit nor a miss. Stored values are compared with
+// ==, so they must be comparable (pointers are).
+func (c *Cache) CompareAndDelete(key string, val any) bool {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	el, ok := s.items[key]
+	if !ok || el.Value.(*entry).val != val {
+		return false
+	}
+	s.ll.Remove(el)
+	delete(s.items, key)
+	return true
+}
+
 // Len returns the number of stored entries.
 func (c *Cache) Len() int {
 	n := 0

@@ -261,3 +261,70 @@ func TestGetLookupOnly(t *testing.T) {
 		t.Fatalf("stats %+v; want 1 hit (Get), 2 misses (Get on empty + Do)", st)
 	}
 }
+
+// TestCompareAndDeleteKeepsFresherEntry replays the race a caller that
+// drops an unusable value runs into: two callers read the same bad entry,
+// the first drops it and stores a fresh one, and the second's drop of
+// the value it read must not remove the fresh entry.
+func TestCompareAndDeleteKeepsFresherEntry(t *testing.T) {
+	c := New(16)
+	ctx := context.Background()
+	bad, fresh := new(int), new(int)
+	c.Put("k", bad)
+	a, _ := c.Get("k")
+	b, _ := c.Get("k")
+
+	if !c.CompareAndDelete("k", b) {
+		t.Fatal("first drop of the bad entry removed nothing")
+	}
+	v, how, err := c.Do(ctx, "k", func() (any, error) { return fresh, nil })
+	if err != nil || how != Miss || v != fresh {
+		t.Fatalf("re-solve after the drop: %v %v %v; want a miss storing the fresh value", v, how, err)
+	}
+	if c.CompareAndDelete("k", a) {
+		t.Fatal("a stale drop removed the fresher entry")
+	}
+	if v, ok := c.Get("k"); !ok || v != fresh {
+		t.Fatalf("after the stale drop Get = %v, %v; want the fresh value", v, ok)
+	}
+
+	// A value replaced in place by Put is stale as well.
+	newer := new(int)
+	c.Put("k", newer)
+	if c.CompareAndDelete("k", fresh) || !c.CompareAndDelete("k", newer) {
+		t.Fatal("drop after an in-place replacement removed the wrong value")
+	}
+	if c.CompareAndDelete("k", newer) || c.Len() != 0 {
+		t.Fatalf("drop of a missing key reported a removal (len %d)", c.Len())
+	}
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 1 {
+		t.Fatalf("stats %+v; want 3 hits (the Gets) and 1 miss (the Do)", st)
+	}
+}
+
+// TestCompareAndDeleteConcurrent stores and drops values from several
+// goroutines whose keys share shards: every drop of a value the
+// goroutine itself stored last must succeed. Run with -race.
+func TestCompareAndDeleteConcurrent(t *testing.T) {
+	c := New(64)
+	var wg sync.WaitGroup
+	for g := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key := fmt.Sprintf("k%d", g)
+			for range 200 {
+				v := new(int)
+				c.Put(key, v)
+				if !c.CompareAndDelete(key, v) {
+					t.Errorf("%s: drop of the value just stored failed", key)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if c.Len() != 0 {
+		t.Fatalf("%d entries left after every drop", c.Len())
+	}
+}

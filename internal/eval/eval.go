@@ -24,12 +24,102 @@ type Breakdown struct {
 // Evaluate validates the assignment and computes its delay breakdown.
 // The breakdown is the reporting form (itemised maps, cut edges); hot
 // loops use Delay or the Frame-based flat kernel instead.
+//
+// It is one pre-order walk over the tree into pooled satellite-indexed
+// accumulators, replaying evaluatePointer's additions in the same order,
+// so the two agree bit for bit. The walk reads the tree, not its compiled
+// plan: cache hits re-evaluate on fresh trees that were never compiled.
 func Evaluate(t *model.Tree, a *model.Assignment) (*Breakdown, error) {
 	if err := a.Validate(t); err != nil {
 		return nil, err
 	}
-	return evaluatePointer(t, a), nil
+	sc := breakdowns.Get()
+	defer breakdowns.Put(sc)
+	nsat := len(t.Satellites())
+	proc := pool.Slice(sc.proc, nsat)
+	comm := pool.Slice(sc.comm, nsat)
+	hasProc := pool.Slice(sc.hasProc, nsat)
+	hasComm := pool.Slice(sc.hasComm, nsat)
+	cuts := sc.cuts[:0]
+	var host float64
+	for _, id := range t.Preorder() {
+		n := t.Node(id)
+		sat, onSat := a.Loc[id].Satellite()
+		if n.Kind == model.Processing {
+			if !onSat {
+				host += n.HostTime
+			} else {
+				proc[sat] += n.SatTime
+				hasProc[sat] = true
+			}
+		}
+		if onSat && n.Parent != model.None && a.Loc[n.Parent].IsHost() {
+			comm[sat] += n.UpComm
+			hasComm[sat] = true
+			cuts = append(cuts, [2]model.NodeID{n.Parent, id})
+		}
+	}
+	sc.proc, sc.comm, sc.hasProc, sc.hasComm, sc.cuts = proc, comm, hasProc, hasComm, cuts
+
+	nproc, ncomm, nload := 0, 0, 0
+	for s := range nsat {
+		if hasProc[s] {
+			nproc++
+		}
+		if hasComm[s] {
+			ncomm++
+		}
+		if hasProc[s] || hasComm[s] {
+			nload++
+		}
+	}
+	b := &Breakdown{
+		HostTime:   host,
+		SatLoad:    make(map[model.SatelliteID]float64, nload),
+		SatProc:    make(map[model.SatelliteID]float64, nproc),
+		SatComm:    make(map[model.SatelliteID]float64, ncomm),
+		Bottleneck: model.NoSatellite,
+	}
+	if len(cuts) > 0 {
+		b.CutEdges = make([][2]model.NodeID, len(cuts))
+		copy(b.CutEdges, cuts)
+	}
+	// Ascending satellite order meets evaluatePointer's tie rule (lowest
+	// id among equal maxima) without its map-order comparison.
+	for s := range nsat {
+		if !hasProc[s] && !hasComm[s] {
+			continue
+		}
+		sat := model.SatelliteID(s)
+		var load float64
+		if hasProc[s] {
+			b.SatProc[sat] = proc[s]
+			load += proc[s]
+		}
+		if hasComm[s] {
+			b.SatComm[sat] = comm[s]
+			load += comm[s]
+		}
+		b.SatLoad[sat] = load
+		if load > b.MaxSatLoad || (load == b.MaxSatLoad && b.Bottleneck == model.NoSatellite) {
+			b.MaxSatLoad = load
+			b.Bottleneck = sat
+		}
+	}
+	b.Delay = b.HostTime + b.MaxSatLoad
+	return b, nil
 }
+
+// breakdownScratch is Evaluate's pooled scratch: per-satellite
+// accumulators and presence marks, and the cut-edge buffer the exact-
+// length CutEdges is copied from.
+type breakdownScratch struct {
+	proc, comm       []float64
+	hasProc, hasComm []bool
+	cuts             [][2]model.NodeID
+}
+
+var breakdowns = pool.NewArena(func() *breakdownScratch { return new(breakdownScratch) })
 
 // Delay is Evaluate reduced to the scalar objective. It validates the
 // assignment, then runs the flat kernel over the tree's compiled plan
@@ -145,7 +235,8 @@ func (f *Frame) maxLoad() float64 {
 
 // evaluatePointer is the pointer-based breakdown walk (the original
 // implementation): it itemises per-satellite loads into maps and gathers
-// the cut edges, which the reporting paths want and the hot paths do not.
+// the cut edges. It is the reference Evaluate and the flat kernel are
+// parity-tested against.
 func evaluatePointer(t *model.Tree, a *model.Assignment) *Breakdown {
 	b := &Breakdown{
 		SatLoad:    map[model.SatelliteID]float64{},

@@ -1,7 +1,10 @@
 package eval
 
 import (
+	"maps"
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -178,6 +181,59 @@ func TestReport(t *testing.T) {
 	for _, want := range []string{"host processing", "bottleneck", "end-to-end delay"} {
 		if !strings.Contains(r, want) {
 			t.Errorf("report missing %q:\n%s", want, r)
+		}
+	}
+}
+
+// randomFeasible returns a random feasible assignment of t: a pre-order
+// pass over the plan sinks each monochromatic CRU below a host parent to
+// its satellite with probability p.
+func randomFeasible(rng *rand.Rand, t *model.Tree, p float64) *model.Assignment {
+	c := model.Compile(t)
+	loc := make([]model.Location, c.Len())
+	c.BaseLocations(loc)
+	for _, q := range c.Pre {
+		par := c.Parent[q]
+		if c.Proc[q] && par >= 0 && loc[par].IsHost() && !c.MustHost[q] &&
+			c.Colour[q] != model.NoSatellite && rng.Float64() < p {
+			c.FillSpan(loc, q, model.OnSatellite(c.Colour[q]))
+		}
+	}
+	a := model.NewAssignment(t)
+	c.StoreAssignment(a, loc)
+	return a
+}
+
+// TestEvaluateMatchesPointer: the one-pass Breakdown equals the pointer
+// walk's exactly — every field compared with ==, the maps key for key
+// and the cut edges in order — on random trees and random feasible
+// assignments.
+func TestEvaluateMatchesPointer(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for i := range 60 {
+		spec := workload.DefaultRandomSpec(16+rng.Intn(113), 2+rng.Intn(4))
+		spec.Clustered = i%2 == 0
+		tree := workload.Random(rng, spec)
+		for _, p := range []float64{0, 0.2, 0.6, 1} {
+			asg := randomFeasible(rng, tree, p)
+			got, err := Evaluate(tree, asg)
+			if err != nil {
+				t.Fatalf("tree %d, p %v: %v", i, p, err)
+			}
+			want := evaluatePointer(tree, asg)
+			if got.HostTime != want.HostTime || got.Bottleneck != want.Bottleneck ||
+				got.MaxSatLoad != want.MaxSatLoad || got.Delay != want.Delay {
+				t.Fatalf("tree %d, p %v: scalars %+v, pointer walk %+v", i, p, got, want)
+			}
+			if !maps.Equal(got.SatLoad, want.SatLoad) || !maps.Equal(got.SatProc, want.SatProc) ||
+				!maps.Equal(got.SatComm, want.SatComm) {
+				t.Fatalf("tree %d, p %v: maps %v %v %v, pointer walk %v %v %v", i, p,
+					got.SatLoad, got.SatProc, got.SatComm, want.SatLoad, want.SatProc, want.SatComm)
+			}
+			if !slices.Equal(got.CutEdges, want.CutEdges) || len(got.CutEdges) != cap(got.CutEdges) {
+				t.Fatalf("tree %d, p %v: cut edges %v (cap %d), pointer walk %v", i, p,
+					got.CutEdges, cap(got.CutEdges), want.CutEdges)
+			}
 		}
 	}
 }

@@ -133,7 +133,8 @@ func TestResultCacheReleasesTrees(t *testing.T) {
 // TestAdoptWarmCanonicalPlacement checks the migration form of a cache
 // entry: exported from one Service and adopted by another, it serves a
 // re-evaluated answer in the requester's numbering, and a placement that
-// does not fit the instance never serves an assignment.
+// does not fit the instance never serves an assignment: the entry is
+// dropped, the instance solved, and the fresh entry serves the next hit.
 func TestAdoptWarmCanonicalPlacement(t *testing.T) {
 	ctx := context.Background()
 	spec := randomSpec(11, 32, 4)
@@ -147,7 +148,8 @@ func TestAdoptWarmCanonicalPlacement(t *testing.T) {
 	}
 	e := warm[0]
 	meta := func() *repro.Outcome {
-		return &repro.Outcome{Algorithm: e.Outcome.Algorithm, Exact: e.Outcome.Exact, Work: e.Outcome.Work}
+		return &repro.Outcome{Algorithm: e.Outcome.Algorithm, Exact: e.Outcome.Exact, Work: e.Outcome.Work,
+			LowerBound: e.Outcome.LowerBound}
 	}
 
 	dst := repro.NewService(nil, 16)
@@ -164,7 +166,7 @@ func TestAdoptWarmCanonicalPlacement(t *testing.T) {
 		t.Fatal("the adopter solved the instance itself")
 	}
 
-	// Placements that fit no tree of the instance: the hit fails.
+	// Placements that fit no tree of the instance: the request solves.
 	long := append(slices.Clone(e.Placement), -1)
 	outOfRange := slices.Clone(e.Placement)
 	outOfRange[len(outOfRange)-1] = 99
@@ -179,9 +181,7 @@ func TestAdoptWarmCanonicalPlacement(t *testing.T) {
 		if err := bad.AdoptWarm(e.Key, p, meta()); err != nil {
 			t.Fatalf("%s: AdoptWarm: %v", name, err)
 		}
-		if out, _, err := bad.Solve(ctx, tree); err == nil || out != nil {
-			t.Fatalf("%s placement served an outcome (err %v)", name, err)
-		}
+		checkReplaced(t, name, bad, tree)
 	}
 
 	// Placements that fit no tree at all are refused on adoption.
@@ -192,6 +192,70 @@ func TestAdoptWarmCanonicalPlacement(t *testing.T) {
 			t.Fatalf("AdoptWarm accepted the %s placement", name)
 		}
 	}
+}
+
+// checkReplaced fails unless svc, holding a bad entry for tree's
+// instance, solves the instance correctly as a miss and then serves the
+// fresh entry as a hit.
+func checkReplaced(t *testing.T, name string, svc *repro.Service, tree *repro.Tree) {
+	t.Helper()
+	ctx := context.Background()
+	out, status, err := svc.Solve(ctx, tree)
+	if err != nil || status != repro.CacheMiss {
+		t.Fatalf("%s entry: status %v, err %v; want a miss that solves", name, status, err)
+	}
+	checkServed(t, tree, out)
+	again, status, err := svc.Solve(ctx, tree)
+	if err != nil || status != repro.CacheHit || again != out {
+		t.Fatalf("%s entry, second request: status %v, err %v; want a hit on the fresh entry", name, status, err)
+	}
+	// The lookup that found the bad entry, and the second request, count
+	// as hits; the solve that replaced the entry is the one miss.
+	if st := svc.Stats(); st.Hits != 2 || st.Misses != 1 || st.Size != 1 {
+		t.Fatalf("%s entry: stats %+v; want 2 hits, 1 miss, 1 entry", name, st)
+	}
+}
+
+// TestAdoptWarmExactClaimChecked adopts a feasible but suboptimal
+// placement, the all-host heuristic's, under the default algorithm's key
+// with an exact claim and the instance's true lower bound: a hit that
+// re-evaluates above that bound is not served, and the request gets the
+// optimum.
+func TestAdoptWarmExactClaimChecked(t *testing.T) {
+	ctx := context.Background()
+	spec := randomSpec(11, 32, 4)
+	src := repro.NewService(nil, 16)
+	opt, _, err := src.Solve(ctx, mustTree(t, renumbered(spec)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heur, _, err := src.Solve(ctx, mustTree(t, renumbered(spec)), repro.WithAlgorithm(repro.AllHost))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if heur.Delay <= opt.Delay {
+		t.Fatalf("all-host delay %v, optimum %v: want a suboptimal placement", heur.Delay, opt.Delay)
+	}
+	var defaultKey string
+	var allHost []int32
+	for _, e := range src.ExportWarm(16, func(string) string { return "peer" })["peer"] {
+		switch e.Outcome.Algorithm {
+		case opt.Algorithm:
+			defaultKey = e.Key
+		case repro.AllHost:
+			allHost = e.Placement
+		}
+	}
+	if defaultKey == "" || allHost == nil {
+		t.Fatal("export misses the default or the all-host entry")
+	}
+
+	svc := repro.NewService(nil, 16)
+	claim := &repro.Outcome{Algorithm: opt.Algorithm, Exact: true, LowerBound: opt.LowerBound}
+	if err := svc.AdoptWarm(defaultKey, allHost, claim); err != nil {
+		t.Fatal(err)
+	}
+	checkReplaced(t, "suboptimal exact", svc, mustTree(t, spec))
 }
 
 // TestResultCacheRetainedBytes is the retained-heap regression guard on

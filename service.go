@@ -141,8 +141,14 @@ func (s *Service) solveCached(ctx context.Context, t *Tree, cfg settings) (*Outc
 	// a warmed local optimum into cold requests under the same key — so
 	// it looks up, and on a miss solves directly without storing.
 	if v, ok := s.cache.GetBytes(kb.b); ok {
-		keyBufs.Put(kb)
-		return s.deliver(v.(*cachedSolve), t, CacheHit)
+		cs := v.(*cachedSolve)
+		if out, err := deliver(cs, t); err == nil {
+			keyBufs.Put(kb)
+			return out, CacheHit, nil
+		}
+		// An entry that does not hold on this tree is dropped, and the
+		// request goes on as a miss.
+		s.cache.CompareAndDelete(string(kb.b), cs)
 	}
 	if cfg.warm != nil {
 		if caps, ok := Capability(cfg.algorithm); ok && caps.WarmStart && !caps.Exact {
@@ -173,6 +179,10 @@ func (s *Service) solveMiss(ctx context.Context, t *Tree, cfg settings, key stri
 	// exhaustion) are shared as-is — retrying those would amplify the
 	// very stampede singleflight absorbs — and the retry is bounded so
 	// fast-failing leaders cannot spin a waiter forever.
+	//
+	// A hit here is an entry stored since the caller's lookup; one that
+	// does not hold on this tree is dropped and the key solved again,
+	// within the same bound.
 	for attempt := 0; ; attempt++ {
 		v, how, err := s.cache.Do(ctx, key, func() (any, error) {
 			out, err := s.solve(ctx, t, cfg)
@@ -187,21 +197,36 @@ func (s *Service) solveMiss(ctx context.Context, t *Tree, cfg settings, key stri
 			}
 			return nil, how, err
 		}
-		return s.deliver(v.(*cachedSolve), t, how)
+		cs := v.(*cachedSolve)
+		out, err := deliver(cs, t)
+		if err != nil {
+			if how == CacheHit && attempt < 2 {
+				s.cache.CompareAndDelete(key, cs)
+				continue
+			}
+			return nil, how, err
+		}
+		return out, how, nil
 	}
 }
 
 // deliver hands a cached solve to the caller: as stored to the tree it
-// was solved on, re-placed and re-evaluated for any other.
-func (s *Service) deliver(cs *cachedSolve, t *Tree, how CacheStatus) (*Outcome, CacheStatus, error) {
+// was solved on, re-placed and re-evaluated for any other. It fails when
+// the placement does not fit t, or when the entry claims an exact answer
+// that re-evaluates above its lower bound on t.
+func deliver(cs *cachedSolve, t *Tree) (*Outcome, error) {
 	if cs.tree.Value() == t {
-		return cs.out, how, nil
+		return cs.out, nil
 	}
 	out, err := remapOutcome(cs.out, cs.placement, t)
 	if err != nil {
-		return nil, how, err
+		return nil, err
 	}
-	return out, how, nil
+	// The tolerance is the one the exact solvers' agreement tests use.
+	if lb := out.LowerBound; out.Exact && out.Delay > lb+1e-9*(1+lb) {
+		return nil, fmt.Errorf("repro: cached exact outcome re-evaluates to delay %v, above its lower bound %v", out.Delay, lb)
+	}
+	return out, nil
 }
 
 // canceledElsewhere reports whether err is a cancellation that may belong
