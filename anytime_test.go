@@ -205,3 +205,73 @@ func TestAnytimeCancelStopsPromptly(t *testing.T) {
 		t.Fatalf("cancellation took %v to stop the search", took)
 	}
 }
+
+// TestAnytimeResultCache: best-effort and incumbent-streaming solves go
+// through the Service's result cache. A completed exact outcome is
+// stored, and its repeat is a hit that streams one final incumbent the
+// caller owns. A starved Partial outcome and a warm-started annealing
+// outcome are never stored.
+func TestAnytimeResultCache(t *testing.T) {
+	ctx := context.Background()
+	tree := workload.Random(rand.New(rand.NewSource(4)), workload.DefaultRandomSpec(24, 3))
+	svc := repro.NewService(nil, 64)
+	var incs []repro.Incumbent
+	anytime := []repro.Option{
+		repro.WithAlgorithm(repro.BranchBound), repro.WithBestEffort(),
+		repro.WithIncumbents(func(inc repro.Incumbent) { incs = append(incs, inc) }),
+	}
+	stored := func(want int) {
+		t.Helper()
+		if n := svc.Stats().Size; n != want {
+			t.Fatalf("result cache holds %d entries, want %d", n, want)
+		}
+	}
+
+	first, status, err := svc.Solve(ctx, tree, anytime...)
+	if err != nil || status != repro.CacheMiss || !first.Exact || len(incs) == 0 {
+		t.Fatalf("first solve: status %v, err %v, exact %v, %d incumbents; want an exact miss that streams",
+			status, err, first != nil && first.Exact, len(incs))
+	}
+	stored(1)
+
+	incs = nil
+	again, status, err := svc.Solve(ctx, tree, anytime...)
+	if err != nil || status != repro.CacheHit || again.Delay != first.Delay {
+		t.Fatalf("repeat: status %v, err %v; want a hit with delay %v", status, err, first.Delay)
+	}
+	if len(incs) != 1 {
+		t.Fatalf("hit streamed %d incumbents, want 1", len(incs))
+	}
+	inc := incs[0]
+	if inc.Assignment == again.Assignment || inc.Delay != again.Delay || inc.LowerBound != again.LowerBound {
+		t.Fatalf("hit incumbent %+v does not mirror the served outcome as a caller-owned copy", inc)
+	}
+	bd, err := repro.Evaluate(tree, inc.Assignment)
+	if err != nil || math.Abs(bd.Delay-inc.Delay) > 1e-9*(1+inc.Delay) {
+		t.Fatalf("hit incumbent re-evaluates to %v (err %v), reports %v", bd, err, inc.Delay)
+	}
+	// The caller may edit its copy: the stored answer stays as it was.
+	for _, id := range tree.Preorder() {
+		inc.Assignment.Set(id, repro.Host)
+	}
+	if bd, err := repro.Evaluate(tree, again.Assignment); err != nil || bd.Delay != again.Delay {
+		t.Fatalf("editing the streamed incumbent changed the stored outcome: %v, %v", bd, err)
+	}
+
+	starved := append(anytime, repro.WithBudget(8))
+	for range 2 {
+		out, status, err := svc.Solve(ctx, tree, starved...)
+		if err != nil || status != repro.CacheMiss || !out.Partial {
+			t.Fatalf("starved solve: status %v, err %v; want a partial miss", status, err)
+		}
+		stored(1)
+	}
+
+	warm := []repro.Option{repro.WithAlgorithm(repro.Annealing), repro.WithSeed(5), repro.WithWarmStart(first.Assignment)}
+	for range 2 {
+		if _, status, err := svc.Solve(ctx, tree, warm...); err != nil || status != repro.CacheMiss {
+			t.Fatalf("warm annealing: status %v, err %v; want a miss", status, err)
+		}
+		stored(1)
+	}
+}

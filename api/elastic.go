@@ -72,19 +72,15 @@ type MigrateSessionsRequest struct {
 	Sessions []MigratedSession `json:"sessions"`
 }
 
-// MigratedBound is one proven bound-cache entry: a subtree Merkle hash
-// with its proven lower bound (and, for a complete whole-instance entry,
-// the optimal pattern).
+// MigratedBound is one proven bound-cache entry: a subtree's Merkle hash
+// and boundary context with its proven standalone optimum.
 // Entries are never wrong — at worst they never match a hash again — so
 // they migrate to any node that might re-solve overlapping instances.
 type MigratedBound struct {
-	Hash     string  `json:"hash"` // hex-encoded subtree Merkle hash
-	Root     bool    `json:"root,omitempty"`
-	Sats     int32   `json:"sats"`
-	Bands    int32   `json:"bands"`
-	LB       float64 `json:"lb"`
-	Complete bool    `json:"complete,omitempty"`
-	Pattern  []bool  `json:"pattern,omitempty"`
+	Hash  string  `json:"hash"` // hex-encoded subtree Merkle hash
+	Sats  int32   `json:"sats"`
+	Bands int32   `json:"bands"`
+	LB    float64 `json:"lb"`
 }
 
 // MigrateBoundsRequest is the POST /v1/migrate/bounds payload.

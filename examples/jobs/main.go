@@ -3,8 +3,8 @@
 // returned partial result — feasible, with a proven lower bound — then
 // submit it unconstrained and watch the incumbent stream close its
 // bound gap live over Server-Sent Events. A final rushed resubmit shows
-// the job tier's bound memoization: once a search has proven the
-// instance, the recorded optimum replays instantly, deadline or not.
+// the job tier's result cache: once a search has proven the instance,
+// the stored optimum is served instantly, deadline or not.
 // The same calls work against a standalone `crserve -addr :8080` with
 // curl (see the README's "Anytime jobs").
 package main
@@ -78,15 +78,15 @@ func main() {
 		final.Result.Delay,
 		100*(partial.Result.Delay-final.Result.Delay)/final.Result.Delay)
 
-	// --- 3. rushed again: the bound cache replays the recorded proof ---
+	// --- 3. rushed again: the result cache serves the proven optimum ---
 	var again api.JobResponse
 	mustPost(base+"/v1/jobs", api.JobRequest{
 		SolveRequest: api.SolveRequest{Spec: spec, Algorithm: string(repro.BranchBound), Budget: 1 << 28},
 		DeadlineMS:   50,
 	}, &again)
-	replay := pollDone(base, again.JobID)
-	fmt.Printf("same deadline, resubmitted: state=%s exact=%v delay=%.4g in %dms — memoized proof, no search\n",
-		replay.State, replay.Result.Exact, replay.Result.Delay, replay.ElapsedMS)
+	hit := pollDone(base, again.JobID)
+	fmt.Printf("same deadline, resubmitted: state=%s exact=%v delay=%.4g in %dms — result-cache hit, no search\n",
+		hit.State, hit.Result.Exact, hit.Result.Delay, hit.ElapsedMS)
 }
 
 // streamEvents consumes the job's SSE feed, printing each improving

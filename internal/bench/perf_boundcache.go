@@ -28,7 +28,8 @@ import (
 //
 // Explored-node counts are deterministic; wall times are averaged over
 // a few primed runs, each against a freshly primed cache so the warm
-// measurement never degenerates into the whole-instance replay hit.
+// measurement never finds the dirty spine's subtrees already proven by
+// an earlier iteration.
 func P5BoundMemo() (*Table, error) {
 	ctx := context.Background()
 	tbl := &Table{
@@ -168,7 +169,7 @@ func P5BoundMemo() (*Table, error) {
 	tbl.Notes = append(tbl.Notes,
 		"warm = previous optimum projected as incumbent + bound cache primed by the previous solve; warm, no cache = the projected incumbent alone; cold = cache-less bnb of the same revision",
 		"the cache's own share of the warm gain is warm, no cache over warm (cache_explored_reduction, cache_time_reduction)",
-		"each warm iteration re-primes a fresh cache so the measurement is the dirty-spine re-search, not the whole-instance replay hit",
+		"each warm iteration re-primes a fresh cache so the measurement is the dirty-spine re-search, not a read of subtrees an earlier iteration proved",
 		"ctl-* rows are brute-force checked; p5-* rows are the pinned ≥5x acceptance workload (TestWarmMemoizedResolveFewerNodes)",
 	)
 	return tbl, nil

@@ -1,8 +1,9 @@
 // Package boundcache is the bound-memoization store of the exact
 // searches: a sharded, bounded, concurrency-safe map from a subtree's
 // identity — its Merkle (cr2) hash plus the boundary context the search
-// sees — to a proven lower bound on that subtree's standalone delay and,
-// for an exhausted whole instance, the optimal assignment pattern itself.
+// sees — to that subtree's proven standalone optimum, the inference half
+// of a bounded depth-first search. Whole-instance answers are not kept
+// here: the Service's result cache holds those, and checks them.
 //
 // # Key semantics
 //
@@ -11,15 +12,14 @@
 // float bits, and the satellite partition renumbered structurally. Two
 // positions — in the same tree, across revisions of a session, or across
 // different instances of a corpus — with equal hashes are
-// indistinguishable to the search, so a bound proven under one is valid
-// under the other. The only solver-relevant fact the hash cannot see is
-// *where the subtree sits*: the global root may never sink to a
-// satellite while every other monochromatic subtree may, so Key.Root
-// records that one bit of boundary context. Sats and Bands (the distinct
-// satellites and maximal same-satellite leaf runs under the subtree) are
-// derivable from the hashed content and ride along as belt-and-braces
-// context: if the hash scheme ever changes what it covers, entries keyed
-// by an older notion of identity miss instead of corrupting a search.
+// indistinguishable to the search, so an optimum proven under one is
+// valid under the other. Only non-root subtrees are memoized, and every
+// one of them may sink whole to its satellite, so where the subtree sits
+// adds nothing to its identity. Sats and Bands (the distinct satellites
+// and maximal same-satellite leaf runs under the subtree) are derivable
+// from the hashed content and ride along as belt-and-braces context: if
+// the hash scheme ever changes what it covers, entries keyed by an older
+// notion of identity miss instead of corrupting a search.
 //
 // Parallelism, warm hints, budgets and deadlines stay out of the key for
 // the same reason they stay out of the serving layers' cache identity:
@@ -37,12 +37,11 @@
 // # Concurrency
 //
 // Lookup takes a shard read-lock and allocates nothing (CI-guarded);
-// Insert takes the shard write-lock, keeps the more proven of the old
-// and new entry, and evicts unused entries when the shard is full.
-// Entries are immutable after insertion, so readers never observe a
-// partially built value. Concurrent solves of the same uncached subtree
-// race benignly: both prove the same bound and the second Insert is a
-// no-op.
+// Insert takes the shard write-lock, keeps an existing entry, and evicts
+// unused entries when the shard is full. Entries are immutable after
+// insertion, so readers never observe a partially built value.
+// Concurrent solves of the same uncached subtree race benignly: both
+// prove the same optimum and the second Insert is a no-op.
 package boundcache
 
 import (
@@ -56,8 +55,6 @@ import (
 type Key struct {
 	// Hash is the subtree's cr2 Merkle hash (model.SubtreeHashes).
 	Hash [32]byte
-	// Root marks the global-root context, where sinking is forbidden.
-	Root bool
 	// Sats is the number of distinct satellites under the subtree.
 	Sats int32
 	// Bands is the number of maximal same-satellite leaf runs.
@@ -66,19 +63,10 @@ type Key struct {
 
 // Entry is one proven fact about a subtree, immutable after Insert.
 type Entry struct {
-	// LB is a proven lower bound on the subtree's standalone delay (the
-	// host time it adds plus the satellite load it adds, with its parent
-	// hosted). When Complete, LB is the exact optimum.
+	// LB is the subtree's optimal standalone delay (the host time it adds
+	// plus the satellite load it adds, with its parent hosted), proven by
+	// a completed sub-solve. The searches read it as a lower bound.
 	LB float64
-	// Complete marks an exhausted search: LB is the optimal standalone
-	// delay.
-	Complete bool
-	// Pattern is the optimal assignment of a whole instance (a Root
-	// key), one flag per post-order position: true = the processing CRU
-	// is sunk to its subtree colour, false = it stays on the host.
-	// Sensor positions are ignored (sensors are pinned). Subtree entries
-	// carry none: only their LB is ever read. Nil unless Complete.
-	Pattern []bool
 
 	used atomic.Bool // second-chance bit, set on hit
 }
@@ -96,7 +84,7 @@ const capacity = 1 << 14
 type Stats struct {
 	Hits      int64 // lookups that found an entry
 	Misses    int64 // lookups that found none
-	Stores    int64 // inserts that added or strengthened an entry
+	Stores    int64 // inserts that added an entry
 	Evictions int64 // entries recycled under capacity pressure
 	Entries   int64 // entries currently held
 }
@@ -106,7 +94,7 @@ type shard struct {
 	m  map[Key]*Entry
 }
 
-// Cache is a sharded, bounded store of proven subtree bounds. The zero
+// Cache is a sharded, bounded store of proven subtree optima. The zero
 // value is not usable; call New.
 type Cache struct {
 	shards  [numShards]shard
@@ -149,22 +137,19 @@ func (c *Cache) Lookup(k Key) (*Entry, bool) {
 }
 
 // Insert records e as proven for k, reporting whether the store changed.
-// When an entry already exists the more proven one is kept: Complete
-// beats incomplete, and a higher LB beats a lower one — bounds only ever
-// tighten, so racing solvers of the same subtree cannot weaken the
-// store. e must not be modified by the caller after Insert.
+// An existing entry is kept: both are the same subtree's proven optimum.
+// e must not be modified by the caller after Insert.
 func (c *Cache) Insert(k Key, e *Entry) bool {
 	if e == nil {
 		return false
 	}
 	s := c.shardFor(&k)
 	s.mu.Lock()
-	if old := s.m[k]; old != nil {
-		if old.Complete || (!e.Complete && old.LB >= e.LB) {
-			s.mu.Unlock()
-			return false
-		}
-	} else if len(s.m) >= c.perShrd {
+	if s.m[k] != nil {
+		s.mu.Unlock()
+		return false
+	}
+	if len(s.m) >= c.perShrd {
 		c.evictLocked(s)
 	}
 	s.m[k] = e
@@ -197,21 +182,17 @@ func (c *Cache) evictLocked(s *shard) {
 	}
 }
 
-// Exported is one serialisable entry: the key plus the proven fact,
+// Exported is one serialisable entry: the key plus the proven optimum,
 // detached from the in-store Entry (whose second-chance bit must not
 // travel).
 type Exported struct {
-	Key      Key
-	LB       float64
-	Complete bool
-	Pattern  []bool
+	Key Key
+	LB  float64
 }
 
-// Export returns up to limit entries, most valuable first: complete
-// entries (which short-circuit whole subtrees) before bound-only ones,
-// root-context entries (which short-circuit whole instances) before
-// interior ones, then tighter bounds first. The migration path ships
-// these to nodes that may re-solve overlapping instances.
+// Export returns up to limit entries, largest optimum first: the larger
+// a subtree's cost, the more of a search it settles. The migration path
+// ships these to nodes that may re-solve overlapping instances.
 func (c *Cache) Export(limit int) []Exported {
 	if limit <= 0 {
 		return nil
@@ -221,39 +202,24 @@ func (c *Cache) Export(limit int) []Exported {
 		s := &c.shards[i]
 		s.mu.RLock()
 		for k, e := range s.m {
-			all = append(all, Exported{Key: k, LB: e.LB, Complete: e.Complete, Pattern: e.Pattern})
+			all = append(all, Exported{Key: k, LB: e.LB})
 		}
 		s.mu.RUnlock()
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := &all[i], &all[j]
-		if a.Complete != b.Complete {
-			return a.Complete
-		}
-		if a.Key.Root != b.Key.Root {
-			return a.Key.Root
-		}
-		return a.LB > b.LB
-	})
+	sort.Slice(all, func(i, j int) bool { return all[i].LB > all[j].LB })
 	if len(all) > limit {
 		all = all[:limit]
 	}
 	return all
 }
 
-// Import adopts exported entries, returning how many were stored. The
-// keeps-more-proven Insert semantics make adoption idempotent and safe
-// against concurrent local proving: a weaker migrated fact never
-// overwrites a stronger local one.
+// Import adopts exported entries, returning how many were stored. Insert
+// keeps existing entries, so adoption is idempotent and never replaces
+// a local proof.
 func (c *Cache) Import(entries []Exported) int {
 	adopted := 0
 	for i := range entries {
-		ex := &entries[i]
-		e := &Entry{LB: ex.LB, Complete: ex.Complete}
-		if ex.Complete && len(ex.Pattern) > 0 {
-			e.Pattern = append([]bool(nil), ex.Pattern...)
-		}
-		if c.Insert(ex.Key, e) {
+		if c.Insert(entries[i].Key, &Entry{LB: entries[i].LB}) {
 			adopted++
 		}
 	}

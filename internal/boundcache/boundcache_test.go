@@ -22,14 +22,14 @@ func TestLookupInsertRoundTrip(t *testing.T) {
 	}
 	c.Insert(k, &Entry{LB: 7.5})
 	e, ok := c.Lookup(k)
-	if !ok || e.LB != 7.5 || e.Complete {
-		t.Fatalf("got (%+v, %v), want LB=7.5 incomplete", e, ok)
+	if !ok || e.LB != 7.5 {
+		t.Fatalf("got (%+v, %v), want LB=7.5", e, ok)
 	}
 	// Distinct boundary context is a distinct key, even with one hash.
 	k2 := k
-	k2.Root = true
+	k2.Sats = 2
 	if _, ok := c.Lookup(k2); ok {
-		t.Fatal("root-context key aliased the non-root entry")
+		t.Fatal("a key with other boundary context aliased the entry")
 	}
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 2 || st.Stores != 1 || st.Entries != 1 {
@@ -37,28 +37,26 @@ func TestLookupInsertRoundTrip(t *testing.T) {
 	}
 }
 
-// TestInsertKeepsMoreProven: Complete beats incomplete regardless of LB
-// order, and among incomplete entries the higher (tighter) bound wins —
-// racing solvers of one subtree can only strengthen the store.
-func TestInsertKeepsMoreProven(t *testing.T) {
+// TestInsertKeepsExisting: every entry is a subtree's proven optimum, so
+// a second insert under the same key changes nothing, and neither does
+// importing it again.
+func TestInsertKeepsExisting(t *testing.T) {
 	c := New()
 	k := keyN(2)
-	c.Insert(k, &Entry{LB: 10})
-	c.Insert(k, &Entry{LB: 5}) // weaker bound: ignored
+	if !c.Insert(k, &Entry{LB: 10}) {
+		t.Fatal("first insert not stored")
+	}
+	if c.Insert(k, &Entry{LB: 12}) {
+		t.Fatal("second insert replaced the existing entry")
+	}
+	if n := c.Import([]Exported{{Key: k, LB: 5}}); n != 0 {
+		t.Fatalf("import over an existing entry adopted %d", n)
+	}
 	if e, _ := c.Lookup(k); e.LB != 10 {
-		t.Fatalf("weaker bound replaced a tighter one: LB=%v", e.LB)
+		t.Fatalf("existing entry changed: LB=%v", e.LB)
 	}
-	c.Insert(k, &Entry{LB: 12}) // tighter bound: replaces
-	if e, _ := c.Lookup(k); e.LB != 12 {
-		t.Fatalf("tighter bound did not replace: LB=%v", e.LB)
-	}
-	c.Insert(k, &Entry{LB: 11, Complete: true, Pattern: []bool{true}})
-	if e, _ := c.Lookup(k); !e.Complete {
-		t.Fatal("complete entry did not replace the incomplete bound")
-	}
-	c.Insert(k, &Entry{LB: 99}) // incomplete never demotes a proof
-	if e, _ := c.Lookup(k); !e.Complete || e.LB != 11 {
-		t.Fatalf("incomplete insert demoted a complete entry: %+v", e)
+	if st := c.Stats(); st.Stores != 1 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 1 store and 1 entry", st)
 	}
 }
 
@@ -163,8 +161,8 @@ func BenchmarkLookupHit(b *testing.B) {
 func ExampleCache() {
 	c := New()
 	k := Key{Sats: 2, Bands: 3}
-	c.Insert(k, &Entry{LB: 41.5, Complete: true, Pattern: []bool{true, false, true}})
-	if e, ok := c.Lookup(k); ok && e.Complete {
+	c.Insert(k, &Entry{LB: 41.5})
+	if e, ok := c.Lookup(k); ok {
 		fmt.Println(e.LB)
 	}
 	// Output: 41.5

@@ -36,7 +36,7 @@ func (r Result) String() string {
 
 // Stats is a point-in-time snapshot of the cache's counters.
 type Stats struct {
-	Hits      int64 // Do calls served from the store
+	Hits      int64 // lookups whose stored value the caller served (RecordHit)
 	Misses    int64 // Do calls that ran the computation
 	Shared    int64 // Do calls that joined another call's flight
 	Errors    int64 // leader computations that returned an error
@@ -136,7 +136,8 @@ func (c *Cache) shardForBytes(key []byte) *shard {
 //
 // Successful values are stored (evicting LRU entries past capacity);
 // errors are returned to the leader and the waiters of that one flight
-// and then forgotten.
+// and then forgotten. A Hit is not counted here: the caller checks the
+// stored value and counts it with RecordHit once it serves it.
 func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (any, Result, error) {
 	s := c.shardFor(key)
 
@@ -145,7 +146,6 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (any
 		s.ll.MoveToFront(el)
 		val := el.Value.(*entry).val
 		s.mu.Unlock()
-		c.hits.Add(1)
 		return val, Hit, nil
 	}
 	if f, ok := s.inflight[key]; ok {
@@ -180,33 +180,13 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() (any, error)) (any
 	return val, Miss, err
 }
 
-// Get returns the stored value for key without joining or starting a
-// flight — the lookup-only path for callers that must compute misses
-// outside the cache (e.g. warm-started non-exact solves, whose results
-// are start-dependent and must not be stored). A found entry counts as a
-// hit and refreshes its recency; a missing one counts as a miss.
-func (c *Cache) Get(key string) (any, bool) {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if el, ok := s.items[key]; ok {
-		s.ll.MoveToFront(el)
-		val := el.Value.(*entry).val
-		s.mu.Unlock()
-		c.hits.Add(1)
-		return val, true
-	}
-	s.mu.Unlock()
-	c.misses.Add(1)
-	return nil, false
-}
-
-// GetBytes is the peek path for keys assembled in a reusable byte buffer:
-// the map is read through string(key), which the compiler evaluates
-// without materialising a string, so a warm lookup allocates nothing. A
-// found entry counts as a hit and refreshes its recency; unlike Get, a
-// missing entry is NOT counted as a miss — callers either fall through
-// to Do, which classifies the outcome exactly once, or compute outside
-// the cache and record the miss themselves with RecordMiss.
+// GetBytes is the lookup-only path for keys assembled in a reusable byte
+// buffer: the map is read through string(key), which the compiler
+// evaluates without materialising a string, so a warm lookup allocates
+// nothing. A found entry refreshes its recency. GetBytes counts nothing:
+// the caller counts a value it serves with RecordHit, and a miss either
+// through Do, which classifies the outcome exactly once, or with
+// RecordMiss when it computes the result outside the cache.
 func (c *Cache) GetBytes(key []byte) (any, bool) {
 	s := c.shardForBytes(key)
 	s.mu.Lock()
@@ -214,16 +194,20 @@ func (c *Cache) GetBytes(key []byte) (any, bool) {
 		s.ll.MoveToFront(el)
 		val := el.Value.(*entry).val
 		s.mu.Unlock()
-		c.hits.Add(1)
 		return val, true
 	}
 	s.mu.Unlock()
 	return nil, false
 }
 
+// RecordHit counts a stored value, found by GetBytes or Do, that the
+// caller checked and served. A value the caller drops instead is no hit.
+func (c *Cache) RecordHit() { c.hits.Add(1) }
+
 // RecordMiss counts a store miss observed through GetBytes by a caller
-// that computes the result outside the cache (the warm-started non-exact
-// solve path), keeping the hit/miss ratio faithful to the lookups served.
+// that computes the result outside the cache (the anytime and warm
+// non-exact solve paths), keeping the hit/miss ratio faithful to the
+// lookups served.
 func (c *Cache) RecordMiss() { c.misses.Add(1) }
 
 // settle publishes the flight's result: stores the value when wanted and

@@ -26,6 +26,9 @@ func TestHitMissAndLRU(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Do(%s): %v", key, err)
 		}
+		if how == Hit {
+			c.RecordHit() // the caller serves the stored value
+		}
 		return v, how
 	}
 
@@ -176,8 +179,14 @@ func TestSingleflightDeduplicates(t *testing.T) {
 	if st.Misses != 1 {
 		t.Fatalf("misses = %d, want 1", st.Misses)
 	}
-	if st.Hits+st.Shared != waiters {
-		t.Fatalf("hits(%d)+shared(%d) != %d waiters", st.Hits, st.Shared, waiters)
+	hits := 0
+	for _, how := range results {
+		if how == Hit {
+			hits++
+		}
+	}
+	if int64(hits)+st.Shared != waiters {
+		t.Fatalf("hits(%d)+shared(%d) != %d waiters", hits, st.Shared, waiters)
 	}
 }
 
@@ -244,21 +253,27 @@ func TestPanicFailsFlight(t *testing.T) {
 	}
 }
 
-func TestGetLookupOnly(t *testing.T) {
+// TestGetBytesLookupOnly: GetBytes finds stored values without starting
+// a flight and counts nothing; the caller counts what it serves.
+func TestGetBytesLookupOnly(t *testing.T) {
 	c := New(8)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("Get on empty cache returned a value")
+	if _, ok := c.GetBytes([]byte("k")); ok {
+		t.Fatal("GetBytes on empty cache returned a value")
 	}
 	if _, _, err := c.Do(context.Background(), "k", func() (any, error) { return 7, nil }); err != nil {
 		t.Fatal(err)
 	}
-	v, ok := c.Get("k")
+	v, ok := c.GetBytes([]byte("k"))
 	if !ok || v != 7 {
-		t.Fatalf("Get = %v, %v; want 7, true", v, ok)
+		t.Fatalf("GetBytes = %v, %v; want 7, true", v, ok)
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 2 {
-		t.Fatalf("stats %+v; want 1 hit (Get), 2 misses (Get on empty + Do)", st)
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("stats %+v; want 0 hits, 1 miss (the Do)", st)
+	}
+	c.RecordHit()
+	c.RecordMiss()
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 {
+		t.Fatalf("stats %+v; want the recorded hit and miss", st)
 	}
 }
 
@@ -271,8 +286,8 @@ func TestCompareAndDeleteKeepsFresherEntry(t *testing.T) {
 	ctx := context.Background()
 	bad, fresh := new(int), new(int)
 	c.Put("k", bad)
-	a, _ := c.Get("k")
-	b, _ := c.Get("k")
+	a, _ := c.GetBytes([]byte("k"))
+	b, _ := c.GetBytes([]byte("k"))
 
 	if !c.CompareAndDelete("k", b) {
 		t.Fatal("first drop of the bad entry removed nothing")
@@ -284,8 +299,8 @@ func TestCompareAndDeleteKeepsFresherEntry(t *testing.T) {
 	if c.CompareAndDelete("k", a) {
 		t.Fatal("a stale drop removed the fresher entry")
 	}
-	if v, ok := c.Get("k"); !ok || v != fresh {
-		t.Fatalf("after the stale drop Get = %v, %v; want the fresh value", v, ok)
+	if v, ok := c.GetBytes([]byte("k")); !ok || v != fresh {
+		t.Fatalf("after the stale drop GetBytes = %v, %v; want the fresh value", v, ok)
 	}
 
 	// A value replaced in place by Put is stale as well.
@@ -297,8 +312,8 @@ func TestCompareAndDeleteKeepsFresherEntry(t *testing.T) {
 	if c.CompareAndDelete("k", newer) || c.Len() != 0 {
 		t.Fatalf("drop of a missing key reported a removal (len %d)", c.Len())
 	}
-	if st := c.Stats(); st.Hits != 3 || st.Misses != 1 {
-		t.Fatalf("stats %+v; want 3 hits (the Gets) and 1 miss (the Do)", st)
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("stats %+v; want 0 hits (lookups count nothing) and 1 miss (the Do)", st)
 	}
 }
 

@@ -99,9 +99,11 @@ type Request struct {
 	BestEffort bool
 
 	// Bounds is an optional bound-memoization cache for the exact
-	// searches (capability Bounds): proven subtree lower bounds, keyed
-	// by Merkle hash, tighten pruning across solves — session revisions
-	// re-search only the dirty spine, corpus siblings share proofs. A
+	// searches (capability Bounds): proven standalone optima of
+	// non-root subtrees, keyed by Merkle hash, tighten pruning across
+	// solves — session revisions re-search only the dirty spine, corpus
+	// siblings share proofs. It holds no whole-instance answer, so every
+	// solve still searches from the root. A
 	// repro.Service sets its own cache here on every solve it runs;
 	// other callers leave it nil unless they hold a cache. It is
 	// advisory and never changes an exact solver's answer (property-

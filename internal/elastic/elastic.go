@@ -34,11 +34,13 @@
 //
 // What moves and what is recomputed: result-cache entries and session
 // snapshots move (they are expensive — a solve, or a mutation history);
-// the proven facts of the Service's one bound cache, which every solve,
-// session and job on the node records into, move to joining nodes (valid
-// anywhere, they cannot be mapped to ring ranges because they are keyed
-// by subtree hash, not instance fingerprint); compiled plans and
-// fingerprint memos are derived state and are rebuilt by the adopter.
+// the Service's one bound cache, which every solve, session and job on
+// the node records into, ships its proven subtree optima (subtree hash,
+// boundary context and optimal standalone delay, never a whole-instance
+// answer) to joining nodes — valid anywhere, they cannot be mapped to
+// ring ranges because they are keyed by subtree hash, not instance
+// fingerprint; compiled plans and fingerprint memos are derived state
+// and are rebuilt by the adopter.
 package elastic
 
 import (

@@ -116,12 +116,12 @@ type BnBOptions struct {
 	// seed it before the search starts).
 	BestEffort bool
 	// Bounds attaches the bound-memoization cache: proven standalone
-	// subtree bounds tighten the pruning bound, proven whole instances
-	// return without searching, and the solve's own proofs are recorded
-	// for the next one. Purely advisory — the returned delay is unchanged
-	// (property-tested), only the explored node count shrinks — so the
-	// serving layers exclude it from cache identity. Nil disables
-	// memoization and the search is bit-identical to the plain solver.
+	// subtree optima tighten the pruning bound, and the pre-pass records
+	// the subtrees it proves for the next solve. Purely advisory — the
+	// returned delay is unchanged (property-tested), only the explored
+	// node count shrinks — so the serving layers exclude it from cache
+	// identity. Nil disables memoization and the search is bit-identical
+	// to the plain solver.
 	Bounds *boundcache.Cache
 	// Workers is the number of concurrent search workers; 0 or 1 runs
 	// the sequential search. The count never changes the returned delay
@@ -460,9 +460,8 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	n := c.Len()
 	res := &Result{Delay: math.Inf(1)}
 
-	// The memoization pre-pass runs first, sequentially at every width: a
-	// complete entry for the whole instance short-circuits the solve, and
-	// the per-subtree extras it proves (or replays from previous solves)
+	// The memoization pre-pass runs first, sequentially at every width:
+	// the per-subtree extras it proves (or reads from previous solves)
 	// arm the bound below.
 	var seed *BoundSeed
 	if opts.Bounds != nil {
@@ -470,9 +469,6 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 		res.Explored = seed.Explored
 		res.Pruned = seed.Pruned
 		res.BoundHits, res.BoundMisses = seed.Hits, seed.Misses
-		if e := seed.RootEntry; e != nil {
-			return rootHitResult(t, c, e, res, opts.OnIncumbent), nil
-		}
 	}
 
 	sc := bnbScratches.Get()
@@ -582,42 +578,10 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 		res.Partial = true
 	default:
 		// The search completed: the incumbent is the proven optimum.
-		// Record it so the next solve of this exact instance — any
-		// session revision or corpus member with the same Merkle root —
-		// is a lookup instead of a search.
 		res.LowerBound = res.Delay
-		if seed != nil {
-			seed.RecordRoot(opts.Bounds, c, sc.best, res.Delay)
-		}
 	}
 	asg := model.NewAssignment(t)
 	c.StoreAssignment(asg, sc.best)
 	res.Assignment = asg
 	return res, nil
-}
-
-// rootHitResult materialises a solve whose whole instance was already
-// proven: the cached optimal pattern is replayed onto a fresh
-// assignment, no search node is explored, and anytime consumers still
-// observe one (final) incumbent.
-func rootHitResult(t *model.Tree, c *model.Compiled, e *boundcache.Entry, res *Result, onInc func(core.Incumbent)) *Result {
-	res.Delay = e.LB
-	res.LowerBound = e.LB
-	loc := make([]model.Location, c.Len())
-	c.BaseLocations(loc)
-	applyPattern(c, loc, e.Pattern)
-	asg := model.NewAssignment(t)
-	c.StoreAssignment(asg, loc)
-	res.Assignment = asg
-	if onInc != nil {
-		inc := model.NewAssignment(t)
-		c.StoreAssignment(inc, loc)
-		onInc(core.Incumbent{
-			Assignment: inc,
-			Delay:      res.Delay,
-			LowerBound: res.LowerBound,
-			Work:       res.Explored,
-		})
-	}
-	return res
 }

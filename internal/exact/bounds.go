@@ -11,9 +11,7 @@ import (
 
 // BoundSeed is the product of the bound-memoization pre-pass, which runs
 // sequentially before the branch-and-bound search at any worker count:
-// per-subtree pruning extras, a tightened root lower bound, and — when
-// the whole instance was proven by an earlier solve — the complete
-// answer.
+// per-subtree pruning extras and a tightened root lower bound.
 type BoundSeed struct {
 	// Extra[p] is a proven lower bound on subtree p's standalone delay
 	// (host time it adds plus satellite load it adds, parent hosted)
@@ -24,13 +22,6 @@ type BoundSeed struct {
 	// RootLB is a proven floor on the instance's optimal delay, at least
 	// Forced[RootPos] and usually far tighter: LowerBound starts here.
 	RootLB float64
-	// RootKey is the instance's own cache key (Merkle root, Root
-	// context); a completed search inserts its proof under it.
-	RootKey boundcache.Key
-	// RootEntry, when non-nil, is a complete entry for the whole
-	// instance: the optimum is RootEntry.LB and RootEntry.Pattern
-	// reconstructs it — no search is needed.
-	RootEntry *boundcache.Entry
 
 	Explored  int // nodes spent proving uncached subtrees
 	Pruned    int // branches cut during those sub-solves
@@ -43,10 +34,10 @@ type BoundSeed struct {
 // PrepareBounds consults and populates the bound cache for one solve of
 // t. It walks the subtrees in post order (children before parents):
 // each memoizable subtree — processing, non-root, span at least
-// boundcache.MinSpan — either replays its proven standalone bound from the
-// cache or is solved standalone right here (a bounded branch-and-bound
-// of just that span, itself pruned by the extras already proven for its
-// descendants) and the proof inserted. Smaller subtrees get a static
+// boundcache.MinSpan — either reads its proven standalone optimum from
+// the cache or is solved standalone right here (a bounded
+// branch-and-bound of just that span, itself pruned by the extras
+// already proven for its descendants) and the proof inserted. Smaller subtrees get a static
 // closed-form floor: for a sensor its uplink cost; for a CRU the better
 // of sinking whole (SubSat + UpComm) and hosting it above its
 // children's recursive floors.
@@ -71,22 +62,6 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 	// Boundary-context scratch for key construction (see spanKey).
 	epoch := make([]int32, c.NumSats)
 	gen := int32(0)
-
-	var e *boundcache.Entry
-	var complete bool
-	seed.RootKey, e, complete = lookupRoot(c, hashes, epoch, &gen, bc)
-	cachedRoot := 0.0
-	if e != nil {
-		seed.Hits++
-		if complete {
-			seed.RootEntry = e
-			seed.RootLB = e.LB
-			return seed
-		}
-		cachedRoot = e.LB
-	} else {
-		seed.Misses++
-	}
 
 	extra := make([]float64, n)
 	res := &Result{Delay: math.Inf(1)} // counter sink for the sub-solves
@@ -138,7 +113,7 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 		lbc[p] = v
 		tb := v
 		if p != c.RootPos && p+1-c.Start[p] >= boundcache.MinSpan {
-			k := spanKey(c, hashes, epoch, &gen, p, false)
+			k := spanKey(c, hashes, epoch, &gen, p)
 			if e, ok := bc.Lookup(k); ok {
 				seed.Hits++
 				if e.LB > tb {
@@ -147,7 +122,7 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 			} else {
 				seed.Misses++
 				if d, ok := run.solveSpan(p, v-c.Forced[p]); ok {
-					bc.Insert(k, &boundcache.Entry{LB: d, Complete: true})
+					bc.Insert(k, &boundcache.Entry{LB: d})
 					if d > tb {
 						tb = d
 					}
@@ -161,12 +136,8 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 	sc.stack = run.stack[:0]
 	sc.exm = run.exm[:0]
 
-	rootLB := lbc[c.RootPos]
-	if cachedRoot > rootLB {
-		rootLB = cachedRoot
-	}
-	seed.RootLB = rootLB
-	if e := rootLB - c.Forced[c.RootPos]; e > 0 {
+	seed.RootLB = lbc[c.RootPos]
+	if e := seed.RootLB - c.Forced[c.RootPos]; e > 0 {
 		extra[c.RootPos] = e
 	}
 	seed.Extra = extra
@@ -175,19 +146,6 @@ func PrepareBounds(ctx context.Context, t *model.Tree, bc *boundcache.Cache, max
 	seed.BudgetHit = run.budgetHit
 	seed.Err = run.ctxErr
 	return seed
-}
-
-// RecordRoot inserts a completed search's whole-instance proof — the
-// optimal locations and their delay — under the pre-pass's root key, so
-// the next solve of the same instance is a cache hit. The pattern is
-// colour-relative — one sunk bit per position — so it replays onto any
-// structurally identical tree.
-func (seed *BoundSeed) RecordRoot(bc *boundcache.Cache, c *model.Compiled, best []model.Location, d float64) {
-	pat := make([]bool, c.Len())
-	for q := range pat {
-		pat[q] = !c.Proc[q] || best[q] != model.Host
-	}
-	bc.Insert(seed.RootKey, &boundcache.Entry{LB: d, Complete: true, Pattern: pat})
 }
 
 // solveSpan runs the standalone branch-and-bound of the subtree at p —
@@ -241,31 +199,12 @@ func (r *bnbRun) solveSpan(p int32, rootExtra float64) (float64, bool) {
 	return r.bestDelay, true
 }
 
-// RootProven reports whether bc holds a complete proof of t's whole
-// instance, which a memoized exact search replays without exploring a
-// node.
-func RootProven(t *model.Tree, bc *boundcache.Cache) bool {
-	c := model.Compile(t)
-	var gen int32
-	_, _, complete := lookupRoot(c, model.SubtreeHashes(t), make([]int32, c.NumSats), &gen, bc)
-	return complete
-}
-
-// lookupRoot looks up the whole instance's entry: its key, the entry (nil
-// on a miss), and whether the entry is complete — the optimum with the
-// pattern that reconstructs it.
-func lookupRoot(c *model.Compiled, hashes [][32]byte, epoch []int32, gen *int32, bc *boundcache.Cache) (boundcache.Key, *boundcache.Entry, bool) {
-	k := spanKey(c, hashes, epoch, gen, c.RootPos, true)
-	e, ok := bc.Lookup(k)
-	return k, e, ok && e.Complete && len(e.Pattern) == c.Len()
-}
-
-// spanKey builds subtree p's cache key: its Merkle hash, the root
-// context bit, and the boundary context — how many distinct satellites
-// and maximal same-satellite leaf runs sit under p. epoch/gen implement
-// an O(leaves) distinct count without clearing between calls.
-func spanKey(c *model.Compiled, hashes [][32]byte, epoch []int32, gen *int32, p int32, root bool) boundcache.Key {
-	k := boundcache.Key{Hash: hashes[c.Post[p]], Root: root}
+// spanKey builds subtree p's cache key: its Merkle hash and the boundary
+// context — how many distinct satellites and maximal same-satellite leaf
+// runs sit under p. epoch/gen implement an O(leaves) distinct count
+// without clearing between calls.
+func spanKey(c *model.Compiled, hashes [][32]byte, epoch []int32, gen *int32, p int32) boundcache.Key {
+	k := boundcache.Key{Hash: hashes[c.Post[p]]}
 	lo, hi := c.LeafLo[p], c.LeafHi[p]
 	if lo < 0 || hi < lo || int(hi) >= len(c.Leaves) {
 		return k
@@ -285,16 +224,4 @@ func spanKey(c *model.Compiled, hashes [][32]byte, epoch []int32, gen *int32, p 
 		}
 	}
 	return k
-}
-
-// applyPattern replays a root entry's pattern onto loc (pre-filled with
-// BaseLocations): sunk CRUs go to their own subtree colour, which is
-// uniform over a sunk monochromatic region, so the pattern is
-// position-local and valid across structurally identical trees.
-func applyPattern(c *model.Compiled, loc []model.Location, pat []bool) {
-	for q, sunk := range pat {
-		if sunk && c.Proc[q] {
-			loc[q] = model.OnSatellite(c.Colour[q])
-		}
-	}
 }

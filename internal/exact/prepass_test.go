@@ -42,9 +42,9 @@ func hungSubtree(t *testing.T, c *model.Compiled, p int32) *model.Tree {
 }
 
 // TestPrepassSubtreeEntriesExact: the memoization pre-pass proves each
-// memoizable subtree with a standalone search and stores only its bound.
-// On random trees every such entry must be complete, carry no pattern,
-// and prove the subtree's standalone optimum, which pareto-dp computes
+// memoizable subtree with a standalone search and stores its optimum.
+// On random trees every such subtree must have an entry, and the entry
+// must prove the subtree's standalone optimum, which pareto-dp computes
 // independently on the subtree hung under a zero-time root.
 func TestPrepassSubtreeEntriesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
@@ -64,9 +64,9 @@ func TestPrepassSubtreeEntriesExact(t *testing.T) {
 			if !c.Proc[p] || p == c.RootPos || p+1-c.Start[p] < boundcache.MinSpan {
 				continue
 			}
-			e, ok := bc.Lookup(spanKey(c, hashes, epoch, &gen, p, false))
-			if !ok || !e.Complete || e.Pattern != nil {
-				t.Fatalf("trial %d: subtree %d entry %+v, want complete with no pattern", trial, p, e)
+			e, ok := bc.Lookup(spanKey(c, hashes, epoch, &gen, p))
+			if !ok {
+				t.Fatalf("trial %d: subtree %d has no entry", trial, p)
 			}
 			opt, err := Pareto(hungSubtree(t, c, p), 0)
 			if err != nil {

@@ -129,13 +129,10 @@ func (s *server) exportBounds(limit int) []api.MigratedBound {
 	for i := range exported {
 		e := &exported[i]
 		out = append(out, api.MigratedBound{
-			Hash:     hex.EncodeToString(e.Key.Hash[:]),
-			Root:     e.Key.Root,
-			Sats:     e.Key.Sats,
-			Bands:    e.Key.Bands,
-			LB:       e.LB,
-			Complete: e.Complete,
-			Pattern:  e.Pattern,
+			Hash:  hex.EncodeToString(e.Key.Hash[:]),
+			Sats:  e.Key.Sats,
+			Bands: e.Key.Bands,
+			LB:    e.LB,
 		})
 	}
 	return out
@@ -354,10 +351,8 @@ func (s *server) handleMigrateBounds(w http.ResponseWriter, r *http.Request) {
 		}
 		var k boundcache.Key
 		copy(k.Hash[:], raw)
-		k.Root, k.Sats, k.Bands = e.Root, e.Sats, e.Bands
-		entries = append(entries, boundcache.Exported{
-			Key: k, LB: e.LB, Complete: e.Complete, Pattern: e.Pattern,
-		})
+		k.Sats, k.Bands = e.Sats, e.Bands
+		entries = append(entries, boundcache.Exported{Key: k, LB: e.LB})
 	}
 	adopted := s.cfg.Service.Bounds().Import(entries)
 	mgr.CountAdopted(adopted)

@@ -303,10 +303,11 @@ func TestAlgorithmsHealthzVars(t *testing.T) {
 
 	// Warm the cache so the vars show non-zero counters, then check the
 	// document is valid JSON carrying both expvar and crserve sections.
-	// The branch-and-bound solve records its proof in the Service's bound
-	// cache, whose counters the document reports.
+	// The branch-and-bound solve proves the instance's subtrees of at
+	// least boundcache.MinSpan positions and stores them in the Service's
+	// bound cache, whose counters the document reports.
 	post(t, srv.URL+"/v1/solve", api.SolveRequest{Spec: testSpec("v")})
-	post(t, srv.URL+"/v1/solve", api.SolveRequest{Spec: testSpec("v"), Algorithm: string(repro.BranchBound)})
+	post(t, srv.URL+"/v1/solve", api.SolveRequest{Spec: randomSpec(1, 16), Algorithm: string(repro.BranchBound)})
 	resp, err = http.Get(srv.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)

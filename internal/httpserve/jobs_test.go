@@ -117,10 +117,10 @@ func TestJobDeadlineVsExactOverHTTP(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 	spec := randomSpec(1, 40) // ~400ms of unconstrained branch-and-bound
 
-	// The deadline job runs first: the tier's bound cache is cold, so the
+	// The deadline job runs first: the tier's caches are cold, so the
 	// 50ms budget genuinely truncates the search. (Submitted after the
-	// unconstrained job it would replay that job's recorded optimum from
-	// the shared bound cache and come back exact in microseconds.)
+	// unconstrained job it would get that job's exact outcome from the
+	// Service's result cache and come back exact in microseconds.)
 	rushed := submitJob(t, srv.URL, &api.JobRequest{
 		SolveRequest: api.SolveRequest{Spec: spec, Algorithm: string(repro.BranchBound), Budget: 1 << 28},
 		DeadlineMS:   50,

@@ -3,6 +3,7 @@ package jobs
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro"
@@ -141,8 +142,7 @@ func (j *Job) Cancel() {
 	if j.state == StateQueued {
 		// The worker that eventually dequeues it sees the terminal state
 		// and skips it.
-		j.finishLocked(StateCanceled, nil, context.Canceled)
-		j.m.canceled.Add(1)
+		j.finishLocked(StateCanceled, nil, context.Canceled, &j.m.canceled)
 		j.mu.Unlock()
 		return
 	}
@@ -222,28 +222,27 @@ func (j *Job) record(alg repro.Algorithm, inc repro.Incumbent) {
 	j.mu.Unlock()
 }
 
-// transition moves from → to with the given result, returning whether the
-// transition happened (false when the state already moved elsewhere, e.g.
-// a cancel landed first).
-func (j *Job) transition(from, to State, out *repro.Outcome, err error) bool {
+// transition moves from → to with the given result and bumps n, the
+// manager counter of the terminal state to. It does nothing when the
+// state already moved elsewhere (e.g. a cancel landed first).
+func (j *Job) transition(from, to State, out *repro.Outcome, err error, n *atomic.Int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != from {
-		return false
+	if j.state == from {
+		j.finishLocked(to, out, err, n)
 	}
-	j.finishLocked(to, out, err)
-	return true
 }
 
-func (j *Job) finishLocked(to State, out *repro.Outcome, err error) {
+// finishLocked moves the job to the terminal state to. It bumps n before
+// closing done, so Manager.Stats read after Wait returns counts the job.
+func (j *Job) finishLocked(to State, out *repro.Outcome, err error, n *atomic.Int64) {
 	j.state = to
 	j.result = out
 	j.err = err
 	j.finished = time.Now()
+	n.Add(1)
 	j.notifyLocked()
-	if to.Terminal() {
-		close(j.done)
-	}
+	close(j.done)
 }
 
 // notifyLocked wakes every watcher by closing the current notify channel

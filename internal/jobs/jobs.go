@@ -93,7 +93,8 @@ func (inc Incumbent) Gap() float64 {
 
 // Config parameterises a Manager. Service is required.
 type Config struct {
-	// Service executes the solves (anytime requests bypass its cache).
+	// Service executes the solves; an exact outcome is stored in its
+	// result cache and answers an identical later job.
 	Service *repro.Service
 	// Workers sizes the worker pool (default 2).
 	Workers int
@@ -123,10 +124,11 @@ type Stats struct {
 	Running    int   `json:"running"`
 	Live       int   `json:"live"`
 
-	// Search-node accounting summed over finished solves: nodes explored,
-	// branches pruned, and the Service bound cache's hit/miss split. The
-	// explored-per-job trend is the live measure of how much the bound
-	// memoization is saving the tier.
+	// Search-node accounting summed over finished solves that searched
+	// (result-cache hits add nothing): nodes explored, branches pruned,
+	// and the Service bound cache's hit/miss split. The explored-per-job
+	// trend is the live measure of how much the bound memoization is
+	// saving the tier.
 	Explored    int64 `json:"explored"`
 	Pruned      int64 `json:"pruned"`
 	BoundHits   int64 `json:"bound_hits"`
@@ -134,12 +136,11 @@ type Stats struct {
 }
 
 // Manager owns the job table, the bounded queue and the worker pool. Its
-// solves run on Config.Service and so share the Service's bound cache
-// with every other solve there: jobs over the same (or mutated copies of
-// the same) instance replay each other's proven subtree bounds, and a
-// resubmitted identical instance — whose anytime solve bypasses the
-// result cache by design — is answered by replaying the recorded optimal
-// pattern instead of re-searching.
+// solves run on Config.Service and so share the Service's caches with
+// every other solve there: jobs over the same (or mutated copies of the
+// same) instance read each other's proven subtree optima from the bound
+// cache, and a resubmitted identical instance whose earlier job finished
+// exact is a result-cache hit that searches no node.
 type Manager struct {
 	cfg    Config
 	queue  chan *Job
@@ -203,9 +204,7 @@ func (m *Manager) Close() {
 	for {
 		select {
 		case j := <-m.queue:
-			if j.transition(StateQueued, StateCanceled, nil, nil) {
-				m.canceled.Add(1)
-			}
+			j.transition(StateQueued, StateCanceled, nil, nil, &m.canceled)
 		default:
 			return
 		}
@@ -339,9 +338,7 @@ func (m *Manager) run(j *Job) {
 	// A queued job may already be canceled, or its whole deadline may have
 	// burned in the queue.
 	if j.req.Deadline > 0 && time.Since(j.submitted) >= j.req.Deadline {
-		if j.transition(StateQueued, StateExpired, nil, context.DeadlineExceeded) {
-			m.expired.Add(1)
-		}
+		j.transition(StateQueued, StateExpired, nil, context.DeadlineExceeded, &m.expired)
 		return
 	}
 	ctx, cancel := context.WithCancel(m.ctx)
@@ -367,8 +364,9 @@ func (m *Manager) run(j *Job) {
 	if plan.Portfolio {
 		out, err = m.portfolio(ctx, j, plan)
 	} else {
-		out, _, err = m.cfg.Service.Solve(ctx, j.req.Tree, m.solveOpts(j, plan, plan.Algorithm)...)
-		m.noteOutcome(out)
+		var how repro.CacheStatus
+		out, how, err = m.cfg.Service.Solve(ctx, j.req.Tree, m.solveOpts(j, plan, plan.Algorithm)...)
+		m.noteOutcome(out, how)
 	}
 
 	switch {
@@ -379,24 +377,20 @@ func (m *Manager) run(j *Job) {
 		if err == nil {
 			err = context.Canceled
 		}
-		if j.transition(StateRunning, StateCanceled, nil, err) {
-			m.canceled.Add(1)
-		}
+		j.transition(StateRunning, StateCanceled, nil, err, &m.canceled)
 	case err == nil:
-		if j.transition(StateRunning, StateDone, out, nil) {
-			m.completed.Add(1)
-		}
+		j.transition(StateRunning, StateDone, out, nil, &m.completed)
 	default:
-		if j.transition(StateRunning, StateFailed, nil, err) {
-			m.failed.Add(1)
-		}
+		j.transition(StateRunning, StateFailed, nil, err, &m.failed)
 	}
 }
 
 // noteOutcome folds one finished solve's node accounting into the
-// manager counters (nil outcomes — failed solves — contribute nothing).
-func (m *Manager) noteOutcome(out *repro.Outcome) {
-	if out == nil {
+// manager counters. Only a miss ran a search: a result-cache hit serves
+// an outcome searched for earlier, and a failed solve (nil outcome)
+// contributes nothing.
+func (m *Manager) noteOutcome(out *repro.Outcome, how repro.CacheStatus) {
+	if out == nil || how != repro.CacheMiss {
 		return
 	}
 	m.explored.Add(int64(out.Work))
@@ -465,8 +459,8 @@ func (m *Manager) portfolio(ctx context.Context, j *Job, plan Plan) (*repro.Outc
 			j.record(alg, inc)
 			note(inc)
 		}))
-		out, _, err := m.cfg.Service.Solve(raceCtx, j.req.Tree, opts...)
-		m.noteOutcome(out)
+		out, how, err := m.cfg.Service.Solve(raceCtx, j.req.Tree, opts...)
+		m.noteOutcome(out, how)
 		return lane{out: out, err: err}
 	}
 

@@ -72,10 +72,10 @@ func TestJobDeadlinePartialVsExact(t *testing.T) {
 	tree := mediumTree()
 	m := newManager(t, jobs.Config{Workers: 1})
 
-	// The deadline job runs first, against a cold bound cache, so the
-	// 50ms deadline genuinely truncates the search; submitted after the
-	// unconstrained job it would replay that job's recorded optimum from
-	// the manager's shared bound cache and come back exact instantly.
+	// The deadline job runs first, against cold caches, so the 50ms
+	// deadline genuinely truncates the search; submitted after the
+	// unconstrained job it would get that job's exact outcome from the
+	// Service's result cache and come back exact instantly.
 	rushed, err := m.Submit(jobs.Request{
 		Tree: tree, Algorithm: repro.BranchBound, Budget: 1 << 28,
 		Deadline: 50 * time.Millisecond,
@@ -116,6 +116,43 @@ func TestJobDeadlinePartialVsExact(t *testing.T) {
 	}
 	if st.Finished.Sub(st.Submitted) > 5*time.Second {
 		t.Fatalf("deadline job ran %v", st.Finished.Sub(st.Submitted))
+	}
+}
+
+// TestJobRepeatIsResultCacheHit: an identical exact job submitted after
+// an earlier one finished exact is answered from the Service's result
+// cache. It searches no node, so the tier's explored count stays put,
+// and it streams the one final incumbent of a hit.
+func TestJobRepeatIsResultCacheHit(t *testing.T) {
+	m := newManager(t, jobs.Config{Workers: 1})
+	req := jobs.Request{Tree: workload.Random(rand.New(rand.NewSource(2)), workload.DefaultRandomSpec(20, 3)),
+		Algorithm: repro.BranchBound}
+	run := func() jobs.Status {
+		t.Helper()
+		j, err := m.Submit(req)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		if got := j.Wait(t.Context(), 10*time.Second); got != jobs.StateDone {
+			t.Fatalf("job state = %v", got)
+		}
+		st := j.Snapshot()
+		if st.Result == nil || !st.Result.Exact {
+			t.Fatalf("job not exact: %+v", st.Result)
+		}
+		return st
+	}
+	first := run()
+	explored := m.Stats().Explored
+	if explored == 0 {
+		t.Fatal("first job explored no nodes")
+	}
+	again := run()
+	if again.Result.Delay != first.Result.Delay || len(again.Incumbents) != 1 {
+		t.Fatalf("repeat: delay %v, %d incumbents; want %v and 1", again.Result.Delay, len(again.Incumbents), first.Result.Delay)
+	}
+	if got := m.Stats().Explored; got != explored {
+		t.Fatalf("repeat explored %d nodes, want 0", got-explored)
 	}
 }
 

@@ -44,10 +44,16 @@ type CacheStats = cache.Stats
 // per-call timeout (WithTimeout) shapes quality of service, not the
 // answer, so it is deliberately excluded from the cache key.
 //
+// Anytime requests (WithBestEffort, WithIncumbents) look up the store
+// too. A hit streams one final incumbent, a caller-owned copy of the
+// served assignment. A miss solves outside singleflight and stores its
+// outcome only when it is Exact, never a Partial one; a warm-started
+// non-exact solve does the same, so it never stores.
+//
 // A Service also owns the bound cache of the exact searches (see
 // Bounds): every solve it runs — Solve, SolveBatch, Session resolves and
-// the anytime bypass alike — replays and records proven subtree bounds
-// in that one store.
+// anytime requests alike — reads and records proven subtree optima in
+// that one store.
 //
 // A Service is safe for concurrent use; cmd/crserve exposes one over
 // HTTP with the wire DTOs of package api.
@@ -76,14 +82,16 @@ func (s *Service) Solver() *Solver { return s.solver }
 // Stats returns a snapshot of the cache's hit/miss/shared counters.
 func (s *Service) Stats() CacheStats { return s.cache.Stats() }
 
-// Bounds returns the Service's bound-memoization cache: proven subtree
-// lower bounds, keyed by the subtrees' canonical content hashes, that
-// the exact searches (BranchBound, ParallelBnB — see Capabilities.Bounds)
-// replay across every solve of this Service, so re-solving a mutated
-// instance re-searches only the subtrees the edit touched and re-solving
-// an identical one is a lookup. Memoized bounds change the nodes
-// explored, never an exact answer, so the cache stays out of the result
-// cache's identity. Its Export and Import move proofs between nodes.
+// Bounds returns the Service's bound-memoization cache: the proven
+// standalone optima of subtrees, keyed by the subtrees' canonical
+// content hashes, that the exact searches (BranchBound, ParallelBnB —
+// see Capabilities.Bounds) read across every solve of this Service, so
+// re-solving a mutated instance re-searches only the subtrees the edit
+// touched. It holds no whole-instance answer: a repeated identical solve
+// is answered by the result cache or searched again. Memoized bounds
+// change the nodes explored, never an exact answer, so the cache stays
+// out of the result cache's identity. Its Export and Import move proofs
+// between nodes.
 func (s *Service) Bounds() *BoundCache { return s.bounds }
 
 // Solve is Solver.Solve behind the cache: identical instances (same
@@ -111,59 +119,72 @@ func (s *Service) solveCached(ctx context.Context, t *Tree, cfg settings) (*Outc
 		return nil, CacheMiss, fmt.Errorf("%w: nil tree", ErrInvalidTree)
 	}
 	cfg.bounds = s.bounds
-	// Anytime requests bypass the cache entirely: a best-effort outcome is
-	// deadline-shaped (Partial results must never be stored or served as
-	// the instance's answer), and an incumbent callback is a side effect a
-	// cache hit would silently skip.
-	if cfg.bestEffort || cfg.onIncumbent != nil {
-		s.cache.RecordMiss()
-		out, err := s.solve(ctx, t, cfg)
-		if err != nil {
-			return nil, CacheMiss, err
-		}
-		return out, CacheMiss, nil
-	}
 	// The cache key is assembled into a pooled byte buffer and looked up
 	// with the allocation-free byte path first: on a warm hit (the
 	// steady-state serving regime) the whole call — fingerprint memo
 	// read, key append, LRU lookup, delivery — allocates nothing. The
-	// string key is materialised only when the request misses and has to
-	// enter the singleflight/store machinery.
+	// string key is materialised only when the request misses.
 	kb := keyBufs.Get()
 	kb.b = appendRequestKey(kb.b[:0], t, cfg)
-	// A warm hint never changes an exact solver's answer, and solvers
-	// without WarmStart capability drop it before searching, so both keep
-	// the full cache path (the hint is excluded from the key: a hit is
-	// correct either way, and a miss solves warm). A warm-started
-	// non-exact solve is start-dependent: serving a stored result is fine
-	// (the deterministic cold answer, same as every other caller gets),
-	// but its own result must never enter the store, where it would leak
-	// a warmed local optimum into cold requests under the same key — so
-	// it looks up, and on a miss solves directly without storing.
 	if v, ok := s.cache.GetBytes(kb.b); ok {
 		cs := v.(*cachedSolve)
 		if out, err := deliver(cs, t); err == nil {
 			keyBufs.Put(kb)
+			s.cache.RecordHit()
+			if cfg.onIncumbent != nil {
+				// The stream of a solve that ran elsewhere: one final
+				// incumbent, which the caller owns.
+				cfg.onIncumbent(Incumbent{
+					Assignment: out.Assignment.Clone(),
+					Delay:      out.Delay,
+					LowerBound: out.LowerBound,
+				})
+			}
 			return out, CacheHit, nil
 		}
 		// An entry that does not hold on this tree is dropped, and the
 		// request goes on as a miss.
 		s.cache.CompareAndDelete(string(kb.b), cs)
 	}
-	if cfg.warm != nil {
-		if caps, ok := Capability(cfg.algorithm); ok && caps.WarmStart && !caps.Exact {
-			keyBufs.Put(kb)
-			s.cache.RecordMiss() // solved outside the store; keep the ratio honest
-			out, err := s.solve(ctx, t, cfg)
-			if err != nil {
-				return nil, CacheMiss, err
-			}
-			return out, CacheMiss, nil
-		}
-	}
 	key := string(kb.b)
 	keyBufs.Put(kb)
+	if solvesOutsideFlight(cfg) {
+		s.cache.RecordMiss()
+		out, err := s.solve(ctx, t, cfg)
+		if err != nil {
+			return nil, CacheMiss, err
+		}
+		if out.Exact {
+			s.cache.Put(key, newCachedSolve(out, t))
+		}
+		return out, CacheMiss, nil
+	}
 	return s.solveMiss(ctx, t, cfg, key)
+}
+
+// solvesOutsideFlight reports whether a miss must solve on its own,
+// outside singleflight, keeping only an Exact outcome. A best-effort
+// outcome is deadline-shaped, and a Partial one must never be stored or
+// served as the instance's answer; an incumbent callback is a side
+// effect a joined flight would silently skip; and a warm-started
+// non-exact solve is start-dependent, so its result must not leak a
+// warmed local optimum into cold requests under the same key. A warm
+// hint on an exact solver, or on one that drops it, changes no answer
+// and keeps the flight path (the hint is excluded from the key).
+func solvesOutsideFlight(cfg settings) bool {
+	if cfg.bestEffort || cfg.onIncumbent != nil {
+		return true
+	}
+	if cfg.warm == nil {
+		return false
+	}
+	caps, ok := Capability(cfg.algorithm)
+	return ok && caps.WarmStart && !caps.Exact
+}
+
+// newCachedSolve is the store entry of out, solved on t.
+func newCachedSolve(out *Outcome, t *Tree) *cachedSolve {
+	return &cachedSolve{out: out, tree: weak.Make(t), placement: model.CanonicalPlacement(t, out.Assignment)}
 }
 
 // solveMiss runs the singleflight/store path of solveCached. It is a
@@ -189,7 +210,7 @@ func (s *Service) solveMiss(ctx context.Context, t *Tree, cfg settings, key stri
 			if err != nil {
 				return nil, err
 			}
-			return &cachedSolve{out: out, tree: weak.Make(t), placement: model.CanonicalPlacement(t, out.Assignment)}, nil
+			return newCachedSolve(out, t), nil
 		})
 		if err != nil {
 			if how == CacheShared && attempt < 2 && ctx.Err() == nil && canceledElsewhere(err) {
@@ -205,6 +226,9 @@ func (s *Service) solveMiss(ctx context.Context, t *Tree, cfg settings, key stri
 				continue
 			}
 			return nil, how, err
+		}
+		if how == CacheHit {
+			s.cache.RecordHit()
 		}
 		return out, how, nil
 	}

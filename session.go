@@ -69,9 +69,9 @@ type Session struct {
 //
 // Every session solves through the Service's bound cache (Bounds), which
 // all its sessions share: exact re-solves after a mutation re-search only
-// the subtrees the edit touched, replaying proven bounds for everything
-// else, and a session opened on an instance another session already
-// proved starts from those proofs.
+// the subtrees the edit touched, reading proven subtree optima for
+// everything else, and a session opened on an instance another session
+// already proved starts from those proofs.
 //
 // Opening is cheap; the first Resolve does the cold solve. With an exact
 // warm-start algorithm (BranchBound, ParallelBnB) that solve is seeded
@@ -152,11 +152,10 @@ func (sess *Session) Resolve(ctx context.Context, opts ...Option) (*Outcome, Cac
 // own. When the algorithm is exact and consumes hints (BranchBound,
 // ParallelBnB) and the result cache misses, the solve is then seeded
 // with adapted SSB's answer under the default weights: the search starts
-// from that incumbent, still records its proofs in the Service's bound
-// cache, and still returns a proven optimum. A cache hit skips the seed,
-// as does a complete proof of the instance already in the bound cache
-// (the search replays it without exploring); heuristics are never
-// seeded, and a seed that fails is simply left out.
+// from that incumbent, still records its subtree proofs in the Service's
+// bound cache, and still returns a proven optimum. A result-cache hit
+// skips the seed; heuristics are never seeded, and a seed that fails is
+// simply left out.
 func (sess *Session) ResolveRevision(ctx context.Context, opts ...Option) (*Outcome, *Tree, CacheStatus, error) {
 	sess.mu.Lock()
 	tree := sess.tree

@@ -383,9 +383,9 @@ func TestSessionFirstResolveHitSkipsSeed(t *testing.T) {
 
 // TestSessionsShareServiceBounds: every session of one Service solves
 // through the Service's bound cache. With the result store off, a second
-// session on an already proven instance still reaches the search, whose
-// pre-pass replays the first session's whole-instance proof: no node is
-// explored and the delay is the one proven before.
+// session on an already proven instance reaches the search again, whose
+// pre-pass reads the subtree optima the first session proved, and it
+// returns the delay proven before.
 func TestSessionsShareServiceBounds(t *testing.T) {
 	ctx := context.Background()
 	tree := seededSessionTrees()[0]
@@ -409,16 +409,10 @@ func TestSessionsShareServiceBounds(t *testing.T) {
 	if first.Work == 0 {
 		t.Fatal("first session's resolve explored no nodes")
 	}
-	// The first resolve's complete root proof also makes the second
-	// session's adapted-SSB warm seed pointless: it must not run.
-	before := coldSeeds.Load()
 	second := resolve()
-	if n := coldSeeds.Load() - before; n != 0 {
-		t.Fatalf("second session ran %d seed solves, want 0", n)
-	}
-	if second.Work != 0 || second.BoundHits == 0 || second.Delay != first.Delay {
-		t.Fatalf("second session: work %d, bound hits %d, delay %v; want 0, > 0, %v",
-			second.Work, second.BoundHits, second.Delay, first.Delay)
+	if second.BoundHits == 0 || second.Delay != first.Delay {
+		t.Fatalf("second session: bound hits %d, delay %v; want > 0, %v",
+			second.BoundHits, second.Delay, first.Delay)
 	}
 	if st := svc.Bounds().Stats(); st.Stores == 0 || st.Hits == 0 {
 		t.Fatalf("service bound cache not shared: %+v", st)

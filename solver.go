@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/boundcache"
 	"repro/internal/core"
-	"repro/internal/exact"
 	"repro/internal/model"
 	"repro/internal/pool"
 )
@@ -36,10 +35,9 @@ type settings struct {
 	// bounds is the owning Service's bound cache (Service.Bounds); no
 	// option sets it, so a bare Solver solves without memoization.
 	bounds *boundcache.Cache
-	// seedFirst marks a session's first exact resolve: on a cache miss,
-	// with no warm hint given and no complete proof of the instance in
-	// bounds, the solve is warm-started from adapted SSB's answer (see
-	// coldSeed).
+	// seedFirst marks a session's first exact resolve: on a result-cache
+	// miss with no warm hint given, the solve is warm-started from adapted
+	// SSB's answer (see coldSeed).
 	seedFirst bool
 }
 
@@ -174,7 +172,7 @@ func solveOne(ctx context.Context, t *Tree, cfg settings) (*Outcome, error) {
 		// items, cache misses, session re-solves — reuses the revision's
 		// memoised arrays explicitly rather than via the registry fallback.
 		req.Plan = model.Compile(t)
-		if cfg.seedFirst && req.Warm == nil && !exact.RootProven(t, cfg.bounds) {
+		if cfg.seedFirst && req.Warm == nil {
 			req.Warm = coldSeed(ctx, req)
 		}
 	}
