@@ -161,3 +161,39 @@ func TestBranchAndBoundAllocsSizeIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestParetoAllocsSizeIndependent is the allocs/op regression guard on
+// the Pareto DP, which the registered branch-and-bound runs before any
+// search: its frontier arena, merge heads, per-position and per-colour
+// frontiers, location vector and decode stack come from a pool, so one
+// solve allocates only its Result and assignment, the same few objects
+// at any size. The ceiling is the count measured on go1.24/amd64, 3,
+// plus 10%, rounded up.
+func TestParetoAllocsSizeIndependent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
+	}
+	const ceiling = 4
+	ctx := context.Background()
+	first := -1.0
+	for _, crus := range []int{16, 128} {
+		tree, err := repro.FromSpec(randomSpec(int64(crus), crus, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := exact.ParetoWeighted(ctx, tree, repro.Weights{}, 0); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("pareto-dp at %d CRUs: %.0f allocs/op", crus, allocs)
+		if allocs > ceiling {
+			t.Errorf("pareto-dp at %d CRUs allocates %.0f objects/op, want at most %d", crus, allocs, ceiling)
+		}
+		if first < 0 {
+			first = allocs
+		} else if allocs != first {
+			t.Errorf("pareto-dp at %d CRUs allocates %.0f objects/op, at 16 CRUs %.0f: want the same", crus, allocs, first)
+		}
+	}
+}

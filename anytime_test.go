@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/exact/exacttest"
 	"repro/internal/workload"
 )
 
@@ -103,9 +104,10 @@ func TestAnytimeObserverInvariance(t *testing.T) {
 // anytime acceptance: the same instance solved with a starved node budget
 // returns a feasible best-so-far marked Partial with a valid bound gap,
 // and solved unconstrained reaches the proven optimum — which the partial
-// answer never beats.
+// answer never beats. The budget also caps the DP's frontiers, and this
+// instance's outgrow it.
 func TestBestEffortBudgetPartialVsExact(t *testing.T) {
-	tree := workload.Random(rand.New(rand.NewSource(1)), workload.DefaultRandomSpec(40, 3))
+	tree := exacttest.DPHardTree()
 	solver := repro.NewSolver()
 
 	exact, err := solver.Solve(context.Background(), tree,
@@ -167,9 +169,11 @@ func TestBruteForceProvesItsOwnBound(t *testing.T) {
 }
 
 // TestBestEffortDeadline: a wall-clock deadline far shorter than the
-// exact solve returns a feasible partial answer instead of an error.
+// exact solve returns a feasible partial answer instead of an error. The
+// registered branch-and-bound's DP proof gets half of the deadline and
+// stops; the search gets the other half.
 func TestBestEffortDeadline(t *testing.T) {
-	tree := workload.Random(rand.New(rand.NewSource(1)), workload.DefaultRandomSpec(48, 3))
+	tree := exacttest.DPHardTree()
 	start := time.Now()
 	out, err := repro.NewSolver().Solve(context.Background(), tree,
 		repro.WithAlgorithm(repro.BranchBound), repro.WithBudget(1<<30),
@@ -189,14 +193,16 @@ func TestBestEffortDeadline(t *testing.T) {
 }
 
 // TestAnytimeCancelStopsPromptly: cancelling mid-stream stops the search
-// quickly and, without best-effort, surfaces ErrCanceled.
+// quickly and, without best-effort, surfaces ErrCanceled. The budget is
+// below the DP's largest frontier, so the search runs and streams; a
+// search that ignored the cancel would end in ErrBudgetExceeded instead.
 func TestAnytimeCancelStopsPromptly(t *testing.T) {
-	tree := workload.Random(rand.New(rand.NewSource(1)), workload.DefaultRandomSpec(48, 3))
+	tree := exacttest.DPHardTree()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	start := time.Now()
 	_, err := repro.NewSolver().Solve(ctx, tree,
-		repro.WithAlgorithm(repro.BranchBound), repro.WithBudget(1<<30),
+		repro.WithAlgorithm(repro.BranchBound), repro.WithBudget(2000),
 		repro.WithIncumbents(func(repro.Incumbent) { cancel() }))
 	if !errors.Is(err, repro.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)

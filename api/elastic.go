@@ -46,6 +46,7 @@ type MigratedResult struct {
 	Exact      bool    `json:"exact,omitempty"`
 	LowerBound float64 `json:"lower_bound,omitempty"`
 	Work       int     `json:"work,omitempty"`
+	DP         bool    `json:"dp,omitempty"` // Work counts Pareto DP frontier points
 	ElapsedUS  int64   `json:"elapsed_us,omitempty"`
 }
 

@@ -149,8 +149,8 @@ func TestParityBoundCache(t *testing.T) {
 }
 
 // TestBoundCacheConcurrentSolves stresses one shared cache under
-// concurrent memoized solves of related revisions — sequential and
-// work-stealing solvers mixed. Under -race this is the data-race check
+// concurrent memoized searches of related revisions — sequential and
+// work-stealing searches mixed. Under -race this is the data-race check
 // on the shard locks and the immutable-entry discipline; in the plain
 // lane it still verifies cross-solve agreement.
 func TestBoundCacheConcurrentSolves(t *testing.T) {
@@ -169,6 +169,9 @@ func TestBoundCacheConcurrentSolves(t *testing.T) {
 		want[i] = cold.Delay
 	}
 
+	// The searches call exact.BranchAndBoundOpts with the Service's bound
+	// cache directly: the registered solvers prove these instances with
+	// the Pareto DP and never reach the search.
 	svc := repro.NewService(nil, 0)
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -176,12 +179,14 @@ func TestBoundCacheConcurrentSolves(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			alg := repro.BranchBound
+			workers := 1
 			if g%2 == 1 {
-				alg = repro.ParallelBnB
+				workers = runtime.GOMAXPROCS(0)
 			}
 			for i, tree := range revs {
-				out, _, err := svc.Solve(context.Background(), tree, repro.WithAlgorithm(alg))
+				out, err := exact.BranchAndBoundOpts(context.Background(), tree, exact.BnBOptions{
+					Bounds: svc.Bounds(), Workers: workers,
+				})
 				if err != nil {
 					errs <- err
 					return

@@ -45,13 +45,15 @@ type Stats struct {
 	Capacity  int   // configured capacity (0 = store disabled)
 }
 
+// numShards is the shard count of a store of capacity 256 or more.
 const numShards = 16
 
 // Cache is a sharded LRU with singleflight deduplication. The zero value
 // is not usable; construct with New. A Cache is safe for concurrent use.
 type Cache struct {
 	shards   [numShards]shard
-	capacity int // total, distributed over the shards
+	mask     uint32 // live shards - 1: keys hash to shards[:mask+1]
+	capacity int    // total, distributed over the live shards
 
 	hits, misses, shared, errors, evictions atomic.Int64
 }
@@ -78,17 +80,23 @@ type flight struct {
 // New returns a Cache holding up to capacity entries. Capacity <= 0
 // disables the store — every Do recomputes unless it can join a flight —
 // which keeps singleflight deduplication available with caching off.
-// Positive capacities are rounded up so every shard holds at least one
-// entry (otherwise part of the keyspace would silently never cache);
-// tiny requested capacities therefore admit up to numShards entries.
+// Keys spread over numShards shards, or below capacity 256 over the
+// largest power of two of shards that keeps at least 16 entries each
+// (one shard below capacity 32): a small store split 16 ways would
+// evict whenever two keys met in one shard while others stood empty.
+// Every shard holds at least one entry, so tiny capacities round up.
 func New(capacity int) *Cache {
 	if capacity < 0 {
 		capacity = 0
 	}
-	c := &Cache{capacity: capacity}
-	per := capacity / numShards
-	rem := capacity % numShards
-	for i := range c.shards {
+	n := numShards
+	for n > 1 && n*numShards > capacity {
+		n /= 2
+	}
+	c := &Cache{capacity: capacity, mask: uint32(n - 1)}
+	per := capacity / n
+	rem := capacity % n
+	for i := range c.live() {
 		s := &c.shards[i]
 		s.ll = list.New()
 		s.items = make(map[string]*list.Element)
@@ -104,6 +112,9 @@ func New(capacity int) *Cache {
 	return c
 }
 
+// live returns the shards keys hash to; the rest stay unused.
+func (c *Cache) live() []shard { return c.shards[:c.mask+1] }
+
 // FNV-1a, inlined over the key instead of hash/fnv so neither the string
 // nor the byte-buffer shard lookup allocates (hash.Hash32 would force a
 // []byte conversion on the hot path).
@@ -117,7 +128,7 @@ func (c *Cache) shardFor(key string) *shard {
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint32(key[i])) * fnvPrime32
 	}
-	return &c.shards[h%numShards]
+	return &c.shards[h&c.mask]
 }
 
 func (c *Cache) shardForBytes(key []byte) *shard {
@@ -125,7 +136,7 @@ func (c *Cache) shardForBytes(key []byte) *shard {
 	for _, b := range key {
 		h = (h ^ uint32(b)) * fnvPrime32
 	}
-	return &c.shards[h%numShards]
+	return &c.shards[h&c.mask]
 }
 
 // Do returns the cached value for key, or computes it with fn. Concurrent
@@ -257,7 +268,7 @@ func (c *Cache) Export(limit int, keep func(key string) bool) []KV {
 		return nil
 	}
 	out := make([]KV, 0, min(limit, 64))
-	for i := range c.shards {
+	for i := range c.live() {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for el := s.ll.Front(); el != nil; el = el.Next() {
@@ -307,7 +318,7 @@ func (c *Cache) CompareAndDelete(key string, val any) bool {
 // Len returns the number of stored entries.
 func (c *Cache) Len() int {
 	n := 0
-	for i := range c.shards {
+	for i := range c.live() {
 		s := &c.shards[i]
 		s.mu.Lock()
 		n += s.ll.Len()

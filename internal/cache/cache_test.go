@@ -11,10 +11,9 @@ import (
 )
 
 func TestHitMissAndLRU(t *testing.T) {
-	// One shard's worth of capacity routed to a single key space: use
-	// keys that land anywhere — the per-shard split still enforces the
-	// global bound, which is all this test asserts.
-	c := New(numShards) // one entry per shard
+	// A small store: use keys that land anywhere — the per-shard split
+	// still enforces the global bound, which is all this test asserts.
+	c := New(numShards)
 	ctx := context.Background()
 
 	calls := 0
@@ -77,26 +76,51 @@ func TestLRUEvictsOldest(t *testing.T) {
 		t.Fatalf("tiny cache served a %v, want a hit", how)
 	}
 
-	// Overflow one shard: find three keys that collide and watch the
-	// least-recently-used one go.
-	c2 := New(2 * numShards) // 2 per shard
+	// Overflow one shard: find one key more than it holds that collide
+	// in it and watch the least-recently-used one go.
+	c2 := New(2 * numShards) // 2 shards of 16
 	target := c2.shardFor("seed")
 	var same []string
-	for i := 0; len(same) < 3; i++ {
+	for i := 0; len(same) < target.capacity+1; i++ {
 		k := fmt.Sprintf("k%d", i)
 		if c2.shardFor(k) == target {
 			same = append(same, k)
 		}
 	}
-	lookup(c2, same[0], 0)
-	lookup(c2, same[1], 1)
+	for i, k := range same[:target.capacity] {
+		lookup(c2, k, i)
+	}
 	lookup(c2, same[0], 0) // refresh: same[1] is now the LRU entry
-	lookup(c2, same[2], 2)
+	lookup(c2, same[target.capacity], target.capacity)
 	if how := lookup(c2, same[1], 1); how != Miss {
 		t.Fatalf("LRU entry survived eviction (%v)", how)
 	}
 	if ev := c2.Stats().Evictions; ev < 1 {
 		t.Fatalf("evictions = %d, want >= 1", ev)
+	}
+}
+
+// TestSmallStoreHoldsItsCapacity: a store below capacity 256 spreads
+// its keys over few enough shards that each holds at least 16 entries,
+// so 16 distinct keys fit a capacity-16 store without an eviction, while
+// the serving stores (256 entries and up) keep all 16 shards.
+func TestSmallStoreHoldsItsCapacity(t *testing.T) {
+	ctx := context.Background()
+	c := New(16)
+	for i := 0; i < 16; i++ {
+		if _, _, err := c.Do(ctx, fmt.Sprintf("key-%d", i), func() (any, error) { return i, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := c.Stats(); st.Size != 16 || st.Evictions != 0 {
+		t.Fatalf("capacity-16 store after 16 keys: size %d, evictions %d; want 16, 0", st.Size, st.Evictions)
+	}
+	for _, tc := range []struct{ capacity, shards int }{
+		{1, 1}, {16, 1}, {31, 1}, {32, 2}, {64, 4}, {255, 8}, {256, 16}, {1024, 16}, {4096, 16},
+	} {
+		if got := int(New(tc.capacity).mask) + 1; got != tc.shards {
+			t.Errorf("capacity %d: %d shards, want %d", tc.capacity, got, tc.shards)
+		}
 	}
 }
 

@@ -169,6 +169,11 @@ type Outcome struct {
 	Pruned      int
 	BoundHits   int
 	BoundMisses int
+
+	// DP marks an answer the Pareto DP proved (pareto-dp, or a
+	// branch-and-bound that needed no search): Work then counts the
+	// frontier points the DP built, not search nodes.
+	DP bool
 }
 
 // SolveContext dispatches the request through the algorithm registry. The
@@ -233,6 +238,7 @@ func SolveContext(ctx context.Context, req Request) (*Outcome, error) {
 		Pruned:      finding.Pruned,
 		BoundHits:   finding.BoundHits,
 		BoundMisses: finding.BoundMisses,
+		DP:          finding.DP,
 	}
 	bd, err := eval.Evaluate(req.Tree, out.Assignment)
 	if err != nil {

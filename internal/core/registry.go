@@ -43,6 +43,10 @@ type Finding struct {
 	Pruned      int
 	BoundHits   int
 	BoundMisses int
+
+	// DP marks an answer the Pareto DP proved: Work counts the frontier
+	// points it built, not search nodes.
+	DP bool
 }
 
 // SolveFunc runs one algorithm on a request. Implementations must honour

@@ -1,5 +1,10 @@
 package dwg
 
+import (
+	"context"
+	"math"
+)
+
 // Point is one entry of a Pareto frontier kept in an arena: a frontier is
 // a run of points by strictly ascending S and strictly descending B. A
 // and P are back-references whose meaning the caller defines;
@@ -28,11 +33,41 @@ type Shift struct {
 // lower B, even when float rounding makes two shifted S of one frontier
 // equal. heads is scratch: the merge consumes it.
 func MergeFrontier(arena []Point, heads []Shift) []Point {
+	arena, _ = merge(arena, len(arena), startHeads(arena, heads), math.MaxInt)
+	return arena
+}
+
+// MergeFrontierContext is MergeFrontier with cancellation: one merge
+// costs a scan of the live heads per candidate, so a merge of many heads
+// can run for seconds, and ctx is checked every 1<<20 head scans. On
+// cancellation it returns arena without the partial merge and the
+// context's error.
+func MergeFrontierContext(ctx context.Context, arena []Point, heads []Shift) ([]Point, error) {
 	first := len(arena)
+	arena, heads = merge(arena, first, startHeads(arena, heads), 1<<20)
+	for len(heads) > 0 {
+		if err := ctx.Err(); err != nil {
+			return arena[:first], err
+		}
+		arena, heads = merge(arena, first, heads, 1<<20)
+	}
+	return arena, nil
+}
+
+// startHeads sets each head's shifted S.
+func startHeads(arena []Point, heads []Shift) []Shift {
 	for i := range heads {
 		heads[i].s = arena[heads[i].Pos].S + heads[i].DS
 	}
-	for len(heads) > 0 {
+	return heads
+}
+
+// merge runs the merge of the frontier begun at arena[first] until the
+// heads are spent or about scans head scans are done, and returns the
+// grown arena and the heads still live.
+func merge(arena []Point, first int, heads []Shift, scans int) ([]Point, []Shift) {
+	for len(heads) > 0 && scans > 0 {
+		scans -= len(heads)
 		k, s := 0, heads[0].s
 		for i := 1; i < len(heads); i++ {
 			if heads[i].s < s {
@@ -58,5 +93,5 @@ func MergeFrontier(arena []Point, heads []Shift) []Point {
 		}
 		arena = append(arena, cand)
 	}
-	return arena
+	return arena, heads
 }

@@ -176,9 +176,15 @@ func PutFrame(f *Frame) { frames.Put(f) }
 // replaying the pointer walk's floating-point operations exactly, so
 // FlatDelay and PointerDelay agree to the last bit.
 func FlatDelay(c *model.Compiled, loc []model.Location, f *Frame) float64 {
+	host, load := FlatParts(c, loc, f)
+	return host + load
+}
+
+// FlatParts is FlatDelay split into its two terms: the host time and the
+// bottleneck satellite load, for objectives that weight them apart.
+func FlatParts(c *model.Compiled, loc []model.Location, f *Frame) (host, maxLoad float64) {
 	f.satProc = pool.Slice(f.satProc, c.NumSats)
 	f.satComm = pool.Slice(f.satComm, c.NumSats)
-	var host float64
 	for _, p := range c.Pre {
 		l := loc[p]
 		if c.Proc[p] {
@@ -193,7 +199,7 @@ func FlatDelay(c *model.Compiled, loc []model.Location, f *Frame) float64 {
 			f.satComm[sat] += c.UpComm[p]
 		}
 	}
-	return host + f.maxLoad()
+	return host, f.maxLoad()
 }
 
 // AssignmentDelay is FlatDelay for a NodeID-indexed assignment: the same

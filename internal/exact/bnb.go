@@ -28,9 +28,7 @@ import (
 //     updated in O(1) per decision;
 //   - seeding: the incumbent starts at the best of all-host, maximal
 //     distribution and the warm hint (BnBOptions.Warm), if any, rather
-//     than +∞. The search computes no seed of its own; a Session's first
-//     exact resolve passes adapted SSB's answer as the hint, leaving the
-//     search only the proof of optimality;
+//     than +∞. The search computes no seed of its own;
 //   - ordering: at each CRU the branch with the smaller immediate
 //     objective increase is explored first, so good incumbents appear
 //     early.
@@ -60,6 +58,10 @@ import (
 // The same search also runs work-stealing across several workers
 // (BnBOptions.Workers, see steal.go); one worker is this sequential
 // search, node for node.
+//
+// This is the plain search. The registered "branch-and-bound" and
+// "parallel-bnb" run it only where the Pareto DP cannot prove the
+// optimum first (see bnbSolver); the parity suites pin this one.
 //
 // maxNodes caps the number of search nodes (0 means 1<<22).
 func BranchAndBound(t *model.Tree, maxNodes int) (*Result, error) {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dwg"
 	"repro/internal/eval"
 	"repro/internal/model"
+	"repro/internal/pool"
 )
 
 // Pareto solves the problem exactly by per-region dynamic programming,
@@ -30,31 +31,92 @@ func Pareto(t *model.Tree, maxFrontier int) (*Result, error) {
 
 // ParetoWeighted is Pareto minimising WS·S + WB·B instead of the delay
 // S + B (the zero Weights select dwg.Default), with cancellation: the
-// context is checked per region, every few thousand pair sums and every
-// 256 bottleneck candidates; on cancellation the returned error is the
-// context's. The objective is linear, so the same frontiers serve every
-// weighting: step 4 minimises WS·(coreHost + Σ_colours minHost(load ≤ B))
-// + WB·B. Result.Delay stays the assignment's end-to-end delay.
+// context is checked per region, every few thousand pair sums, within
+// long merges and every 256 bottleneck candidates; on cancellation the
+// returned error is the context's. The objective is linear, so the same
+// frontiers serve every weighting: step 4 minimises WS·(coreHost +
+// Σ_colours minHost(load ≤ B)) + WB·B. Result.Delay stays the
+// assignment's end-to-end delay.
 //
 // Every frontier is a span of one arena of dwg.Point, S the satellite
 // load and B the extra host time, built by dwg.MergeFrontier. A point
 // with A ≥ 0 sums points A and P; otherwise it sinks the subtree at
 // position P, or is a CRU's hosted start when P is -1. Only the chosen
-// points are decoded.
+// points are decoded. The arena and every other working array come from
+// a pool, so a warm solve allocates little beyond its Result;
+// Result.Explored counts the frontier points the solve built.
 func ParetoWeighted(ctx context.Context, t *model.Tree, wts dwg.Weights, maxFrontier int) (*Result, error) {
 	wts = core.WeightsOr(wts)
 	if !wts.Valid() {
 		return nil, dwg.ErrBadWeights
 	}
 	c := model.Compile(t)
-	d := &paretoDP{ctx: ctx, c: c, max: core.IntOr(maxFrontier, 1<<20), at: make([]span, c.Len())}
+	d := getParetoDP(ctx, c, maxFrontier, math.MaxInt)
+	defer d.release()
+	best, err := d.solve(wts)
+	if err != nil {
+		return nil, err
+	}
+	delay, ok := d.attains(wts, best)
+	if !ok {
+		return nil, fmt.Errorf("exact: pareto bound %v < realised objective (delay %v)", best, delay)
+	}
+	return &Result{Assignment: d.assignment(t), Delay: delay, Explored: len(d.arena)}, nil
+}
+
+// paretoDP is the pooled working set of one ParetoWeighted solve: the
+// frontier arena and merge heads, each position's frontier, each
+// colour's merged frontier with its sweep cursor and chosen point, and
+// the location vector and stack the chosen points decode through.
+type paretoDP struct {
+	ctx      context.Context
+	c        *model.Compiled
+	max      int
+	arena    []dwg.Point
+	heads    []dwg.Shift
+	at       []span // position -> its frontier, once its region is walked
+	byColour []span // colour -> its regions' merged frontier; empty if none
+	cur      []int32
+	pick     []int32
+	loc      []model.Location
+	stack    []int32
+	sums     int // pair sums since the last context check
+	pairs    int // pair sums left before ErrBudget
+}
+
+var paretoScratches = pool.NewArena(func() *paretoDP { return new(paretoDP) })
+
+// getParetoDP checks a working set out for one solve of c, its frontiers
+// capped at maxFrontier points (0 means 1<<20) and the pair sums its
+// Minkowski sums weigh at maxPairs. The caller releases it.
+func getParetoDP(ctx context.Context, c *model.Compiled, maxFrontier, maxPairs int) *paretoDP {
+	d := paretoScratches.Get()
+	d.ctx, d.c, d.max, d.sums, d.pairs = ctx, c, core.IntOr(maxFrontier, 1<<20), 0, maxPairs
+	d.arena, d.heads = d.arena[:0], d.heads[:0]
+	d.at = pool.Keep(d.at, c.Len())
+	d.byColour = pool.Slice(d.byColour, c.NumSats)
+	d.cur = pool.Slice(d.cur, c.NumSats)
+	d.pick = pool.Slice(d.pick, c.NumSats)
+	d.loc = pool.Keep(d.loc, c.Len())
+	return d
+}
+
+// release returns d to the pool without the plan and context it held.
+func (d *paretoDP) release() {
+	d.ctx, d.c = nil, nil
+	paretoScratches.Put(d)
+}
+
+// solve runs the DP on d.c minimising wts, leaves the optimal locations
+// in d.loc and returns the optimum.
+func (d *paretoDP) solve(wts dwg.Weights) (float64, error) {
+	c, byColour := d.c, d.byColour
 
 	// The must-host closure's host time, summed in pre-order; the regions
 	// are the other positions whose parent is in the closure (sensors
 	// included), taken in pre-order too. The root is a CRU and every leaf
 	// a sensor, so there is at least one region.
 	coreHost := 0.0
-	byColour := make([]span, c.NumSats) // empty for colours with no region
 	for _, p := range c.Pre {
 		if c.MustHost[p] {
 			coreHost += c.HostTime[p]
@@ -69,7 +131,7 @@ func ParetoWeighted(ctx context.Context, t *model.Tree, wts dwg.Weights, maxFron
 			f, err = d.sum(byColour[k], f)
 		}
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		byColour[k] = f
 	}
@@ -78,12 +140,12 @@ func ParetoWeighted(ctx context.Context, t *model.Tree, wts dwg.Weights, maxFron
 	// ascending order so ties between co-optimal candidates go to the
 	// smallest bottleneck. A colour's cursor counts its points with load
 	// ≤ B, the last of which has its least extra host time under B.
-	cur, pick := make([]int32, c.NumSats), make([]int32, c.NumSats)
+	cur, pick := d.cur, d.pick
 	best := math.Inf(1)
 	for checked := 1; ; checked++ {
 		if checked&0xff == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+			if err := d.ctx.Err(); err != nil {
+				return 0, err
 			}
 		}
 		b := math.Inf(1)
@@ -114,10 +176,9 @@ func ParetoWeighted(ctx context.Context, t *model.Tree, wts dwg.Weights, maxFron
 		}
 	}
 
-	// Materialise the assignment from the chosen points.
-	loc := make([]model.Location, c.Len())
-	c.BaseLocations(loc)
-	var stack []int32
+	// Materialise the locations from the chosen points.
+	c.BaseLocations(d.loc)
+	stack := d.stack[:0]
 	for k, f := range byColour {
 		if f.lo == f.hi {
 			continue
@@ -129,40 +190,37 @@ func ParetoWeighted(ctx context.Context, t *model.Tree, wts dwg.Weights, maxFron
 			if pt.A >= 0 {
 				stack = append(stack, pt.A, pt.P)
 			} else if pt.P >= 0 {
-				c.FillSpan(loc, pt.P, model.OnSatellite(model.SatelliteID(k)))
+				c.FillSpan(d.loc, pt.P, model.OnSatellite(model.SatelliteID(k)))
 			}
 		}
 	}
+	d.stack = stack
+	return best, nil
+}
+
+// attains evaluates the solved locations and reports their delay and
+// whether their objective under wts attains the optimum best. The
+// enumeration bound equals the achieved objective: the chosen B is the
+// max load candidate; the realised max load may be smaller, making the
+// realised objective ≤ bound; both are optimal. The two sum the same
+// terms in different orders, so the check allows rounding relative to
+// the objective's magnitude.
+func (d *paretoDP) attains(wts dwg.Weights, best float64) (float64, bool) {
+	fr := eval.GetFrame()
+	host, load := eval.FlatParts(d.c, d.loc, fr)
+	eval.PutFrame(fr)
+	return host + load, wts.Value(host, load) <= best+1e-9*math.Max(1, math.Abs(best))
+}
+
+// assignment returns the solved locations as a fresh assignment of t.
+func (d *paretoDP) assignment(t *model.Tree) *model.Assignment {
 	asg := model.NewAssignment(t)
-	c.StoreAssignment(asg, loc)
-	bd, err := eval.Evaluate(t, asg)
-	if err != nil {
-		return nil, fmt.Errorf("exact: pareto assignment invalid: %w", err)
-	}
-	// The enumeration bound equals the achieved objective: the chosen B
-	// is the max load candidate; the realised max load may be smaller,
-	// making the realised objective ≤ bound; both are optimal. The two
-	// sum the same terms in different orders, so the check allows
-	// rounding relative to the objective's magnitude.
-	if v := wts.Value(bd.HostTime, bd.MaxSatLoad); v > best+1e-9*math.Max(1, math.Abs(best)) {
-		return nil, fmt.Errorf("exact: pareto bound %v < realised objective %v", best, v)
-	}
-	return &Result{Assignment: asg, Delay: bd.Delay}, nil
+	d.c.StoreAssignment(asg, d.loc)
+	return asg
 }
 
 // span is one frontier: the arena points [lo, hi).
 type span struct{ lo, hi int32 }
-
-// paretoDP is one ParetoWeighted solve's frontier arena.
-type paretoDP struct {
-	ctx   context.Context
-	c     *model.Compiled
-	max   int
-	arena []dwg.Point
-	heads []dwg.Shift
-	at    []span // position -> its frontier, once its region is walked
-	sums  int    // pair sums since the last context check
-}
 
 // region computes the frontier of the region rooted at r (r's parent is
 // in the must-host closure) over r's span in post order: a sensor can
@@ -212,13 +270,18 @@ func (d *paretoDP) push(p dwg.Point) span {
 	return span{n - 1, n}
 }
 
-// sum appends the Minkowski sum of frontiers x and y: one MergeFrontier
-// call with one head per point of the shorter, each shifting the longer.
+// sum appends the Minkowski sum of frontiers x and y: one
+// MergeFrontierContext call with one head per point of the shorter, each
+// shifting the longer.
 func (d *paretoDP) sum(x, y span) (span, error) {
 	if x.hi-x.lo > y.hi-y.lo {
 		x, y = y, x
 	}
-	if d.sums += int(x.hi-x.lo) * int(y.hi-y.lo); d.sums >= 1<<14 {
+	pairs := int(x.hi-x.lo) * int(y.hi-y.lo)
+	if d.pairs -= pairs; d.pairs < 0 {
+		return span{}, ErrBudget
+	}
+	if d.sums += pairs; d.sums >= 1<<14 {
 		d.sums = 0
 		if err := d.ctx.Err(); err != nil {
 			return span{}, err
@@ -231,7 +294,10 @@ func (d *paretoDP) sum(x, y span) (span, error) {
 	}
 	d.heads = heads
 	lo := int32(len(d.arena))
-	d.arena = dwg.MergeFrontier(d.arena, heads)
+	var err error
+	if d.arena, err = dwg.MergeFrontierContext(d.ctx, d.arena, heads); err != nil {
+		return span{}, err
+	}
 	if f := (span{lo, int32(len(d.arena))}); int(f.hi-f.lo) <= d.max {
 		return f, nil
 	}

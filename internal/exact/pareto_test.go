@@ -200,3 +200,28 @@ func TestParetoErrorPaths(t *testing.T) {
 		t.Errorf("registry budget 1: err = %v, want ErrBudgetExceeded", err)
 	}
 }
+
+// TestParetoPairCap: the DP the registered branch-and-bound runs first
+// counts the pair sums its Minkowski sums weigh against a cap, so a
+// starved budget stops it early. A cap of exactly the pair sums a solve
+// needs lets it finish with the same optimum; one fewer stops it with
+// ErrBudget.
+func TestParetoPairCap(t *testing.T) {
+	c := model.Compile(workload.Random(rand.New(rand.NewSource(2)), workload.DefaultRandomSpec(48, 3)))
+	solve := func(maxPairs int) (float64, int, error) {
+		d := getParetoDP(context.Background(), c, 0, maxPairs)
+		defer d.release()
+		best, err := d.solve(dwg.Default)
+		return best, maxPairs - d.pairs, err
+	}
+	want, used, err := solve(math.MaxInt)
+	if err != nil || used < 100 {
+		t.Fatalf("uncapped: %d pair sums, err %v", used, err)
+	}
+	if got, _, err := solve(used); err != nil || got != want {
+		t.Fatalf("capped at the %d pair sums it needs: %v, err %v; want %v", used, got, err, want)
+	}
+	if _, _, err := solve(used - 1); !errors.Is(err, ErrBudget) {
+		t.Fatalf("capped one short of %d pair sums: err %v, want ErrBudget", used, err)
+	}
+}

@@ -86,8 +86,14 @@ func ownerIndex(t *testing.T, f *Fleet, spec *repro.Spec) int {
 // specOwnedBy fabricates an instance whose ring owner is fleet node want.
 func specOwnedBy(t *testing.T, f *Fleet, want int, crus int) *repro.Spec {
 	t.Helper()
+	return specOwnedFrom(t, f, want, func(seed int64) *repro.Spec { return randomSpec(seed, crus) })
+}
+
+// specOwnedFrom is specOwnedBy over the instances gen makes per seed.
+func specOwnedFrom(t *testing.T, f *Fleet, want int, gen func(seed int64) *repro.Spec) *repro.Spec {
+	t.Helper()
 	for seed := int64(1); seed < 5000; seed++ {
-		spec := randomSpec(seed, crus)
+		spec := gen(seed)
 		if ownerIndex(t, f, spec) == want {
 			return spec
 		}

@@ -67,6 +67,7 @@ func (s *server) exportResults(dest func(fingerprint string) string, limit int) 
 				Exact:      e.Outcome.Exact,
 				LowerBound: e.Outcome.LowerBound,
 				Work:       e.Outcome.Work,
+				DP:         e.Outcome.DP,
 				ElapsedUS:  e.Outcome.Elapsed.Microseconds(),
 			})
 		}
@@ -257,6 +258,7 @@ func (s *server) handleMigrateCache(w http.ResponseWriter, r *http.Request) {
 			Exact:      e.Exact,
 			Elapsed:    time.Duration(e.ElapsedUS) * time.Microsecond,
 			Work:       e.Work,
+			DP:         e.DP,
 			LowerBound: e.LowerBound,
 		}
 		if s.cfg.Service.AdoptWarm(e.Key, e.Placement, out) == nil {

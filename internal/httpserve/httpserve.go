@@ -167,10 +167,13 @@ type server struct {
 	// branches pruned, and bound-memoization hits/misses. Exposed as the
 	// "search" block of /debug/vars so a dashboard can watch the
 	// explored-per-solve trend fall as the Service's bound cache warms up.
-	// replayed is the nodes of outcomes served from the result cache or a
-	// joined concurrent solve, counted at their original search: no
-	// search ran for them here.
-	explored, pruned       atomic.Int64
+	// An answer the Pareto DP proved counts its Work, frontier points
+	// rather than nodes, into dpPoints instead of explored. replayed is
+	// the nodes of outcomes served from the result cache or a joined
+	// concurrent solve, counted at their original search: no search ran
+	// for them here.
+	explored, dpPoints     atomic.Int64
+	pruned                 atomic.Int64
 	boundHits, boundMisses atomic.Int64
 	replayed               atomic.Int64
 }
@@ -178,11 +181,19 @@ type server struct {
 // recordOutcome folds a served outcome's node accounting into the search
 // counters. Only a miss ran a search; a hit or a shared result replays an
 // outcome another call searched for, so it counts into replayed alone.
+// A DP-proven outcome ran no search: a miss adds its frontier points to
+// dpPoints, and a replay adds nothing.
 func (s *server) recordOutcome(out *repro.Outcome, status repro.CacheStatus) {
 	if out == nil {
 		return
 	}
-	if status != repro.CacheMiss {
+	switch {
+	case out.DP:
+		if status == repro.CacheMiss {
+			s.dpPoints.Add(int64(out.Work))
+		}
+		return
+	case status != repro.CacheMiss:
 		s.replayed.Add(int64(out.Work))
 		return
 	}
@@ -456,6 +467,7 @@ func (s *server) handleVars(w http.ResponseWriter, _ *http.Request) {
 		"bound_cache": s.cfg.Service.Bounds().Stats(),
 		"search": map[string]int64{
 			"explored":     s.explored.Load(),
+			"dp_points":    s.dpPoints.Load(),
 			"pruned":       s.pruned.Load(),
 			"bound_hits":   s.boundHits.Load(),
 			"bound_misses": s.boundMisses.Load(),

@@ -16,6 +16,7 @@ import (
 	"repro"
 	"repro/api"
 	"repro/internal/cluster"
+	"repro/internal/exact/exacttest"
 )
 
 func testSpec(name string) *repro.Spec {
@@ -303,11 +304,11 @@ func TestAlgorithmsHealthzVars(t *testing.T) {
 
 	// Warm the cache so the vars show non-zero counters, then check the
 	// document is valid JSON carrying both expvar and crserve sections.
-	// The branch-and-bound solve proves the instance's subtrees of at
+	// The plain search's pre-pass proves the instance's subtrees of at
 	// least boundcache.MinSpan positions and stores them in the Service's
 	// bound cache, whose counters the document reports.
 	post(t, srv.URL+"/v1/solve", api.SolveRequest{Spec: testSpec("v")})
-	post(t, srv.URL+"/v1/solve", api.SolveRequest{Spec: randomSpec(1, 16), Algorithm: string(repro.BranchBound)})
+	post(t, srv.URL+"/v1/solve", api.SolveRequest{Spec: randomSpec(1, 16), Algorithm: string(exacttest.PlainSearch)})
 	resp, err = http.Get(srv.URL + "/debug/vars")
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +505,9 @@ func TestVarsLatencyAndInflight(t *testing.T) {
 
 // TestSearchCountersCountOnlyMisses checks that the "search" block of
 // /debug/vars counts only searches that ran: a cache hit leaves explored
-// unchanged and counts its stored outcome's nodes as replayed.
+// unchanged and counts its stored outcome's nodes as replayed. An answer
+// the Pareto DP proved counts its frontier points as dp_points, never as
+// explored or replayed nodes.
 func TestSearchCountersCountOnlyMisses(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 	search := func() map[string]int64 {
@@ -524,9 +527,9 @@ func TestSearchCountersCountOnlyMisses(t *testing.T) {
 		}
 		return vars.Crserve.Search
 	}
-	solve := func(want bool) {
+	solve := func(req api.SolveRequest, want bool) {
 		t.Helper()
-		resp, body := post(t, srv.URL+"/v1/solve", api.SolveRequest{Spec: testSpec("search")})
+		resp, body := post(t, srv.URL+"/v1/solve", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("solve: %d %s", resp.StatusCode, body)
 		}
@@ -539,18 +542,30 @@ func TestSearchCountersCountOnlyMisses(t *testing.T) {
 		}
 	}
 
-	solve(false)
+	ssb := api.SolveRequest{Spec: testSpec("search")}
+	solve(ssb, false)
 	miss := search()
 	if miss["explored"] <= 0 || miss["replayed"] != 0 {
 		t.Fatalf("after a miss: %v, want explored > 0 and replayed 0", miss)
 	}
-	solve(true)
+	solve(ssb, true)
 	hit := search()
 	if hit["explored"] != miss["explored"] || hit["pruned"] != miss["pruned"] {
 		t.Errorf("a cache hit moved the search counters: %v -> %v", miss, hit)
 	}
 	if hit["replayed"] != miss["explored"] {
 		t.Errorf("replayed = %d after one hit, want the stored outcome's %d nodes", hit["replayed"], miss["explored"])
+	}
+
+	bnb := api.SolveRequest{Spec: randomSpec(1, 16), Algorithm: string(repro.BranchBound)}
+	solve(bnb, false)
+	dp := search()
+	if dp["dp_points"] <= 0 || dp["explored"] != hit["explored"] || dp["pruned"] != hit["pruned"] {
+		t.Fatalf("after a DP-proven miss: %v -> %v, want dp_points > 0 and no search", hit, dp)
+	}
+	solve(bnb, true)
+	if again := search(); again["dp_points"] != dp["dp_points"] || again["replayed"] != dp["replayed"] {
+		t.Errorf("a hit on a DP-proven answer moved the counters: %v -> %v", dp, again)
 	}
 }
 

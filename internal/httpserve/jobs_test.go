@@ -3,6 +3,7 @@ package httpserve
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -10,7 +11,14 @@ import (
 
 	"repro"
 	"repro/api"
+	"repro/internal/exact/exacttest"
 )
+
+// longSpec is exacttest.LongTree as a spec: an unconstrained
+// branch-and-bound job on it runs until it is canceled.
+func longSpec(seed int64) *repro.Spec {
+	return repro.ToSpec(exacttest.LongTree(seed), fmt.Sprintf("long%d", seed))
+}
 
 // submitJob posts a job and decodes the accepted snapshot.
 func submitJob(t *testing.T, base string, req *api.JobRequest) *api.JobResponse {
@@ -115,12 +123,13 @@ func TestJobEndpointLifecycle(t *testing.T) {
 // the unconstrained submit reaches the proven optimum.
 func TestJobDeadlineVsExactOverHTTP(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
-	spec := randomSpec(1, 40) // ~400ms of unconstrained branch-and-bound
+	spec := repro.ToSpec(exacttest.DPHardTree(), "dp-hard")
 
 	// The deadline job runs first: the tier's caches are cold, so the
-	// 50ms budget genuinely truncates the search. (Submitted after the
-	// unconstrained job it would get that job's exact outcome from the
-	// Service's result cache and come back exact in microseconds.)
+	// 50ms budget genuinely truncates the DP proof and the search.
+	// (Submitted after the unconstrained job it would get that job's
+	// exact outcome from the Service's result cache and come back exact
+	// in microseconds.)
 	rushed := submitJob(t, srv.URL, &api.JobRequest{
 		SolveRequest: api.SolveRequest{Spec: spec, Algorithm: string(repro.BranchBound), Budget: 1 << 28},
 		DeadlineMS:   50,
@@ -221,7 +230,7 @@ func TestJobEventsStreamSSE(t *testing.T) {
 
 func TestJobCancelEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
-	spec := randomSpec(2, 64) // unconstrained bnb never finishes in test time
+	spec := longSpec(2) // unconstrained bnb never finishes in test time
 
 	accepted := submitJob(t, srv.URL, &api.JobRequest{
 		SolveRequest: api.SolveRequest{Spec: spec, Algorithm: string(repro.BranchBound), Budget: 1 << 40},
@@ -268,7 +277,7 @@ func TestJobQueueFullRetryAfter(t *testing.T) {
 	srv, _ := newTestServer(t, Config{JobWorkers: 1, JobQueueDepth: 1})
 	long := func(seed int64) *api.JobRequest {
 		return &api.JobRequest{
-			SolveRequest: api.SolveRequest{Spec: randomSpec(seed, 64), Algorithm: string(repro.BranchBound), Budget: 1 << 40},
+			SolveRequest: api.SolveRequest{Spec: longSpec(seed), Algorithm: string(repro.BranchBound), Budget: 1 << 40},
 		}
 	}
 	blocker := submitJob(t, srv.URL, long(3))
@@ -341,11 +350,11 @@ func TestClusterJobPinning(t *testing.T) {
 		t.Fatalf("cross-node poll: state=%q", final.State)
 	}
 
-	// A second job on a long search cancels through a non-owner (proxied).
-	// 64 CRUs with an effectively unbounded budget: the search cannot
-	// finish before the cancel arrives.
+	// A second job on a long solve cancels through a non-owner (proxied).
+	// A longSpec instance with an effectively unbounded budget: neither
+	// the DP nor the search can finish before the cancel arrives.
 	long := submitJob(t, f.Nodes[0].URL, &api.JobRequest{
-		SolveRequest: api.SolveRequest{Spec: specOwnedBy(t, f, 1, 64), Algorithm: string(repro.BranchBound), Budget: 1 << 40},
+		SolveRequest: api.SolveRequest{Spec: specOwnedFrom(t, f, 1, longSpec), Algorithm: string(repro.BranchBound), Budget: 1 << 40},
 	})
 	req, _ := http.NewRequest(http.MethodDelete, f.Nodes[2].URL+"/v1/jobs/"+long.JobID, nil)
 	resp, err := http.DefaultClient.Do(req)

@@ -124,12 +124,13 @@ type Stats struct {
 	Running    int   `json:"running"`
 	Live       int   `json:"live"`
 
-	// Search-node accounting summed over finished solves that searched
-	// (result-cache hits add nothing): nodes explored, branches pruned,
-	// and the Service bound cache's hit/miss split. The explored-per-job
-	// trend is the live measure of how much the bound memoization is
-	// saving the tier.
+	// Work accounting summed over finished solves that ran (result-cache
+	// hits add nothing): Outcome.Work as explored, except that an answer
+	// the Pareto DP proved counts its Work, frontier points rather than
+	// search nodes, as dp_points; branches pruned, and the Service bound
+	// cache's hit/miss split.
 	Explored    int64 `json:"explored"`
+	DPPoints    int64 `json:"dp_points"`
 	Pruned      int64 `json:"pruned"`
 	BoundHits   int64 `json:"bound_hits"`
 	BoundMisses int64 `json:"bound_misses"`
@@ -156,7 +157,8 @@ type Manager struct {
 	expired, failed, reaped        atomic.Int64
 	running                        atomic.Int64
 
-	explored, pruned       atomic.Int64
+	explored, dpPoints     atomic.Int64
+	pruned                 atomic.Int64
 	boundHits, boundMisses atomic.Int64
 }
 
@@ -281,6 +283,7 @@ func (m *Manager) Stats() Stats {
 		Running:     int(m.running.Load()),
 		Live:        live,
 		Explored:    m.explored.Load(),
+		DPPoints:    m.dpPoints.Load(),
 		Pruned:      m.pruned.Load(),
 		BoundHits:   m.boundHits.Load(),
 		BoundMisses: m.boundMisses.Load(),
@@ -385,15 +388,19 @@ func (m *Manager) run(j *Job) {
 	}
 }
 
-// noteOutcome folds one finished solve's node accounting into the
-// manager counters. Only a miss ran a search: a result-cache hit serves
-// an outcome searched for earlier, and a failed solve (nil outcome)
+// noteOutcome folds one finished solve's work accounting into the
+// manager counters. Only a miss ran a solve: a result-cache hit serves
+// an outcome solved earlier, and a failed solve (nil outcome)
 // contributes nothing.
 func (m *Manager) noteOutcome(out *repro.Outcome, how repro.CacheStatus) {
 	if out == nil || how != repro.CacheMiss {
 		return
 	}
-	m.explored.Add(int64(out.Work))
+	if out.DP {
+		m.dpPoints.Add(int64(out.Work))
+	} else {
+		m.explored.Add(int64(out.Work))
+	}
 	m.pruned.Add(int64(out.Pruned))
 	m.boundHits.Add(int64(out.BoundHits))
 	m.boundMisses.Add(int64(out.BoundMisses))

@@ -1,12 +1,15 @@
 package jobs_test
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/internal/core"
+	"repro/internal/exact/exacttest"
 	"repro/internal/jobs"
 	"repro/internal/workload"
 )
@@ -21,14 +24,21 @@ func newManager(t *testing.T, cfg jobs.Config) *jobs.Manager {
 	return m
 }
 
-// hardTree is an instance branch-and-bound cannot close quickly: large
-// enough that an unconstrained exact search outlives any test timeout.
-func hardTree() *repro.Tree {
-	return workload.Random(rand.New(rand.NewSource(1)), workload.DefaultRandomSpec(64, 4))
+// blocking is a solver that runs until its context ends and then fails
+// with the context's error: a job on it stays running until it is
+// canceled or its deadline passes, whatever the instance.
+const blocking repro.Algorithm = "test-blocking"
+
+func init() {
+	core.Register(blocking, core.Capabilities{Summary: "test: runs until its context ends"},
+		func(ctx context.Context, _ core.Request) (core.Finding, error) {
+			<-ctx.Done()
+			return core.Finding{}, ctx.Err()
+		})
 }
 
-// mediumTree solves exactly in a few hundred milliseconds unconstrained —
-// long enough for a 50ms deadline to bind with a wide margin.
+// mediumTree is a 40-CRU, 3-satellite instance: exact in well under a
+// second unconstrained.
 func mediumTree() *repro.Tree {
 	return workload.Random(rand.New(rand.NewSource(1)), workload.DefaultRandomSpec(40, 3))
 }
@@ -69,11 +79,11 @@ func TestJobLifecycleDone(t *testing.T) {
 // with a feasible partial result and a reported bound gap; without a
 // deadline it reaches the proven optimum.
 func TestJobDeadlinePartialVsExact(t *testing.T) {
-	tree := mediumTree()
+	tree := exacttest.DPHardTree()
 	m := newManager(t, jobs.Config{Workers: 1})
 
 	// The deadline job runs first, against cold caches, so the 50ms
-	// deadline genuinely truncates the search; submitted after the
+	// deadline genuinely truncates the DP proof and the search; submitted after the
 	// unconstrained job it would get that job's exact outcome from the
 	// Service's result cache and come back exact instantly.
 	rushed, err := m.Submit(jobs.Request{
@@ -121,8 +131,10 @@ func TestJobDeadlinePartialVsExact(t *testing.T) {
 
 // TestJobRepeatIsResultCacheHit: an identical exact job submitted after
 // an earlier one finished exact is answered from the Service's result
-// cache. It searches no node, so the tier's explored count stays put,
-// and it streams the one final incumbent of a hit.
+// cache. It solves nothing, so the tier's work counts stay put, and it
+// streams the one final incumbent of a hit. The first job is proven by
+// the Pareto DP, whose frontier points count as DP points, not as
+// explored search nodes.
 func TestJobRepeatIsResultCacheHit(t *testing.T) {
 	m := newManager(t, jobs.Config{Workers: 1})
 	req := jobs.Request{Tree: workload.Random(rand.New(rand.NewSource(2)), workload.DefaultRandomSpec(20, 3)),
@@ -143,16 +155,16 @@ func TestJobRepeatIsResultCacheHit(t *testing.T) {
 		return st
 	}
 	first := run()
-	explored := m.Stats().Explored
-	if explored == 0 {
-		t.Fatal("first job explored no nodes")
+	before := m.Stats()
+	if before.DPPoints == 0 || before.Explored != 0 {
+		t.Fatalf("first job: %d DP points, %d nodes explored; want the DP's proof alone", before.DPPoints, before.Explored)
 	}
 	again := run()
 	if again.Result.Delay != first.Result.Delay || len(again.Incumbents) != 1 {
 		t.Fatalf("repeat: delay %v, %d incumbents; want %v and 1", again.Result.Delay, len(again.Incumbents), first.Result.Delay)
 	}
-	if got := m.Stats().Explored; got != explored {
-		t.Fatalf("repeat explored %d nodes, want 0", got-explored)
+	if got := m.Stats(); got.Explored != before.Explored || got.DPPoints != before.DPPoints {
+		t.Fatalf("repeat reported %d nodes and %d DP points, want 0", got.Explored-before.Explored, got.DPPoints-before.DPPoints)
 	}
 }
 
@@ -161,7 +173,7 @@ func TestJobCancelRunningStopsPromptly(t *testing.T) {
 	svc := repro.NewService(nil, 16)
 	m := jobs.New(jobs.Config{Service: svc, Workers: 1})
 
-	j, err := m.Submit(jobs.Request{Tree: hardTree(), Algorithm: repro.BranchBound, Budget: 1 << 40})
+	j, err := m.Submit(jobs.Request{Tree: mediumTree(), Algorithm: blocking})
 	if err != nil {
 		t.Fatalf("Submit: %v", err)
 	}
@@ -201,7 +213,7 @@ func TestJobCancelRunningStopsPromptly(t *testing.T) {
 
 func TestJobCancelWhileQueued(t *testing.T) {
 	m := newManager(t, jobs.Config{Workers: 1})
-	blocker, err := m.Submit(jobs.Request{Tree: hardTree(), Algorithm: repro.BranchBound, Budget: 1 << 40})
+	blocker, err := m.Submit(jobs.Request{Tree: mediumTree(), Algorithm: blocking})
 	if err != nil {
 		t.Fatalf("Submit blocker: %v", err)
 	}
@@ -224,7 +236,7 @@ func TestJobCancelWhileQueued(t *testing.T) {
 
 func TestJobQueueFullAndExpiry(t *testing.T) {
 	m := newManager(t, jobs.Config{Workers: 1, QueueDepth: 1})
-	blocker, err := m.Submit(jobs.Request{Tree: hardTree(), Algorithm: repro.BranchBound, Budget: 1 << 40})
+	blocker, err := m.Submit(jobs.Request{Tree: mediumTree(), Algorithm: blocking})
 	if err != nil {
 		t.Fatalf("Submit blocker: %v", err)
 	}

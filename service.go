@@ -285,6 +285,7 @@ func remapOutcome(out *Outcome, placement []int32, to *Tree) (*Outcome, error) {
 		Stats:      out.Stats,
 		Partial:    out.Partial,
 		LowerBound: out.LowerBound,
+		DP:         out.DP,
 	}, nil
 }
 

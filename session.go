@@ -67,16 +67,16 @@ type Session struct {
 // solve defaults, layered over the Service solver's own defaults and
 // overridable per Resolve call.
 //
-// Every session solves through the Service's bound cache (Bounds), which
-// all its sessions share: exact re-solves after a mutation re-search only
-// the subtrees the edit touched, reading proven subtree optima for
-// everything else, and a session opened on an instance another session
-// already proved starts from those proofs.
+// Opening is cheap; the first Resolve does the cold solve. With
+// BranchBound or ParallelBnB that solve, like every later one, is first
+// tried by the Pareto DP, which proves the optimum without a search on
+// every instance whose frontiers fit the budget and deadline.
 //
-// Opening is cheap; the first Resolve does the cold solve. With an exact
-// warm-start algorithm (BranchBound, ParallelBnB) that solve is seeded
-// with adapted SSB's answer, so the search starts at the optimum and
-// only proves it (see ResolveRevision).
+// A solve that does reach the search runs it through the Service's bound
+// cache (Bounds), which all its sessions share: exact re-solves after a
+// mutation re-search only the subtrees the edit touched, reading proven
+// subtree optima for everything else, and a session opened on an
+// instance another session already proved starts from those proofs.
 func (s *Service) OpenSession(t *Tree, opts ...Option) (*Session, error) {
 	if t == nil {
 		return nil, fmt.Errorf("%w: nil tree", ErrInvalidTree)
@@ -147,15 +147,6 @@ func (sess *Session) Resolve(ctx context.Context, opts ...Option) (*Outcome, Cac
 // was solved against. A concurrent Mutate can advance the session while
 // a solve runs, so rendering an outcome against Tree() races; serving
 // layers must render against the returned revision instead.
-//
-// A resolve with no previous outcome to project has no warm hint of its
-// own. When the algorithm is exact and consumes hints (BranchBound,
-// ParallelBnB) and the result cache misses, the solve is then seeded
-// with adapted SSB's answer under the default weights: the search starts
-// from that incumbent, still records its subtree proofs in the Service's
-// bound cache, and still returns a proven optimum. A result-cache hit
-// skips the seed; heuristics are never seeded, and a seed that fails is
-// simply left out.
 func (sess *Session) ResolveRevision(ctx context.Context, opts ...Option) (*Outcome, *Tree, CacheStatus, error) {
 	sess.mu.Lock()
 	tree := sess.tree
@@ -166,12 +157,8 @@ func (sess *Session) ResolveRevision(ctx context.Context, opts ...Option) (*Outc
 	if cfg.warm == nil {
 		// Projection is O(n); skip it when the chosen algorithm would
 		// drop the hint anyway (the default adapted-ssb does).
-		if caps, ok := Capability(cfg.algorithm); ok && caps.WarmStart {
-			if sess.lastOut != nil {
-				cfg.warm = incremental.Project(sess.lastTree, sess.lastOut.Assignment, tree)
-			} else {
-				cfg.seedFirst = caps.Exact
-			}
+		if caps, ok := Capability(cfg.algorithm); ok && caps.WarmStart && sess.lastOut != nil {
+			cfg.warm = incremental.Project(sess.lastTree, sess.lastOut.Assignment, tree)
 		}
 	}
 	sess.mu.Unlock()

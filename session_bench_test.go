@@ -72,7 +72,7 @@ func BenchmarkIncrementalResolve(b *testing.B) {
 // BenchmarkSessionOpen measures what opening a live exact session costs:
 // OpenSession plus its first Resolve with branch-and-bound, on 20–32-CRU,
 // 3-satellite trees. Each iteration uses a fresh Service, so the result
-// cache never answers and every first resolve is a cold, seeded search.
+// cache never answers and every first resolve is a cold solve.
 func BenchmarkSessionOpen(b *testing.B) {
 	trees := seededSessionTrees()
 	ctx := context.Background()

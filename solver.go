@@ -3,7 +3,6 @@ package repro
 import (
 	"context"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/boundcache"
@@ -35,10 +34,6 @@ type settings struct {
 	// bounds is the owning Service's bound cache (Service.Bounds); no
 	// option sets it, so a bare Solver solves without memoization.
 	bounds *boundcache.Cache
-	// seedFirst marks a session's first exact resolve: on a result-cache
-	// miss with no warm hint given, the solve is warm-started from adapted
-	// SSB's answer (see coldSeed).
-	seedFirst bool
 }
 
 // Option configures a Solver (in NewSolver) or a single call (in Solve and
@@ -172,34 +167,8 @@ func solveOne(ctx context.Context, t *Tree, cfg settings) (*Outcome, error) {
 		// items, cache misses, session re-solves — reuses the revision's
 		// memoised arrays explicitly rather than via the registry fallback.
 		req.Plan = model.Compile(t)
-		if cfg.seedFirst && req.Warm == nil {
-			req.Warm = coldSeed(ctx, req)
-		}
 	}
 	return core.SolveContext(ctx, req)
-}
-
-// coldSeeds counts coldSeed solves, so tests can check that a result
-// cache hit runs none.
-var coldSeeds atomic.Int64
-
-// coldSeed returns adapted SSB's answer for req's tree under the default
-// weights: an optimal assignment that an exact warm-start search then
-// only has to prove. Any error, cancellation included, means no seed.
-// It calls the registered solve function directly, skipping the delay
-// breakdown core.SolveContext would evaluate for an answer only used as
-// a hint; the search validates the hint before using it.
-func coldSeed(ctx context.Context, req core.Request) *Assignment {
-	coldSeeds.Add(1)
-	_, fn, ok := core.Lookup(AdaptedSSB)
-	if !ok {
-		return nil
-	}
-	f, err := fn(ctx, core.Request{Tree: req.Tree, Algorithm: AdaptedSSB, Plan: req.Plan})
-	if err != nil {
-		return nil
-	}
-	return f.Assignment
 }
 
 // BatchResult is one SolveBatch item's result: exactly one of Outcome and
