@@ -3,10 +3,12 @@ package repro_test
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro"
 	"repro/internal/exact"
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -18,15 +20,17 @@ func randomSpec(seed int64, crus, sats int) *repro.Spec {
 }
 
 // TestFromSpecAllocsSizeIndependent is the allocs/op regression guard on
-// tree construction: FromSpec presizes its slices and name maps, links
-// every Children list into one shared array and builds the subtree
-// satellite sets into another, so the number of allocations does not grow
-// with the tree (17 at every size on go1.24/amd64).
+// tree construction: FromSpec presizes its node and satellite slices,
+// links every Children list into one shared array, derives the traversal
+// orders into one slab and takes its name indexes and link scratch from
+// a pool, so the number of allocations does not grow with the tree. The
+// ceiling is the count measured on go1.24/amd64, 5 at every size, plus
+// 10%, rounded up.
 func TestFromSpecAllocsSizeIndependent(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
 	}
-	const ceiling = 32
+	const ceiling = 6
 	var first float64
 	for i, crus := range []int{16, 48, 96} {
 		spec := randomSpec(int64(crus), crus, 4)
@@ -45,6 +49,57 @@ func TestFromSpecAllocsSizeIndependent(t *testing.T) {
 			t.Errorf("FromSpec at %d CRUs allocates %.0f objects/op, at 16 CRUs %.0f: want the same", crus, allocs, first)
 		}
 	}
+}
+
+// TestTreeBuildBytes is the bytes/op regression guard on tree
+// construction. A build keeps only the nodes, one children array and one
+// slab of traversal orders, and takes its name indexes and link scratch
+// from a pool; the compiled plan adds one slab per element type. Bytes
+// therefore grow linearly with the tree, and the guard bounds them per
+// node. The ceilings are the larger per-node bytes of the two sizes
+// measured on go1.24/amd64 (FromSpec 142 at 16 CRUs and 134 at 128 with
+// 4 satellites; with Compile 301 and 261) plus 10%.
+func TestTreeBuildBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
+	}
+	for _, crus := range []int{16, 128} {
+		spec := randomSpec(int64(crus), crus, 4)
+		tree, err := repro.FromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name    string
+			ceiling float64 // bytes per node
+			build   func()
+		}{
+			{"FromSpec", 156, func() { repro.FromSpec(spec) }},
+			{"FromSpec+Compile", 331, func() {
+				tree, _ := repro.FromSpec(spec)
+				model.Compile(tree)
+			}},
+		} {
+			perNode := bytesPerRun(100, tc.build) / float64(tree.Len())
+			t.Logf("%s at %d CRUs (%d nodes): %.0f bytes/node", tc.name, crus, tree.Len(), perNode)
+			if perNode > tc.ceiling {
+				t.Errorf("%s at %d CRUs allocates %.0f bytes per node, want at most %.0f", tc.name, crus, perNode, tc.ceiling)
+			}
+		}
+	}
+}
+
+// bytesPerRun returns the heap bytes one call of fn allocates, averaged
+// over runs calls after a warm-up call.
+func bytesPerRun(runs int, fn func()) float64 {
+	fn()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestEvaluateAllocsSizeIndependent is the allocs/op regression guard on
@@ -92,12 +147,12 @@ func TestEvaluateAllocsSizeIndependent(t *testing.T) {
 // the plan with no trace recorded, the Outcome and its cache entry
 // (canonical placement and weak tree handle, built even though this
 // Service has no store). The ceiling is the count measured on
-// go1.24/amd64, 80, plus 10%.
+// go1.24/amd64, 43, plus 10%.
 func TestColdSolveAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; the guard runs in the non-race CI job")
 	}
-	const runs, ceiling = 20, 88
+	const runs, ceiling = 20, 47
 	spec := randomSpec(64, 64, 4)
 	trees := make([]*repro.Tree, runs+1) // AllocsPerRun adds one warm-up call
 	for i := range trees {

@@ -86,11 +86,13 @@ func (a *Assignment) HostSet(t *Tree) []NodeID {
 //  2. the root is on the host (the context-aware application runs there);
 //  3. the host set is closed upwards: a CRU on the host never has an
 //     ancestor on a satellite (context flows satellites -> host only);
-//  4. every satellite-resident CRU sits on its correspondent satellite (the
-//     unique satellite all sensors below it attach to).
+//  4. a node on a satellite (sensors included) has its parent on the
+//     host or on the same satellite.
 //
-// Rules 3+4 together imply each satellite executes a union of disjoint
-// subtrees, exactly the cuts the assignment graph encodes.
+// Rules 3+4 imply each satellite executes a union of disjoint subtrees,
+// exactly the cuts the assignment graph encodes; with rule 1, every
+// satellite-resident CRU sits on its correspondent satellite. The check
+// reads parent links only, so it never compiles t.
 func (a *Assignment) Validate(t *Tree) error {
 	if len(a.Loc) != t.Len() {
 		return fmt.Errorf("model: assignment covers %d nodes, tree has %d", len(a.Loc), t.Len())
@@ -101,37 +103,23 @@ func (a *Assignment) Validate(t *Tree) error {
 	for _, id := range t.Preorder() {
 		n := t.Node(id)
 		loc := a.Loc[id]
-		if n.Kind == SensorKind {
-			s, ok := loc.Satellite()
-			if !ok || s != n.Satellite {
-				return fmt.Errorf("model: sensor %q must stay on satellite %s, got %v",
-					n.Name, t.SatelliteName(n.Satellite), loc)
-			}
+		if n.Kind == SensorKind && loc != OnSatellite(n.Satellite) {
+			return fmt.Errorf("model: sensor %q must stay on satellite %s, got %v",
+				n.Name, t.SatelliteName(n.Satellite), loc)
+		}
+		p := n.Parent
+		if p == None || a.Loc[p].IsHost() || loc == a.Loc[p] {
 			continue
 		}
-		if sat, onSat := loc.Satellite(); onSat {
-			corr, ok := t.CorrespondentSatellite(id)
-			if !ok {
-				return fmt.Errorf("model: CRU %q spans satellites %v and cannot leave the host",
-					n.Name, t.SubtreeSatellites(id))
-			}
-			if corr != sat {
-				return fmt.Errorf("model: CRU %q assigned to %s but its correspondent satellite is %s",
-					n.Name, t.SatelliteName(sat), t.SatelliteName(corr))
-			}
-			if p := n.Parent; p != None {
-				ploc := a.Loc[p]
-				if psat, pOnSat := ploc.Satellite(); pOnSat && psat != sat {
-					return fmt.Errorf("model: CRU %q on %s under parent on %s",
-						n.Name, t.SatelliteName(sat), t.SatelliteName(psat))
-				}
-			}
-		} else if p := n.Parent; p != None && !a.Loc[p].IsHost() {
-			// Host CRU below a satellite CRU: context would have to flow
-			// host -> satellite, which the model forbids.
-			return fmt.Errorf("model: CRU %q on host below satellite-resident parent %q",
-				n.Name, t.Node(p).Name)
+		if loc.IsHost() {
+			// Context would have to flow host -> satellite, which the
+			// model forbids.
+			return fmt.Errorf("model: CRU %q on host below satellite-resident parent %q", n.Name, t.Node(p).Name)
 		}
+		sat, _ := loc.Satellite()
+		psat, _ := a.Loc[p].Satellite()
+		return fmt.Errorf("model: %v %q on %s under parent %q on %s",
+			n.Kind, n.Name, t.SatelliteName(sat), t.Node(p).Name, t.SatelliteName(psat))
 	}
 	return nil
 }

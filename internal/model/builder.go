@@ -2,11 +2,13 @@ package model
 
 import (
 	"fmt"
+
+	"repro/internal/pool"
 )
 
 // Builder assembles a Tree incrementally. It is the only supported way to
 // construct trees programmatically; Build validates all invariants and
-// freezes the derived caches.
+// derives the traversal orders.
 //
 //	b := model.NewBuilder()
 //	root := b.Root("fuse", 4, 0)           // h=4 (s irrelevant: root stays on host)
@@ -94,13 +96,36 @@ func (b *Builder) Build() (*Tree, error) {
 		return nil, ErrNoRoot
 	}
 	linkChildren(b.nodes)
-	t := &Tree{nodes: b.nodes, root: 0, satellites: b.satellites}
-	if err := t.Validate(); err != nil {
+	return newTree(b.nodes, 0, b.satellites)
+}
+
+// newTree validates nodes as a tree rooted at root and derives its
+// traversal orders, whose walk is also the reachability check.
+func newTree(nodes []Node, root NodeID, sats []Satellite) (*Tree, error) {
+	sc := builds.Get()
+	defer builds.Put(sc)
+	t := &Tree{nodes: nodes, root: root, satellites: sats}
+	if err := t.checkLinks(sc); err != nil {
 		return nil, err
 	}
-	t.refreshCaches()
+	if reached := t.refreshCaches(sc); reached != len(nodes) {
+		return nil, fmt.Errorf("%w: %d of %d nodes reachable from root", ErrCycle, reached, len(nodes))
+	}
 	return t, nil
 }
+
+// buildScratch is the pooled scratch of tree construction: one int
+// buffer that linkChildren, checkLinks and refreshCaches resize in turn,
+// and FromSpec's name indexes, cleared before the scratch goes back.
+type buildScratch struct {
+	ints  []int
+	sats  map[string]SatelliteID
+	names map[string]NodeID
+}
+
+var builds = pool.NewArena(func() *buildScratch {
+	return &buildScratch{sats: map[string]SatelliteID{}, names: map[string]NodeID{}}
+})
 
 // MustBuild is Build for workloads that are known-valid by construction
 // (e.g. the canonical paper tree); it panics on error.
@@ -117,7 +142,10 @@ func (b *Builder) MustBuild() *Tree {
 // shared array. Each list is capped at its length, so an append to one
 // (an Editor's Attach) copies it instead of writing over the next list.
 func linkChildren(nodes []Node) {
-	start := make([]int, len(nodes)+1) // start[p]: first slot of p's list
+	sc := builds.Get()
+	defer builds.Put(sc)
+	start := pool.Slice(sc.ints, len(nodes)+1) // start[p]: first slot of p's list
+	sc.ints = start
 	for i := range nodes {
 		if p := nodes[i].Parent; p != None {
 			start[p+1]++

@@ -22,14 +22,17 @@ type LeafSpan struct{ Lo, Hi int32 }
 // that must match the pointer walks' iteration — and therefore their
 // floating-point summation — order exactly; the aggregates are likewise
 // accumulated in child order so they are bit-identical to the pointer
-// caches, which is what lets the parity tests demand exact equality.
+// walks' sums, which is what lets the parity tests demand exact equality.
 //
+// The plan is the tree's only index of subtree facts: Tree.LeafRange,
+// SubtreeSatTime, CorrespondentSatellite and IsAncestorOrSelf read it.
 // A Compiled is never mutated after construction and is memoised on its
 // Tree by Compile. Profile-only edits (Editor.Build's fast path) hand the
 // new revision a patched copy that shares every structural array and
 // copies only the float arrays, recomputing just the dirtied spine.
 type Compiled struct {
-	tree *Tree
+	tree   *Tree
+	floats []float64 // the slab behind the eight float arrays
 
 	// Permutations between NodeIDs and post-order positions.
 	Post []NodeID // position -> node ID
@@ -179,56 +182,55 @@ func (c *Compiled) StoreAssignment(a *Assignment, loc []Location) {
 	}
 }
 
-// compile builds the plan from the tree's pointer caches. The tree must
-// be valid (Builder/Editor output); compile is reachable only through
-// Compile on such trees.
+// compile builds the plan from the tree's nodes and traversal orders.
+// The tree must be valid (Builder/Editor output); compile is reachable
+// only through Compile on such trees. Post aliases the tree's post-order,
+// and the per-node arrays are cut from one slab per element type.
 func compile(t *Tree) *Compiled {
-	n := t.Len()
+	n, nl, ns := len(t.nodes), len(t.leaves), len(t.satellites)
+	i32 := make([]int32, 8*n+2*nl+2*ns)
+	flags := make([]bool, 2*n)
+	sats := make([]SatelliteID, 2*n)
 	c := &Compiled{
 		tree:     t,
-		Post:     make([]NodeID, n),
-		Pos:      make([]int32, n),
-		Pre:      make([]int32, n),
-		Parent:   make([]int32, n),
-		ChildIdx: make([]int32, n+1),
-		Start:    make([]int32, n),
-		HostTime: make([]float64, n),
-		SatTime:  make([]float64, n),
-		UpComm:   make([]float64, n),
-		Proc:     make([]bool, n),
-		Sensor:   make([]SatelliteID, n),
-		SubSat:   make([]float64, n),
-		SubHost:  make([]float64, n),
-		SubComm:  make([]float64, n),
-		Forced:   make([]float64, n),
-		Colour:   make([]SatelliteID, n),
-		MustHost: make([]bool, n),
-		Sigma:    make([]float64, n),
-		LeafLo:   make([]int32, n),
-		LeafHi:   make([]int32, n),
-		Leaves:   make([]int32, len(t.leaves)),
-		NumSats:  len(t.satellites),
+		Post:     t.postorder,
+		Pos:      carve(&i32, n),
+		Pre:      carve(&i32, n),
+		Parent:   carve(&i32, n),
+		ChildIdx: carve(&i32, n+1),
+		Child:    carve(&i32, n-1), // a tree has one edge fewer than nodes
+		Start:    carve(&i32, n),
+		LeafLo:   carve(&i32, n),
+		LeafHi:   carve(&i32, n),
+		Leaves:   carve(&i32, nl),
+		Proc:     carve(&flags, n),
+		MustHost: carve(&flags, n),
+		Sensor:   carve(&sats, n),
+		Colour:   carve(&sats, n),
+		NumSats:  ns,
 	}
-	for p, id := range t.postorder {
-		c.Post[p] = id
+	c.setFloats(make([]float64, 8*n))
+	for p, id := range c.Post {
 		c.Pos[id] = int32(p)
 	}
 	for i, id := range t.preorder {
 		c.Pre[i] = c.Pos[id]
 	}
 	c.RootPos = c.Pos[t.root]
+	for i, leaf := range t.leaves {
+		p := c.Pos[leaf]
+		c.Leaves[i] = p
+		c.LeafLo[p], c.LeafHi[p] = int32(i), int32(i)
+	}
 
 	// Structure and profiles (CSR children in sibling order).
-	total := 0
-	for i := range t.nodes {
-		total += len(t.nodes[i].Children)
-	}
-	c.Child = make([]int32, 0, total)
+	k := int32(0)
 	for p := 0; p < n; p++ {
 		nd := &t.nodes[c.Post[p]]
-		c.ChildIdx[p] = int32(len(c.Child))
+		c.ChildIdx[p] = k
 		for _, ch := range nd.Children {
-			c.Child = append(c.Child, c.Pos[ch])
+			c.Child[k] = c.Pos[ch]
+			k++
 		}
 		if nd.Parent == None {
 			c.Parent[p] = -1
@@ -244,19 +246,20 @@ func compile(t *Tree) *Compiled {
 		} else {
 			c.Sensor[p] = NoSatellite
 		}
-		c.LeafLo[p] = int32(t.leafLo[c.Post[p]])
-		c.LeafHi[p] = int32(t.leafHi[c.Post[p]])
 	}
-	c.ChildIdx[n] = int32(len(c.Child))
+	c.ChildIdx[n] = k
 
-	// Subtree spans, aggregates and colours in one post-order pass
-	// (children have smaller positions than their parents).
+	// Subtree spans, leaf ranges, aggregates and colours in one
+	// post-order pass (children have smaller positions than their
+	// parents).
 	for p := int32(0); p < int32(n); p++ {
 		kids := c.Children(p)
 		if len(kids) == 0 {
 			c.Start[p] = p
 		} else {
 			c.Start[p] = c.Start[kids[0]]
+			c.LeafLo[p] = c.LeafLo[kids[0]]
+			c.LeafHi[p] = c.LeafHi[kids[len(kids)-1]]
 		}
 		c.SubSat[p] = c.SatTime[p]
 		c.SubHost[p] = c.HostTime[p]
@@ -296,21 +299,52 @@ func compile(t *Tree) *Compiled {
 
 	c.refreshSigma()
 
-	// Sensor groupings: planar leaf order, per-satellite lists and bands.
-	c.SatSensors = make([][]int32, c.NumSats)
-	c.SatBands = make([][]LeafSpan, c.NumSats)
-	for i, leaf := range t.leaves {
-		p := c.Pos[leaf]
-		c.Leaves[i] = p
+	// Sensor groupings: a counting sort of the planar leaf order by
+	// satellite, and each satellite's maximal leaf runs. The last 2*ns
+	// entries of the int32 slab count each satellite's sensors and runs.
+	sensors, count, nbands := carve(&i32, nl), i32, 0
+	for i, p := range c.Leaves {
+		sat := c.Sensor[p]
+		count[sat]++
+		if i == 0 || c.Sensor[c.Leaves[i-1]] != sat {
+			count[ns+int(sat)]++
+			nbands++
+		}
+	}
+	bands := make([]LeafSpan, nbands)
+	c.SatSensors = make([][]int32, ns)
+	c.SatBands = make([][]LeafSpan, ns)
+	for s := range ns {
+		c.SatSensors[s] = carve(&sensors, int(count[s]))[:0]
+		c.SatBands[s] = carve(&bands, int(count[ns+s]))[:0]
+	}
+	for i, p := range c.Leaves {
 		sat := c.Sensor[p]
 		c.SatSensors[sat] = append(c.SatSensors[sat], p)
-		if bands := c.SatBands[sat]; len(bands) > 0 && bands[len(bands)-1].Hi == int32(i)-1 {
-			bands[len(bands)-1].Hi = int32(i)
+		if b := c.SatBands[sat]; len(b) > 0 && b[len(b)-1].Hi == int32(i)-1 {
+			b[len(b)-1].Hi = int32(i)
 		} else {
-			c.SatBands[sat] = append(c.SatBands[sat], LeafSpan{Lo: int32(i), Hi: int32(i)})
+			c.SatBands[sat] = append(b, LeafSpan{Lo: int32(i), Hi: int32(i)})
 		}
 	}
 	return c
+}
+
+// carve cuts the first n elements off *slab, capped at their length.
+func carve[E any](slab *[]E, n int) []E {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// setFloats points the plan's eight float arrays at consecutive n-element
+// runs of f64, which holds 8*Len() elements.
+func (c *Compiled) setFloats(f64 []float64) {
+	c.floats = f64
+	n := len(f64) / 8
+	for _, a := range []*[]float64{&c.HostTime, &c.SatTime, &c.UpComm, &c.SubSat, &c.SubHost, &c.SubComm, &c.Forced, &c.Sigma} {
+		*a = carve(&f64, n)
+	}
 }
 
 // refreshSigma recomputes the Figure-8 σ labels from the host times: in
@@ -336,13 +370,13 @@ func (c *Compiled) refreshSigma() {
 
 // adoptCompiledPlan hands a profile-edited revision t a patched copy of
 // base's plan: every structural array (permutations, CSR children, spans,
-// colours, sensor groupings) is shared, the float arrays are copied, and
-// only the dirtied spine is recomputed — each changed node's value is
-// patched in place and its subtree aggregates are re-derived bottom-up
-// along the root path exactly as a full compile would, so the patched
-// arrays are bit-identical to a fresh compilation. σ labels depend on
-// every ancestor host time along leftmost chains, so a host-time edit
-// re-runs the O(n) flat σ pass (still allocation-shared, no tree walk).
+// colours, sensor groupings) is shared, the float arrays are copied as
+// one slab, and only the dirtied spine is recomputed — each changed
+// node's value is patched in place and its subtree aggregates are
+// re-derived bottom-up along the root path exactly as a full compile
+// would, so the patched arrays are bit-identical to a fresh compilation.
+// σ labels depend on every ancestor host time along leftmost chains, so
+// a host-time edit re-runs the O(n) flat σ pass (no tree walk).
 // Shape changes never reach this path; structural edits drop the plan and
 // recompile lazily.
 func (t *Tree) adoptCompiledPlan(base *Tree, dirty []NodeID) {
@@ -352,13 +386,7 @@ func (t *Tree) adoptCompiledPlan(base *Tree, dirty []NodeID) {
 	}
 	c := *bc // shallow copy: shares every structural array
 	c.tree = t
-	c.HostTime = append([]float64(nil), bc.HostTime...)
-	c.SatTime = append([]float64(nil), bc.SatTime...)
-	c.UpComm = append([]float64(nil), bc.UpComm...)
-	c.SubSat = append([]float64(nil), bc.SubSat...)
-	c.SubHost = append([]float64(nil), bc.SubHost...)
-	c.SubComm = append([]float64(nil), bc.SubComm...)
-	c.Forced = append([]float64(nil), bc.Forced...)
+	c.setFloats(slices.Clone(bc.floats))
 
 	hostDirty := false
 	spine := make([]int32, 0, 2*len(dirty))
@@ -413,7 +441,6 @@ func (t *Tree) adoptCompiledPlan(base *Tree, dirty []NodeID) {
 		}
 	}
 	if hostDirty {
-		c.Sigma = make([]float64, len(bc.Sigma))
 		c.refreshSigma()
 	}
 	t.cpl.Store(&c)

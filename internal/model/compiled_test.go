@@ -31,13 +31,42 @@ func buildCompiledFixture(t *testing.T) *Tree {
 }
 
 // checkCompiledInvariants cross-checks every derived array of the plan
-// against the tree's pointer caches and a from-scratch recomputation.
+// against derivations from the nodes' links alone and a from-scratch
+// recomputation.
 func checkCompiledInvariants(t *testing.T, tree *Tree, c *Compiled) {
 	t.Helper()
 	n := tree.Len()
 	if c.Len() != n {
 		t.Fatalf("plan has %d nodes, tree has %d", c.Len(), n)
 	}
+	sets := refSubtreeSats(tree)
+	isAncestorOrSelf := func(a, b NodeID) bool {
+		for ; b != None; b = tree.Node(b).Parent {
+			if b == a {
+				return true
+			}
+		}
+		return false
+	}
+	// Child-order satellite loads and leaf ranges by recursion.
+	subSat := make([]float64, n)
+	leafLo, leafHi := make([]int, n), make([]int, n)
+	nextLeaf := 0
+	var walk func(id NodeID)
+	walk = func(id NodeID) {
+		nd := tree.Node(id)
+		subSat[id] = nd.SatTime
+		leafLo[id] = nextLeaf
+		if nd.Kind == SensorKind {
+			nextLeaf++
+		}
+		for _, ch := range nd.Children {
+			walk(ch)
+			subSat[id] += subSat[ch]
+		}
+		leafHi[id] = nextLeaf - 1
+	}
+	walk(tree.Root())
 	seen := make([]bool, n)
 	for p, id := range c.Post {
 		if id != tree.Postorder()[p] {
@@ -83,18 +112,18 @@ func checkCompiledInvariants(t *testing.T, tree *Tree, c *Compiled) {
 				t.Fatalf("child %d of position %d is node %d, want %d", k, p, c.Post[ch], nd.Children[k])
 			}
 		}
-		// Subtree span: exactly the positions of IsAncestorOrSelf nodes.
+		// Subtree span: exactly the positions of id's descendants.
 		for q := int32(0); q < int32(n); q++ {
 			inSpan := q >= c.Start[p] && q <= p
-			if inSpan != tree.IsAncestorOrSelf(id, c.Post[q]) {
+			if inSpan != isAncestorOrSelf(id, c.Post[q]) {
 				t.Fatalf("span of %q misclassifies node %q", nd.Name, tree.Node(c.Post[q]).Name)
 			}
 		}
-		if c.SubSat[p] != tree.SubtreeSatTime(id) {
-			t.Fatalf("SubSat[%d] = %v, tree cache says %v", p, c.SubSat[p], tree.SubtreeSatTime(id))
+		if c.SubSat[p] != subSat[id] {
+			t.Fatalf("SubSat[%d] = %v, child-order sum %v", p, c.SubSat[p], subSat[id])
 		}
 		// Colour and must-host against the subtree satellite sets.
-		sats := tree.SubtreeSatellites(id)
+		sats := sets[id]
 		wantColour := NoSatellite
 		if len(sats) == 1 {
 			wantColour = sats[0]
@@ -106,7 +135,7 @@ func checkCompiledInvariants(t *testing.T, tree *Tree, c *Compiled) {
 		if c.MustHost[p] != wantMust {
 			t.Fatalf("MustHost[%d] = %v, want %v", p, c.MustHost[p], wantMust)
 		}
-		lo, hi := tree.LeafRange(id)
+		lo, hi := leafLo[id], leafHi[id]
 		if int(c.LeafLo[p]) != lo || int(c.LeafHi[p]) != hi {
 			t.Fatalf("leaf range of %q = [%d,%d], want [%d,%d]", nd.Name, c.LeafLo[p], c.LeafHi[p], lo, hi)
 		}
@@ -312,7 +341,7 @@ func FuzzCompile(f *testing.F) {
 		if err := tree.Validate(); err != nil {
 			return // malformed: rejected before any compilation
 		}
-		tree.refreshCaches()
+		tree.refreshCaches(new(buildScratch))
 		checkCompiledInvariants(t, tree, Compile(tree))
 	})
 }

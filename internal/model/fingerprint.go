@@ -63,8 +63,9 @@ func (m *fpMemo) sensorRank(nd *Node) int32 {
 // are memoised on the (immutable) tree, and Editor.Build hands a
 // profile-edited copy the base tree's memo with only the paths from the
 // edited nodes to the root invalidated, so re-fingerprinting after a
-// weight update costs O(depth) hashes instead of O(n). refreshCaches
-// invalidates the memo alongside every other derived index.
+// weight update costs O(depth) hashes instead of O(n). Every other tree
+// starts without a memo: Builder, FromSpec, Clone and structural edits
+// derive fresh traversal orders and compute the hashes on first use.
 func Fingerprint(t *Tree) string { return fingerprintMemo(t).fp }
 
 // fingerprintMemo returns t's complete fingerprint memo, computing it on

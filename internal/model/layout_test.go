@@ -2,6 +2,8 @@ package model
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -15,12 +17,14 @@ type refTree struct {
 	root     string
 	parent   map[string]string
 	children map[string][]string
-	sat      map[string]string // sensor -> satellite name
+	sat      map[string]string  // sensor -> satellite name
+	satTime  map[string]float64 // CRU -> s
 }
 
 func newRefTree(s *Spec) *refTree {
-	r := &refTree{parent: map[string]string{}, children: map[string][]string{}, sat: map[string]string{}}
+	r := &refTree{parent: map[string]string{}, children: map[string][]string{}, sat: map[string]string{}, satTime: map[string]float64{}}
 	for _, c := range s.CRUs {
+		r.satTime[c.Name] = c.SatTime
 		if c.Parent == "" {
 			r.root = c.Name
 			continue
@@ -40,7 +44,7 @@ func (r *refTree) add(parent, name string) {
 }
 
 func (r *refTree) clone() *refTree {
-	cp := &refTree{root: r.root, parent: map[string]string{}, children: map[string][]string{}, sat: map[string]string{}}
+	cp := &refTree{root: r.root, parent: map[string]string{}, children: map[string][]string{}, sat: map[string]string{}, satTime: maps.Clone(r.satTime)}
 	for k, v := range r.parent {
 		cp.parent[k] = v
 	}
@@ -64,6 +68,7 @@ func (r *refTree) detach(name string) {
 		delete(r.children, n)
 		delete(r.parent, n)
 		delete(r.sat, n)
+		delete(r.satTime, n)
 	}
 	drop(name)
 }
@@ -79,6 +84,7 @@ func (r *refTree) attach(under string, frag *Spec) {
 	}
 	for _, c := range frag.CRUs {
 		r.add(parentOf(c.Parent), c.Name)
+		r.satTime[c.Name] = c.SatTime
 	}
 	for _, sn := range frag.Sensors {
 		r.add(parentOf(sn.Parent), sn.Name)
@@ -103,6 +109,16 @@ func (r *refTree) leafOrder() []string {
 	return out
 }
 
+// subSatTime is the reference satellite load of n's subtree: n's own s
+// plus its children's loads, summed in child order.
+func (r *refTree) subSatTime(n string) float64 {
+	sum := r.satTime[n]
+	for _, c := range r.children[n] {
+		sum += r.subSatTime(c)
+	}
+	return sum
+}
+
 func (r *refTree) isAncestorOrSelf(a, b string) bool {
 	for n := b; n != ""; n = r.parent[n] {
 		if n == a {
@@ -112,8 +128,10 @@ func (r *refTree) isAncestorOrSelf(a, b string) bool {
 	return false
 }
 
-// checkLayout compares every children list, leaf position, leaf range and
-// subtree-satellite set of tree against the reference derivation.
+// checkLayout compares every children list, leaf position, leaf range,
+// subtree-satellite set, correspondent satellite, subtree satellite load
+// (bit for bit) and ancestor relation of tree against the reference
+// derivation.
 func checkLayout(t *testing.T, tree *Tree, r *refTree, label string) {
 	t.Helper()
 	if got, want := tree.Len(), len(r.parent)+1; got != want {
@@ -173,6 +191,22 @@ func checkLayout(t *testing.T, tree *Tree, r *refTree, label string) {
 		if got := tree.SubtreeSatellites(id); !slices.Equal(got, sats) {
 			t.Fatalf("%s: SubtreeSatellites(%s) = %v, reference %v", label, n.Name, got, sats)
 		}
+		wantCorr, wantMono := NoSatellite, len(sats) == 1
+		if wantMono {
+			wantCorr = sats[0]
+		}
+		if got, mono := tree.CorrespondentSatellite(id); got != wantCorr || mono != wantMono {
+			t.Fatalf("%s: CorrespondentSatellite(%s) = %v,%v, reference %v,%v", label, n.Name, got, mono, wantCorr, wantMono)
+		}
+		if got, want := tree.SubtreeSatTime(id), r.subSatTime(n.Name); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: SubtreeSatTime(%s) = %v, reference %v", label, n.Name, got, want)
+		}
+		for j := 0; j < tree.Len(); j++ {
+			m := tree.Node(NodeID(j)).Name
+			if got, want := tree.IsAncestorOrSelf(id, NodeID(j)), r.isAncestorOrSelf(n.Name, m); got != want {
+				t.Fatalf("%s: IsAncestorOrSelf(%s, %s) = %v, reference %v", label, n.Name, m, got, want)
+			}
+		}
 	}
 	if tree.LeafPosition(-1) != -1 || tree.LeafPosition(NodeID(tree.Len())) != -1 {
 		t.Fatalf("%s: LeafPosition of an out-of-range ID is not -1", label)
@@ -205,12 +239,15 @@ func randomLayoutSpec(rng *rand.Rand) *Spec {
 }
 
 // TestLayoutMatchesReference is the parity property of the shared
-// children and subtree-satellite storage: over random trees and random
-// Editor sequences (Detach, Attach, profile edits), every children list,
-// LeafPosition, LeafRange and SubtreeSatellites equals the reference
-// derivation, and every base tree still matches its own reference after
+// children storage and of the subtree facts the plan holds: over random
+// trees and random Editor sequences (Detach, Attach, profile edits),
+// every children list, LeafPosition, LeafRange, SubtreeSatellites,
+// CorrespondentSatellite, SubtreeSatTime and IsAncestorOrSelf equals the
+// reference derivation on base, profile-edited and structurally edited
+// revisions, and every base tree still matches its own reference after
 // its successors were built.
 func TestLayoutMatchesReference(t *testing.T) {
+	profileEdits := 0
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		spec := randomLayoutSpec(rng)
@@ -227,6 +264,7 @@ func TestLayoutMatchesReference(t *testing.T) {
 			label := fmt.Sprintf("seed %d round %d", seed, round)
 			prev, prevRef := tree, ref.clone()
 			e := tree.Edit()
+			structural := false
 			for k := 0; k < 1+rng.Intn(3); k++ {
 				names := make([]string, 0, len(ref.parent))
 				for n := range ref.parent {
@@ -244,6 +282,7 @@ func TestLayoutMatchesReference(t *testing.T) {
 					id, _ := e.NodeByName(name)
 					e.Detach(id)
 					ref.detach(name)
+					structural = true
 				case op == 1:
 					var crus []string
 					for _, n := range append(names, ref.root) {
@@ -268,19 +307,39 @@ func TestLayoutMatchesReference(t *testing.T) {
 					id, _ := e.NodeByName(under)
 					e.Attach(id, frag)
 					ref.attach(under, frag)
+					structural = true
 				default:
-					id, _ := e.NodeByName(ref.root)
-					e.SetTimes(id, 1+rng.Float64(), 2+rng.Float64())
+					var crus []string
+					for n := range ref.satTime {
+						crus = append(crus, n)
+					}
+					slices.Sort(crus)
+					name := crus[rng.Intn(len(crus))]
+					id, _ := e.NodeByName(name)
+					st := 2 + rng.Float64()
+					e.SetTimes(id, 1+rng.Float64(), st)
+					ref.satTime[name] = st
 				}
 			}
 			next, err := e.Build()
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+			if structural {
+				label += " structural"
+			} else {
+				// The base was compiled by its own check, so this
+				// revision reads a plan patched along the edited spines.
+				label += " profile-edited"
+				profileEdits++
+			}
 			checkLayout(t, next, ref, label)
 			checkLayout(t, prev, prevRef, label+" base")
 			tree = next
 		}
+	}
+	if profileEdits < 20 {
+		t.Fatalf("only %d profile-edited revisions checked", profileEdits)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"strings"
 	"sync/atomic"
+
+	"repro/internal/pool"
 )
 
 // NodeID identifies a node (processing CRU or sensor) inside one Tree.
@@ -94,18 +96,15 @@ type Tree struct {
 	root       NodeID
 	satellites []Satellite
 
-	// Caches, all derived during Build/refreshCaches.
-	preorder  []NodeID        // DFS pre-order, children visited left-to-right
-	postorder []NodeID        // DFS post-order
-	leaves    []NodeID        // sensors in left-to-right (planar) order
-	leafLo    []int           // per node: first leaf position in its subtree
-	leafHi    []int           // per node: last leaf position in its subtree
-	depth     []int           // per node: root has depth 0
-	subSat    []float64       // per node: Σ SatTime over its subtree
-	subSats   [][]SatelliteID // per node: sorted distinct satellites under it, in one shared array
+	// Traversal orders, derived by refreshCaches in one slab. Subtree
+	// facts (leaf ranges, satellite loads, colours, spans) live only in
+	// the compiled plan; the methods that report them read Compile(t).
+	preorder  []NodeID // DFS pre-order, children visited left-to-right
+	postorder []NodeID // DFS post-order; the plan's Post aliases it
+	leaves    []NodeID // sensors in left-to-right (planar) order
 
-	fpm atomic.Pointer[fpMemo]   // memoised Fingerprint state; cleared by refreshCaches
-	cpl atomic.Pointer[Compiled] // memoised Compile plan; cleared by refreshCaches
+	fpm atomic.Pointer[fpMemo]   // memoised Fingerprint state
+	cpl atomic.Pointer[Compiled] // memoised Compile plan
 }
 
 // Len returns the number of nodes (processing CRUs plus sensors).
@@ -165,43 +164,66 @@ func (t *Tree) LeafPosition(id NodeID) int {
 	if id < 0 || int(id) >= len(t.nodes) || t.nodes[id].Kind != SensorKind {
 		return -1
 	}
-	return t.leafLo[id]
+	c := Compile(t)
+	return int(c.LeafLo[c.Pos[id]])
 }
 
 // LeafRange returns the inclusive range [lo, hi] of leaf positions covered by
 // the subtree rooted at id. For a sensor, lo == hi == its own position.
-func (t *Tree) LeafRange(id NodeID) (lo, hi int) { return t.leafLo[id], t.leafHi[id] }
+func (t *Tree) LeafRange(id NodeID) (lo, hi int) {
+	c := Compile(t)
+	p := c.Pos[id]
+	return int(c.LeafLo[p]), int(c.LeafHi[p])
+}
 
 // Depth returns the number of edges between the root and id.
-func (t *Tree) Depth(id NodeID) int { return t.depth[id] }
+func (t *Tree) Depth(id NodeID) (d int) {
+	for p := t.nodes[id].Parent; p != None; p = t.nodes[p].Parent {
+		d++
+	}
+	return d
+}
 
 // SubtreeSatTime returns Σ s_k over all nodes in the subtree rooted at id
 // (sensors contribute 0). This is the satellite-processing part of the
 // bottleneck weight β for the dual edge crossing the edge above id.
-func (t *Tree) SubtreeSatTime(id NodeID) float64 { return t.subSat[id] }
+func (t *Tree) SubtreeSatTime(id NodeID) float64 {
+	c := Compile(t)
+	return c.SubSat[c.Pos[id]]
+}
 
 // SubtreeSatellites returns the sorted distinct satellites that sensors in
 // the subtree of id attach to. Length 0 can only happen for a sensor-free
 // subtree, which Validate rejects, so for a valid tree the length is >= 1;
 // length 1 identifies the node's correspondent satellite; length >= 2 marks a
-// colour conflict. The returned slice is shared; callers must not modify it.
-func (t *Tree) SubtreeSatellites(id NodeID) []SatelliteID { return t.subSats[id] }
+// colour conflict. The set is computed on each call into a fresh slice.
+func (t *Tree) SubtreeSatellites(id NodeID) []SatelliteID {
+	c := Compile(t)
+	var sats []SatelliteID
+	for q, end := c.Span(c.Pos[id]); q < end; q++ {
+		if s := c.Sensor[q]; s != NoSatellite && !slices.Contains(sats, s) {
+			sats = append(sats, s)
+		}
+	}
+	slices.Sort(sats)
+	return sats
+}
 
 // CorrespondentSatellite returns the unique satellite serving the subtree of
 // id, or NoSatellite (and false) when the subtree spans zero or several
 // satellites.
 func (t *Tree) CorrespondentSatellite(id NodeID) (SatelliteID, bool) {
-	if s := t.subSats[id]; len(s) == 1 {
-		return s[0], true
-	}
-	return NoSatellite, false
+	c := Compile(t)
+	s := c.Colour[c.Pos[id]]
+	return s, s != NoSatellite
 }
 
-// IsAncestorOrSelf reports whether a is b or one of b's ancestors. It runs in
-// O(1) using the cached leaf ranges plus depth (a is an ancestor of b iff a's
-// leaf interval contains b's and a is not deeper).
+// IsAncestorOrSelf reports whether a is b or one of b's ancestors: in
+// post-order, b falls inside a's subtree span.
 func (t *Tree) IsAncestorOrSelf(a, b NodeID) bool {
-	return t.leafLo[a] <= t.leafLo[b] && t.leafHi[b] <= t.leafHi[a] && t.depth[a] <= t.depth[b]
+	c := Compile(t)
+	pa, pb := c.Pos[a], c.Pos[b]
+	return c.Start[pa] <= pb && pb <= pa
 }
 
 // ProcessingCount returns the number of processing CRUs.
@@ -241,8 +263,9 @@ func (t *Tree) TotalHostTime() float64 {
 }
 
 // Clone returns a deep copy of the tree. The copy shares nothing with the
-// original, so callers may mutate node profiles (times, costs) and re-run
-// refreshCaches via Builder if structure changes are needed.
+// original, so callers may mutate node profiles (times, costs); its plan
+// and fingerprint are derived afresh on first use. Structure changes go
+// through Edit.
 func (t *Tree) Clone() *Tree {
 	cp := &Tree{
 		nodes:      slices.Clone(t.nodes),
@@ -250,7 +273,9 @@ func (t *Tree) Clone() *Tree {
 		satellites: slices.Clone(t.satellites),
 	}
 	packChildren(cp.nodes, nil)
-	cp.refreshCaches()
+	sc := builds.Get()
+	cp.refreshCaches(sc)
+	builds.Put(sc)
 	return cp
 }
 
@@ -264,7 +289,6 @@ func (t *Tree) ScaleProfiles(hostMul, satMul, commMul float64) *Tree {
 		cp.nodes[i].SatTime *= satMul
 		cp.nodes[i].UpComm *= commMul
 	}
-	cp.refreshCaches()
 	return cp
 }
 
@@ -296,13 +320,11 @@ func (t *Tree) Render() string {
 	return b.String()
 }
 
-// refreshCaches recomputes every derived index. It assumes the structural
-// invariants hold (call Validate first when in doubt). It allocates a fixed
-// number of objects whatever the tree's size: the per-node indices share
-// slabs, and the subtree-satellite sets share one array.
-func (t *Tree) refreshCaches() {
-	t.fpm.Store(nil)
-	t.cpl.Store(nil)
+// refreshCaches derives the traversal orders of a new tree into one
+// fresh slab. Past checkLinks each node sits in
+// at most its parent's Children list, so the walk enters no node twice,
+// and the count it returns falls short of Len() iff a cycle exists.
+func (t *Tree) refreshCaches(sc *buildScratch) (reached int) {
 	n := len(t.nodes)
 	nleaves := 0
 	for i := range t.nodes {
@@ -314,72 +336,29 @@ func (t *Tree) refreshCaches() {
 	t.preorder = ids[0:0:n]
 	t.postorder = ids[n : n : 2*n]
 	t.leaves = ids[2*n : 2*n : 2*n+nleaves]
-	ints := make([]int, 3*n)
-	t.leafLo, t.leafHi, t.depth = ints[0:n:n], ints[n:2*n:2*n], ints[2*n:]
-	t.subSat = make([]float64, n)
-	t.subSats = make([][]SatelliteID, n)
 
-	// Stackless DFS along the parent links. Until a processing node is
-	// finished, its leafHi entry is the cursor of the next child to visit;
-	// finishing overwrites it with the real value.
-	visit := func(id NodeID) {
-		t.preorder = append(t.preorder, id)
-		if t.nodes[id].IsLeaf() {
-			t.leafLo[id] = len(t.leaves)
-			t.leafHi[id] = len(t.leaves)
-			t.leaves = append(t.leaves, id)
-		}
-	}
+	// Stackless DFS along the Children lists and back up the parent
+	// links; next[id] is the cursor of id's next child to visit.
+	next := pool.Slice(sc.ints, n)
+	sc.ints = next
 	id := t.root
-	visit(id)
+	t.preorder = append(t.preorder, id)
 	for {
 		node := &t.nodes[id]
-		if k := t.leafHi[id]; k < len(node.Children) {
-			t.leafHi[id]++
-			c := node.Children[k]
-			t.depth[c] = t.depth[id] + 1
-			visit(c)
-			id = c
+		if k := next[id]; k < len(node.Children) {
+			next[id]++
+			id = node.Children[k]
+			t.preorder = append(t.preorder, id)
+			if t.nodes[id].IsLeaf() {
+				t.leaves = append(t.leaves, id)
+			}
 			continue
-		}
-		if k := len(node.Children); k > 0 {
-			t.leafLo[id] = t.leafLo[node.Children[0]]
-			t.leafHi[id] = t.leafHi[node.Children[k-1]]
 		}
 		t.postorder = append(t.postorder, id)
 		if id == t.root {
-			break
+			return len(t.preorder)
 		}
 		id = node.Parent
-	}
-
-	// A subtree's distinct satellites number at most its sensors and at
-	// most the satellite count, so this bound sizes the shared array once.
-	bound := 0
-	for i := range t.nodes {
-		bound += min(t.leafHi[i]-t.leafLo[i]+1, len(t.satellites))
-	}
-	sats := make([]SatelliteID, 0, bound)
-	mark := make([]NodeID, len(t.satellites)) // mark[s] == id+1: s is already in id's set
-	for _, id := range t.postorder {
-		node := &t.nodes[id]
-		t.subSat[id] = node.SatTime
-		lo := len(sats)
-		if node.Kind == SensorKind {
-			sats = append(sats, node.Satellite)
-		} else {
-			for _, c := range node.Children {
-				t.subSat[id] += t.subSat[c]
-				for _, s := range t.subSats[c] {
-					if mark[s] != id+1 {
-						mark[s] = id + 1
-						sats = append(sats, s)
-					}
-				}
-			}
-			slices.Sort(sats[lo:])
-		}
-		t.subSats[id] = sats[lo:len(sats):len(sats)]
 	}
 }
 
@@ -431,11 +410,19 @@ var (
 // Validate checks every structural invariant and returns the first violation
 // found (wrapped with node context), or nil.
 func (t *Tree) Validate() error {
+	_, err := newTree(t.nodes, t.root, t.satellites) // t's own orders stay as built
+	return err
+}
+
+// checkLinks checks every invariant but reachability: node IDs, link
+// consistency, the single root, kinds, satellites and profiles.
+func (t *Tree) checkLinks(sc *buildScratch) error {
 	if len(t.nodes) == 0 {
 		return ErrEmptyTree
 	}
 	roots := 0
-	listedBy := make([]NodeID, len(t.nodes)) // listedBy[c] == p+1: p's Children hold c
+	listedBy := pool.Slice(sc.ints, len(t.nodes)) // listedBy[c] == p+1: p's Children hold c
+	sc.ints = listedBy
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		if n.ID != NodeID(i) {
@@ -453,10 +440,10 @@ func (t *Tree) Validate() error {
 			if c < 0 || int(c) >= len(t.nodes) {
 				return fmt.Errorf("%w: node %q has out-of-range child %d", ErrBadLink, n.Name, c)
 			}
-			if listedBy[c] == n.ID+1 {
+			if listedBy[c] == int(n.ID)+1 {
 				return fmt.Errorf("%w: node %q lists child %d twice", ErrDuplicateChild, n.Name, c)
 			}
-			listedBy[c] = n.ID + 1
+			listedBy[c] = int(n.ID) + 1
 			if t.nodes[c].Parent != n.ID {
 				return fmt.Errorf("%w: node %q lists child %q whose parent is %d", ErrBadLink, n.Name, t.nodes[c].Name, t.nodes[c].Parent)
 			}
@@ -492,26 +479,6 @@ func (t *Tree) Validate() error {
 	}
 	if t.nodes[t.root].Kind == SensorKind {
 		return ErrRootIsSensor
-	}
-	// Reachability: every node must be reached from the root exactly once.
-	// Past the link checks each node sits in at most one Children list, so
-	// the stack never holds more than every node once.
-	visited := make([]bool, len(t.nodes))
-	count := 0
-	stack := make([]NodeID, 1, len(t.nodes))
-	stack[0] = t.root
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[id] {
-			return fmt.Errorf("%w: node %d reached twice", ErrCycle, id)
-		}
-		visited[id] = true
-		count++
-		stack = append(stack, t.nodes[id].Children...)
-	}
-	if count != len(t.nodes) {
-		return fmt.Errorf("%w: %d of %d nodes reachable from root", ErrCycle, count, len(t.nodes))
 	}
 	return nil
 }

@@ -9,10 +9,11 @@ import (
 // Tree, leaving the base untouched (trees stay immutable; an edit is a
 // copy). It is the model-layer substrate of the incremental re-solve
 // engine: profile edits (execution times, communication costs) keep the
-// base's node numbering and derived caches and transfer its fingerprint
-// memo with only the root-to-edit paths invalidated, so re-fingerprinting
-// the result is O(depth); structural edits (attach, detach, sensor
-// re-homing) rebuild and re-validate from scratch.
+// base's node numbering and traversal orders and transfer its
+// fingerprint memo and plan with only the root-to-edit paths
+// invalidated, so re-fingerprinting the result is O(depth); structural
+// edits (attach, detach, sensor re-homing) rebuild and re-validate from
+// scratch.
 //
 // Like Builder, an Editor is single-use and error-sticky: the first
 // failure is recorded, later calls no-op, and Build reports it. An Editor
@@ -24,7 +25,6 @@ type Editor struct {
 	removed    []bool   // marked by Detach; compacted away in Build
 	dirty      []NodeID // profile-edited nodes (fingerprint invalidation)
 	structural bool     // any edit that changes shape or the satellite partition
-	satDirty   bool     // any SatTime edit (invalidates the subtree-load cache)
 	err        error
 }
 
@@ -76,9 +76,6 @@ func (e *Editor) SetTimes(id NodeID, hostTime, satTime float64) {
 	}
 	if n.HostTime == hostTime && n.SatTime == satTime {
 		return
-	}
-	if n.SatTime != satTime {
-		e.satDirty = true
 	}
 	n.HostTime, n.SatTime = hostTime, satTime
 	e.touch(id)
@@ -255,11 +252,11 @@ func (e *Editor) Attach(parent NodeID, frag *Spec) {
 
 // Build validates the staged edits and returns the resulting tree. The
 // base tree is never modified. Profile-only edits take the fast path: the
-// result shares the base's structural caches (they are immutable by
-// contract), re-derives only the subtree satellite-load cache when a
-// SatTime changed, and inherits the base's fingerprint memo with the
-// root-to-edit paths invalidated. Structural edits compact the node set,
-// re-validate every invariant and re-derive every cache.
+// result shares the base's traversal orders (immutable by contract),
+// inherits the base's fingerprint memo with the root-to-edit paths
+// invalidated, and, when the base was compiled, a plan patched along
+// those paths. Structural edits compact the node set, re-validate every
+// invariant and re-derive the orders; the plan is compiled on first use.
 func (e *Editor) Build() (*Tree, error) {
 	if e.err != nil {
 		return nil, e.err
@@ -278,24 +275,10 @@ func (e *Editor) buildFast() (*Tree, error) {
 		}
 	}
 	b := e.base
-	t := &Tree{nodes: e.nodes, root: b.root, satellites: e.satellites}
-	// Shape is untouched: every structural cache carries over. The shared
-	// slices are immutable by the Tree contract.
-	t.preorder, t.postorder = b.preorder, b.postorder
-	t.leaves = b.leaves
-	t.leafLo, t.leafHi, t.depth = b.leafLo, b.leafHi, b.depth
-	t.subSats = b.subSats
-	if e.satDirty {
-		t.subSat = make([]float64, len(t.nodes))
-		for _, id := range t.postorder {
-			t.subSat[id] = t.nodes[id].SatTime
-			for _, c := range t.nodes[id].Children {
-				t.subSat[id] += t.subSat[c]
-			}
-		}
-	} else {
-		t.subSat = b.subSat
-	}
+	// Shape is untouched: the traversal orders carry over (immutable by
+	// the Tree contract), and the plan is patched along the edited spines.
+	t := &Tree{nodes: e.nodes, root: b.root, satellites: e.satellites,
+		preorder: b.preorder, postorder: b.postorder, leaves: b.leaves}
 	t.adoptFingerprintMemo(b, e.dirty)
 	t.adoptCompiledPlan(b, e.dirty)
 	return t, nil
@@ -327,12 +310,7 @@ func (e *Editor) buildStructural() (*Tree, error) {
 	if root == None {
 		return nil, ErrNoRoot
 	}
-	t := &Tree{nodes: nodes, root: root, satellites: e.satellites}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	t.refreshCaches()
-	return t, nil
+	return newTree(nodes, root, e.satellites)
 }
 
 func (e *Editor) live(id NodeID) bool {

@@ -48,21 +48,27 @@ type SpecSensor struct {
 	Comm      float64 `json:"comm,omitempty"` // c_{s,parent}
 }
 
-// FromSpec builds and validates a Tree from a Spec.
+// FromSpec builds and validates a Tree from a Spec. Its name indexes are
+// pooled and cleared on every return, errors included.
 func FromSpec(s *Spec) (*Tree, error) {
+	sc := builds.Get()
+	defer func() {
+		clear(sc.sats)
+		clear(sc.names)
+		builds.Put(sc)
+	}()
 	rows := len(s.CRUs) + len(s.Sensors)
 	b := &Builder{
 		nodes:      make([]Node, 0, rows),
 		satellites: make([]Satellite, 0, len(s.Satellites)),
 	}
-	sats := make(map[string]SatelliteID, len(s.Satellites))
+	sats, ids := sc.sats, sc.names
 	for _, name := range s.Satellites {
 		if _, dup := sats[name]; dup {
 			return nil, fmt.Errorf("model: duplicate satellite %q", name)
 		}
 		sats[name] = b.Satellite(name)
 	}
-	ids := make(map[string]NodeID, rows)
 	for i, c := range s.CRUs {
 		if c.Name == "" {
 			return nil, fmt.Errorf("model: cru #%d has no name", i)
