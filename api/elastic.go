@@ -58,8 +58,8 @@ type MigrateResultsRequest struct {
 // MigratedSession is one session snapshot in flight: the current tree,
 // its revision counter, the solve defaults captured at open, and the
 // last solved assignment as a warm hint. The adopter re-opens the
-// session under the same ID; compiled plans and bound caches are rebuilt
-// locally (they are derived state).
+// session under the same ID; its compiled plan is rebuilt locally (it
+// is derived state).
 type MigratedSession struct {
 	ID       string            `json:"id"`
 	Spec     *repro.Spec       `json:"spec"`
@@ -71,22 +71,6 @@ type MigratedSession struct {
 // MigrateSessionsRequest is the POST /v1/migrate/sessions payload.
 type MigrateSessionsRequest struct {
 	Sessions []MigratedSession `json:"sessions"`
-}
-
-// MigratedBound is one proven bound-cache entry: a subtree's Merkle hash
-// and boundary context with its proven standalone optimum.
-// Entries are never wrong — at worst they never match a hash again — so
-// they migrate to any node that might re-solve overlapping instances.
-type MigratedBound struct {
-	Hash  string  `json:"hash"` // hex-encoded subtree Merkle hash
-	Sats  int32   `json:"sats"`
-	Bands int32   `json:"bands"`
-	LB    float64 `json:"lb"`
-}
-
-// MigrateBoundsRequest is the POST /v1/migrate/bounds payload.
-type MigrateBoundsRequest struct {
-	Entries []MigratedBound `json:"entries"`
 }
 
 // MigrateResponse acknowledges a migration push.

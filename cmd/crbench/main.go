@@ -40,7 +40,7 @@ type jsonResult struct {
 }
 
 func main() {
-	id := flag.String("id", "", "run a single experiment (E1..E17, P1..P5)")
+	id := flag.String("id", "", "run a single experiment (E1..E17, P1..P4)")
 	markdown := flag.Bool("markdown", false, "emit GitHub-flavoured markdown")
 	jsonOut := flag.Bool("json", false, "emit one cr-perf-run/v1 JSON record (tables in .detail, perf scalars in .benches)")
 	timeout := flag.Duration("timeout", 0, "overall deadline; pending experiments are skipped once it expires (0 = none)")

@@ -22,7 +22,6 @@
 //	POST   /v1/cluster/members      propose or relay a membership change (join/leave at runtime)
 //	POST   /v1/migrate/cache        node-to-node push of warm result-cache entries
 //	POST   /v1/migrate/sessions     node-to-node push of session snapshots
-//	POST   /v1/migrate/bounds       node-to-node push of proven bound-cache entries
 //	GET    /healthz                 liveness probe ("ok", or "draining" while shutting down)
 //	GET    /debug/vars              cache/request/session/cluster counters + expvar
 //

@@ -139,7 +139,6 @@ func All() []Experiment {
 		{"P2", "perf: clustered serving 1-node vs 3-node", P2ClusterScaling},
 		{"P3", "perf: open-loop load harness on a 2-node fleet", P3LoadHarness},
 		{"P4", "perf: parallel branch-and-bound cores", P4ParallelCores},
-		{"P5", "perf: bound memoization, cold vs warm exact re-solve", P5BoundMemo},
 	}
 }
 

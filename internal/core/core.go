@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/boundcache"
 	"repro/internal/dwg"
 	"repro/internal/eval"
 	"repro/internal/model"
@@ -97,20 +96,6 @@ type Request struct {
 	// expires after at least one feasible incumbent exists. Solvers
 	// without the Anytime capability ignore it.
 	BestEffort bool
-
-	// Bounds is an optional bound-memoization cache for the exact
-	// searches (capability Bounds): proven standalone optima of
-	// non-root subtrees, keyed by Merkle hash, tighten pruning across
-	// solves — session revisions re-search only the dirty spine, corpus
-	// siblings share proofs. It holds no whole-instance answer, so every
-	// solve still searches from the root. A
-	// repro.Service sets its own cache here on every solve it runs;
-	// other callers leave it nil unless they hold a cache. It is
-	// advisory and never changes an exact solver's answer (property-
-	// tested), only the nodes explored, so the serving layers exclude it
-	// from cache identity exactly like Warm and Parallelism; solvers
-	// without the capability ignore it.
-	Bounds *boundcache.Cache
 }
 
 // Incumbent is one improving solution streamed by an anytime solver.
@@ -162,11 +147,12 @@ type Outcome struct {
 	// (0 = none). A completed exact solve reports LowerBound == Delay.
 	LowerBound float64
 
-	// Node accounting of the memoized exact searches (zero elsewhere):
-	// branches cut by the pruning bound and bound-cache hits/misses.
-	// With Work (nodes explored) these make the memoization speedup
-	// measurable per solve; /debug/vars aggregates them fleet-wide.
-	Pruned      int
+	// Pruned counts the branches a branch-and-bound search cut by its
+	// bound (zero elsewhere); /debug/vars aggregates it fleet-wide.
+	Pruned int
+
+	// BoundHits and BoundMisses are always 0: bound memoization was
+	// removed; kept until the benchmark stops reading it.
 	BoundHits   int
 	BoundMisses int
 
@@ -212,11 +198,6 @@ func SolveContext(ctx context.Context, req Request) (*Outcome, error) {
 	if !caps.Parallel {
 		req.Parallelism = 0
 	}
-	// So is the bound cache: only solvers declaring the capability may
-	// consult or populate it.
-	if !caps.Bounds {
-		req.Bounds = nil
-	}
 
 	start := time.Now()
 	finding, err := fn(ctx, req)
@@ -228,17 +209,15 @@ func SolveContext(ctx context.Context, req Request) (*Outcome, error) {
 	}
 
 	out := &Outcome{
-		Algorithm:   alg,
-		Assignment:  finding.Assignment,
-		Exact:       caps.Exact && !finding.Partial,
-		Work:        finding.Work,
-		Stats:       finding.Stats,
-		Partial:     finding.Partial,
-		LowerBound:  finding.LowerBound,
-		Pruned:      finding.Pruned,
-		BoundHits:   finding.BoundHits,
-		BoundMisses: finding.BoundMisses,
-		DP:          finding.DP,
+		Algorithm:  alg,
+		Assignment: finding.Assignment,
+		Exact:      caps.Exact && !finding.Partial,
+		Work:       finding.Work,
+		Stats:      finding.Stats,
+		Partial:    finding.Partial,
+		LowerBound: finding.LowerBound,
+		Pruned:     finding.Pruned,
+		DP:         finding.DP,
 	}
 	bd, err := eval.Evaluate(req.Tree, out.Assignment)
 	if err != nil {

@@ -18,7 +18,6 @@ type Capabilities struct {
 	WarmStart bool   // honours Request.Warm (seeds the search from a prior assignment)
 	Anytime   bool   // streams incumbents via Request.OnIncumbent and honours Request.BestEffort
 	Parallel  bool   // honours Request.Parallelism (intra-solve workers)
-	Bounds    bool   // honours Request.Bounds (memoized subtree bound cache)
 	Summary   string // one-line human description
 }
 
@@ -39,10 +38,9 @@ type Finding struct {
 	// equals the returned delay.
 	LowerBound float64
 
-	// Node accounting of the memoized exact searches; zero elsewhere.
-	Pruned      int
-	BoundHits   int
-	BoundMisses int
+	// Pruned counts the branches a branch-and-bound search cut by its
+	// bound; zero elsewhere.
+	Pruned int
 
 	// DP marks an answer the Pareto DP proved: Work counts the frontier
 	// points it built, not search nodes.

@@ -2,8 +2,8 @@
 // the cluster tier. It turns the static seed-list ring into an
 // epoch-numbered view that can grow and shrink at runtime, and makes
 // membership changes *warm*: before routing flips to a new view, the
-// warm state whose ownership moves — result-cache entries, session
-// snapshots, proven bound-cache facts — is pushed to its new owner.
+// warm state whose ownership moves — result-cache entries and session
+// snapshots — is pushed to its new owner.
 //
 // # Epoch lifecycle
 //
@@ -23,8 +23,8 @@
 //
 // Applying a view is push-then-flip: the applying node first diffs the
 // old and new rings, computes the fingerprints it holds whose owner
-// moved, and pushes that state over POST /v1/migrate/{cache,sessions,
-// bounds} — each push stamped with the new epoch on api.EpochHeader —
+// moved, and pushes that state over POST /v1/migrate/{cache,sessions}
+// — each push stamped with the new epoch on api.EpochHeader —
 // and only then swaps its routing view. A receiver on a newer view
 // rejects the stale push (409, counted), so state from a superseded
 // ring can never overwrite fresher placement. A node voted out of the
@@ -34,13 +34,8 @@
 //
 // What moves and what is recomputed: result-cache entries and session
 // snapshots move (they are expensive — a solve, or a mutation history);
-// the Service's one bound cache, which every solve, session and job on
-// the node records into, ships its proven subtree optima (subtree hash,
-// boundary context and optimal standalone delay, never a whole-instance
-// answer) to joining nodes — valid anywhere, they cannot be mapped to
-// ring ranges because they are keyed by subtree hash, not instance
-// fingerprint; compiled plans and fingerprint memos are derived state
-// and are rebuilt by the adopter.
+// compiled plans and fingerprint memos are derived state and are
+// rebuilt by the adopter.
 package elastic
 
 import (

@@ -26,22 +26,14 @@ type Exports struct {
 	// destination — called only when this node is leaving the view
 	// (sessions are ID-pinned to their creator otherwise).
 	Sessions func(dest func(fingerprint string) string) map[string][]api.MigratedSession
-	// Bounds returns the proven bound-cache entries worth shipping to a
-	// newly joined node.
-	Bounds func(limit int) []api.MigratedBound
 	// SessionsPushed is called once per session after its destination
 	// acknowledged the push — the serving layer's cue to drop the local
 	// copy and leave a relocation tombstone.
 	SessionsPushed func(id, node string)
 }
 
-// Push limits of one migration.
-const (
-	// cacheLimit caps result-cache entries pushed per view change.
-	cacheLimit = 256
-	// boundsLimit caps bound-cache entries pushed per joining node.
-	boundsLimit = 1024
-)
+// cacheLimit caps result-cache entries pushed per view change.
+const cacheLimit = 256
 
 // Config parameterises a Manager.
 type Config struct {
@@ -169,7 +161,7 @@ func (m *Manager) applyLocked(epoch uint64, members []string) bool {
 	}
 	old := cl.Members()
 	joined, left := diffMembers(old, members)
-	m.pushState(epoch, members, cl.Ring(), cl.BuildRing(members), joined)
+	m.pushState(epoch, members, cl.Ring(), cl.BuildRing(members))
 	if _, ok := cl.ApplyView(epoch, members); !ok {
 		return false
 	}
@@ -193,15 +185,14 @@ func contains(list []string, m string) bool {
 
 // pushState pushes this node's moved warm state under the new epoch,
 // before the routing flip: result-cache entries whose fingerprint
-// changed owner, proven bounds to every joining node, and — when this
-// node is leaving the view — every one of its sessions to its
-// fingerprint's owner in the new ring. Sessions are pinned by ID to this
-// node, not by fingerprint, so a session whose fingerprint kept its owner
-// must move too. Push failures are logged and dropped: the state is a
+// changed owner and — when this node is leaving the view — every one of
+// its sessions to its fingerprint's owner in the new ring. Sessions are
+// pinned by ID to this node, not by fingerprint, so a session whose
+// fingerprint kept its owner must move too. Push failures are logged and dropped: the state is a
 // performance asset, not correctness, and the receiver re-proves
 // anything that did not arrive. Sessions are the exception — a session
 // is only forgotten locally after its destination acknowledged it.
-func (m *Manager) pushState(epoch uint64, members []string, oldRing, newRing *cluster.Ring, joined []string) {
+func (m *Manager) pushState(epoch uint64, members []string, oldRing, newRing *cluster.Ring) {
 	self := m.cfg.Cluster.Self()
 	dest := MovedDest(oldRing, newRing, self)
 	pushed := false
@@ -215,19 +206,6 @@ func (m *Manager) pushState(epoch uint64, members []string, oldRing, newRing *cl
 				m.entriesPushed.Add(int64(len(entries)))
 				pushed = true
 				m.logf("elastic: pushed %d warm results to %s", len(entries), node)
-			}
-		}
-	}
-	if ex := m.cfg.Exports.Bounds; ex != nil && len(joined) > 0 {
-		entries := ex(boundsLimit)
-		for _, node := range joined {
-			if node == self || len(entries) == 0 {
-				continue
-			}
-			if m.post(node, "/v1/migrate/bounds", epoch, api.MigrateBoundsRequest{Entries: entries}) {
-				m.entriesPushed.Add(int64(len(entries)))
-				pushed = true
-				m.logf("elastic: pushed %d proven bounds to %s", len(entries), node)
 			}
 		}
 	}

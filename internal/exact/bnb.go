@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"repro/internal/boundcache"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/model"
@@ -44,16 +43,9 @@ import (
 // time, forced remainder, loads, rem) is restored by writing its saved
 // value back, so backtracking is bit-exact even when one weight dwarfs
 // the rest. BranchAndBoundPointer is the original node-walking
-// implementation with the same bound, retained for parity tests.
-//
-// An optional fourth technique is bound memoization (BnBOptions.Bounds):
-// proven standalone lower bounds of whole subtrees, keyed by their
-// Merkle hashes, join the bound as per-stack-entry extras (combined with
-// the per-colour terms by taking the max), and subtrees whose hashes
-// were proven in a previous solve are not searched at all. Without a
-// cache handle the search is bit-identical to BranchAndBoundPointer —
-// same traversal, same explored count — which is what the
-// pointer/compiled parity tests pin.
+// implementation with the same bound, retained for parity tests: the
+// sequential search is bit-identical to it — same traversal, same
+// explored count.
 //
 // The same search also runs work-stealing across several workers
 // (BnBOptions.Workers, see steal.go); one worker is this sequential
@@ -78,14 +70,11 @@ func BranchAndBoundContext(ctx context.Context, t *model.Tree, maxNodes int) (*R
 // bnbScratch is the pooled working set of one branch-and-bound (or
 // brute-force) run: the partial and incumbent location vectors, the dense
 // per-satellite load and remaining-floor tables, the per-position colour
-// floors (and PrepareBounds' static subtree floors), the DFS stack and
-// its extras prefix-maximum.
+// floors and the DFS stack.
 type bnbScratch struct {
 	loc, best, seed []model.Location
-	loads, rem      []float64
-	w, lbc          []float64
+	loads, rem, w   []float64
 	stack           []int32
-	exm             []float64
 }
 
 var bnbScratches = pool.NewArena(func() *bnbScratch { return new(bnbScratch) })
@@ -117,14 +106,6 @@ type BnBOptions struct {
 	// deadline expires. The incumbent is always feasible (the baselines
 	// seed it before the search starts).
 	BestEffort bool
-	// Bounds attaches the bound-memoization cache: proven standalone
-	// subtree optima tighten the pruning bound, and the pre-pass records
-	// the subtrees it proves for the next solve. Purely advisory — the
-	// returned delay is unchanged (property-tested), only the explored
-	// node count shrinks — so the serving layers exclude it from cache
-	// identity. Nil disables memoization and the search is bit-identical
-	// to the plain solver.
-	Bounds *boundcache.Cache
 	// Workers is the number of concurrent search workers; 0 or 1 runs
 	// the sequential search. The count never changes the returned delay
 	// beyond rounding — only the wall time and which of several
@@ -134,9 +115,9 @@ type BnBOptions struct {
 
 // bnbState is the working state of one depth-first search: the partial
 // location vector, the decision stack, the per-satellite loads and
-// remaining colour floors, the running prefix maximum of memoized extras
-// along the stack, and the two incremental host-time bound terms. A
-// stealable frame of the work-stealing search is a pooled snapshot of it.
+// remaining colour floors, and the two incremental host-time bound
+// terms. A stealable frame of the work-stealing search is a pooled
+// snapshot of it.
 type bnbState struct {
 	// loc holds the decision marks: a decided CRU's own location, every
 	// other position its base location (CRUs hosted, sensors on their
@@ -148,22 +129,14 @@ type bnbState struct {
 	// rem[s] is the sum of the colour floors (bnbScratch.w) of the
 	// pending positions of colour s: those on the stack, and those a
 	// must-host CRU on the stack is certain to push.
-	rem []float64
-	// exm[i] is the maximum of extra over stack[:i+1], maintained
-	// push-for-push with the stack; empty when bound memoization is off,
-	// leaving the bound exactly hostTime + forced + the per-colour term.
-	exm             []float64
+	rem             []float64
 	hostTime        float64
 	forcedRemaining float64
 }
 
 // bnbRun is one depth-first branch-and-bound: over the whole tree for a
-// top-level solve, over a single subtree span for the memoization
-// pre-pass's standalone sub-solves, or over stolen frames for one worker
-// of the work-stealing search. Runs belonging to one sequential solve
-// share the explored/pruned counters, the node budget and the pooled
-// scratch vectors. The field order keeps a run within the 288-byte
-// allocation size class.
+// top-level solve, or over stolen frames for one worker of the
+// work-stealing search.
 type bnbRun struct {
 	bnbState
 	ctx      context.Context
@@ -175,17 +148,13 @@ type bnbRun struct {
 	// sc holds the colour floors w the bound reads and, for the
 	// top-level run, the incumbent locations best.
 	sc *bnbScratch
-	// extra[p] is subtree p's proven standalone lower bound minus
-	// Forced[p] — the part of its future cost the forced-host term
-	// cannot see. Nil when bound memoization is off.
-	extra []float64
 
 	// bestDelay is the delay a branch must beat: the run's own incumbent,
 	// or for a worker the shared one as read on entry to the node.
 	bestDelay float64
 	// onBetter publishes res.Delay and streams the incumbent. It is set
 	// on the top-level run only, which alone stores its incumbents in
-	// sc.best: a pre-pass sub-solve needs just its optimal delay.
+	// sc.best.
 	onBetter func(work int)
 
 	// shared is the work-stealing search this run is one worker of; nil
@@ -208,14 +177,6 @@ func storeLocs(c *model.Compiled, best, loc []model.Location) {
 			q = c.Start[q]
 		}
 	}
-}
-
-// pushExtra appends extra e to the prefix-maximum stack exm.
-func pushExtra(exm []float64, e float64) []float64 {
-	if n := len(exm); n > 0 && exm[n-1] > e {
-		e = exm[n-1]
-	}
-	return append(exm, e)
 }
 
 func maxOf(vs []float64) float64 {
@@ -255,31 +216,26 @@ func colourFloors(c *model.Compiled, w []float64) {
 	}
 }
 
-// spanRemaining fills rem with the per-colour floors pending at the start
-// of a search of p's span: p itself unless it is must-host, and every
-// child of a must-host CRU in the span that may leave the host — a
-// must-host CRU is always hosted, so its children are certain to be
-// pushed.
-func spanRemaining(c *model.Compiled, w, rem []float64, p int32) {
+// rootRemaining fills rem with the per-colour floors pending at the
+// start of a search: the root unless it is must-host, and every child of
+// a must-host CRU that may leave the host — a must-host CRU is always
+// hosted, so its children are certain to be pushed.
+func rootRemaining(c *model.Compiled, w, rem []float64) {
 	clear(rem)
-	for q := c.Start[p]; q <= p; q++ {
-		if c.MustHost[q] {
-			continue
-		}
-		if q == p || c.MustHost[c.Parent[q]] {
+	for q, parent := range c.Parent {
+		if !c.MustHost[q] && (parent < 0 || c.MustHost[parent]) {
 			rem[c.Colour[q]] += w[q]
 		}
 	}
 }
 
-// dfs is the search recursion, identical to BranchAndBoundPointer when
-// extra == nil (the parity tests pin its traversal), with the memoized
-// extras folded into the bound otherwise. The stack uses
-// explicit push/pop discipline (see BruteForce for why re-sliced
-// frontier arguments would alias). A worker of the work-stealing search
-// differs in three places only: its node prologue (search.enter), how
-// it publishes a better assignment, and that it may split a decision,
-// publishing the second branch as a frame instead of searching it.
+// dfs is the search recursion, identical to BranchAndBoundPointer (the
+// parity tests pin its traversal). The stack uses explicit push/pop
+// discipline (see BruteForce for why re-sliced frontier arguments would
+// alias). A worker of the work-stealing search differs in three places
+// only: its node prologue (search.enter), how it publishes a better
+// assignment, and that it may split a decision, publishing the second
+// branch as a frame instead of searching it.
 func (r *bnbRun) dfs() {
 	if r.shared != nil {
 		if !r.shared.enter(r) {
@@ -314,11 +270,6 @@ func (r *bnbRun) dfs() {
 			lower = b
 		}
 	}
-	if n := len(r.exm); n > 0 && r.exm[n-1] > lower {
-		// Some pending subtree is proven to add more delay than any
-		// committed satellite carries yet.
-		lower = r.exm[n-1]
-	}
 	if bound := r.hostTime + r.forcedRemaining + lower; bound >= r.bestDelay {
 		r.res.Pruned++
 		return // cannot beat the incumbent
@@ -340,9 +291,6 @@ func (r *bnbRun) dfs() {
 	}
 	p := r.stack[len(r.stack)-1]
 	r.stack = r.stack[:len(r.stack)-1]
-	if r.extra != nil {
-		r.exm = r.exm[:len(r.exm)-1]
-	}
 	// Every accumulator is restored by writing its saved value back,
 	// never by subtracting: x+h-h need not equal x (with h ≫ x it can
 	// lose x entirely), and a drifted term would prune wrongly.
@@ -358,9 +306,6 @@ func (r *bnbRun) dfs() {
 	}
 	defer func() { // restore for the caller
 		r.stack = append(r.stack, p)
-		if r.extra != nil {
-			r.exm = pushExtra(r.exm, r.extra[p])
-		}
 		r.forcedRemaining = forced
 		if col != model.NoSatellite {
 			r.rem[col] = colRem
@@ -412,20 +357,12 @@ func (r *bnbRun) dfs() {
 				r.rem[sat] += r.sc.w[ch]
 			}
 		}
-		if r.extra != nil {
-			for _, ch := range kids {
-				r.exm = pushExtra(r.exm, r.extra[ch])
-			}
-		}
 		r.dfs()
 		r.hostTime, r.forcedRemaining = savedHost, savedForced
 		if sinkable {
 			r.rem[sat] = satRem
 		}
 		r.stack = r.stack[:len(r.stack)-len(kids)]
-		if r.extra != nil {
-			r.exm = r.exm[:len(r.exm)-len(kids)]
-		}
 	}
 	if !sinkable {
 		host()
@@ -450,8 +387,8 @@ func (r *bnbRun) dfs() {
 }
 
 // BranchAndBoundOpts is the anytime entry point: BranchAndBoundFrom plus
-// incumbent streaming, best-effort deadline handling, bound memoization
-// and the worker count.
+// incumbent streaming, best-effort deadline handling and the worker
+// count.
 func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -461,17 +398,6 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	c := model.Compile(t)
 	n := c.Len()
 	res := &Result{Delay: math.Inf(1)}
-
-	// The memoization pre-pass runs first, sequentially at every width:
-	// the per-subtree extras it proves (or reads from previous solves)
-	// arm the bound below.
-	var seed *BoundSeed
-	if opts.Bounds != nil {
-		seed = PrepareBounds(ctx, t, opts.Bounds, maxNodes)
-		res.Explored = seed.Explored
-		res.Pruned = seed.Pruned
-		res.BoundHits, res.BoundMisses = seed.Hits, seed.Misses
-	}
 
 	sc := bnbScratches.Get()
 	defer bnbScratches.Put(sc)
@@ -484,7 +410,7 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	sc.w = pool.Keep(sc.w, n)
 	sc.rem = pool.Keep(sc.rem, c.NumSats)
 	colourFloors(c, sc.w)
-	spanRemaining(c, sc.w, sc.rem, c.RootPos)
+	rootRemaining(c, sc.w, sc.rem)
 
 	run := &bnbRun{
 		bnbState: bnbState{loc: sc.loc, loads: sc.loads, rem: sc.rem},
@@ -494,16 +420,9 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 
 	// The search's own bound at the root — the forced host time plus the
 	// largest colour floor — is a valid lower bound on every completion,
-	// which is what anytime consumers need to report a gap. The memoized
-	// pre-pass may prove a tighter one, and a completed search replaces
-	// it with the proven optimum. It is final before stream captures it.
+	// which is what anytime consumers need to report a gap; a completed
+	// search replaces it with the proven optimum.
 	globalLB := c.Forced[c.RootPos] + maxOf(sc.rem)
-	if seed != nil {
-		run.extra = seed.Extra
-		globalLB = math.Max(globalLB, seed.RootLB)
-		run.budgetHit = seed.BudgetHit
-		run.ctxErr = seed.Err
-	}
 	res.LowerBound = globalLB
 	// stream clones the incumbent out to the callback. sc.best is pooled
 	// scratch, so the callback gets a fresh Assignment it may keep.
@@ -544,9 +463,6 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 	c.BaseLocations(sc.loc)
 	run.forcedRemaining = c.Forced[c.RootPos]
 	run.stack = append(sc.stack[:0], c.RootPos)
-	if run.extra != nil {
-		run.exm = append(sc.exm[:0], run.extra[c.RootPos])
-	}
 	run.onBetter = func(work int) {
 		res.Delay = run.bestDelay
 		stream(work)
@@ -557,9 +473,6 @@ func BranchAndBoundOpts(ctx context.Context, t *model.Tree, opts BnBOptions) (*R
 		run.dfs()
 	}
 	sc.stack = run.stack[:0]
-	if run.extra != nil {
-		sc.exm = run.exm[:0]
-	}
 	if math.IsInf(res.Delay, 1) {
 		// Cannot happen for valid trees (all-host is always feasible).
 		if run.ctxErr != nil {

@@ -23,19 +23,14 @@ type Result struct {
 	// LowerBound is a valid floor on the optimal delay. While a
 	// branch-and-bound search runs it is the search's bound at the root —
 	// the forced host time plus the largest per-colour floor of what the
-	// undecided subtrees must still add — or the memoization pre-pass's
-	// proven root bound when that is higher; once an exact search
-	// completes it is the proven optimum (== Delay). Zero when the solver
-	// computes none.
+	// undecided subtrees must still add; once an exact search completes
+	// it is the proven optimum (== Delay). Zero when the solver computes
+	// none.
 	LowerBound float64
 
-	// Node accounting of the memoized branch-and-bound searches: branches
-	// cut by the pruning bound, and bound-cache lookups that hit or
-	// missed (a miss is re-proven and inserted). All zero when bound
-	// memoization is off.
-	Pruned      int
-	BoundHits   int
-	BoundMisses int
+	// Pruned counts the branches a branch-and-bound search cut by its
+	// bound.
+	Pruned int
 }
 
 // ErrBudget is returned when a solver exceeds its exploration budget. It

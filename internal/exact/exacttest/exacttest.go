@@ -16,26 +16,26 @@ import (
 )
 
 // PlainSearch is the plain branch-and-bound search registered as a
-// solver: exact.BranchAndBoundOpts over the request's bound cache and
-// warm hint, without the Pareto DP proof the registered branch-and-bound
-// tries first. Every solve of it reaches the search, so tests of how a
-// Service hands its bound cache to a solver have one to observe.
+// solver: exact.BranchAndBoundOpts from the request's warm hint, without
+// the Pareto DP proof the registered branch-and-bound tries first. Every
+// solve of it reaches the search, so tests of the serving layers' search
+// counters have one to observe.
 const PlainSearch core.Algorithm = "test-plain-search"
 
 func init() {
 	core.Register(PlainSearch, core.Capabilities{
-		Exact: true, Budget: true, WarmStart: true, Bounds: true,
+		Exact: true, Budget: true, WarmStart: true,
 		Summary: "test: the plain branch-and-bound search",
 	}, func(ctx context.Context, req core.Request) (core.Finding, error) {
 		res, err := exact.BranchAndBoundOpts(ctx, req.Tree, exact.BnBOptions{
-			MaxNodes: req.Budget, Warm: req.Warm, Bounds: req.Bounds,
+			MaxNodes: req.Budget, Warm: req.Warm,
 		})
 		if err != nil {
 			return core.Finding{}, err
 		}
 		return core.Finding{
 			Assignment: res.Assignment, Work: res.Explored, LowerBound: res.LowerBound,
-			Pruned: res.Pruned, BoundHits: res.BoundHits, BoundMisses: res.BoundMisses,
+			Pruned: res.Pruned,
 		}, nil
 	})
 }

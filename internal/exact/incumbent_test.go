@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/boundcache"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/exact"
@@ -29,14 +28,11 @@ func reevaluated(tree *model.Tree, asg *model.Assignment, d float64) error {
 
 // TestBranchAndBoundIncumbentsReevaluate: the search marks only the CRU
 // it sinks and fills the sunk spans in when it stores an incumbent. On
-// random 8–40-CRU trees, at one and two workers, with and without a
-// bound cache, completed and starved (BestEffort on a tiny node budget),
-// every streamed incumbent and every final assignment is feasible and
-// re-evaluates to the delay it reports. That covers the fill-in of the
-// sequential search and of the work-stealing publish. A completed
-// memoized solve is repeated on the same cache, now full of the first
-// solve's subtree entries: the repeat must agree with it.
-// TestPrepassSubtreeEntriesExact covers the subtree entries themselves.
+// random 8–40-CRU trees, at one and two workers, completed and starved
+// (BestEffort on a tiny node budget), every streamed incumbent and every
+// final assignment is feasible and re-evaluates to the delay it reports.
+// That covers the fill-in of the sequential search and of the
+// work-stealing publish.
 func TestBranchAndBoundIncumbentsReevaluate(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 12; trial++ {
@@ -44,56 +40,39 @@ func TestBranchAndBoundIncumbentsReevaluate(t *testing.T) {
 		spec.Clustered = trial%2 == 0
 		tree := workload.Random(rng, spec)
 		for _, workers := range []int{1, 2} {
-			for _, memo := range []bool{false, true} {
-				for _, starved := range []bool{false, true} {
-					name := fmt.Sprintf("trial %d (%d CRUs), workers %d, bounds %v, starved %v",
-						trial, spec.CRUs, workers, memo, starved)
-					opts := exact.BnBOptions{Workers: workers}
-					if memo {
-						opts.Bounds = boundcache.New()
+			for _, starved := range []bool{false, true} {
+				name := fmt.Sprintf("trial %d (%d CRUs), workers %d, starved %v",
+					trial, spec.CRUs, workers, starved)
+				opts := exact.BnBOptions{Workers: workers}
+				if starved {
+					opts.MaxNodes = 8 + rng.Intn(40)
+					opts.BestEffort = true
+				}
+				// The stream may run on a search worker, which must not
+				// stop the test: keep the first failure for later.
+				streamed := 0
+				var bad error
+				opts.OnIncumbent = func(inc core.Incumbent) {
+					streamed++
+					if err := reevaluated(tree, inc.Assignment, inc.Delay); err != nil && bad == nil {
+						bad = fmt.Errorf("incumbent %d: %w", streamed, err)
 					}
-					if starved {
-						opts.MaxNodes = 8 + rng.Intn(40)
-						opts.BestEffort = true
-					}
-					// The stream may run on a search worker, which must not
-					// stop the test: keep the first failure for later.
-					streamed := 0
-					var bad error
-					opts.OnIncumbent = func(inc core.Incumbent) {
-						streamed++
-						if err := reevaluated(tree, inc.Assignment, inc.Delay); err != nil && bad == nil {
-							bad = fmt.Errorf("incumbent %d: %w", streamed, err)
-						}
-					}
-					res, err := exact.BranchAndBoundOpts(context.Background(), tree, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if bad != nil {
-						t.Fatalf("%s: %v", name, bad)
-					}
-					if streamed == 0 {
-						t.Fatalf("%s: no incumbent streamed", name)
-					}
-					if res.Partial && !starved {
-						t.Fatalf("%s: complete solve reported partial", name)
-					}
-					if err := reevaluated(tree, res.Assignment, res.Delay); err != nil {
-						t.Fatalf("%s: result: %v", name, err)
-					}
-					if memo && !starved {
-						again, err := exact.BranchAndBoundOpts(context.Background(), tree, opts)
-						if err != nil {
-							t.Fatalf("%s: re-solve: %v", name, err)
-						}
-						if math.Abs(again.Delay-res.Delay) > 1e-9*math.Max(1, res.Delay) {
-							t.Fatalf("%s: re-solve delay %v, first solve %v", name, again.Delay, res.Delay)
-						}
-						if err := reevaluated(tree, again.Assignment, again.Delay); err != nil {
-							t.Fatalf("%s: re-solve: %v", name, err)
-						}
-					}
+				}
+				res, err := exact.BranchAndBoundOpts(context.Background(), tree, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if bad != nil {
+					t.Fatalf("%s: %v", name, bad)
+				}
+				if streamed == 0 {
+					t.Fatalf("%s: no incumbent streamed", name)
+				}
+				if res.Partial && !starved {
+					t.Fatalf("%s: complete solve reported partial", name)
+				}
+				if err := reevaluated(tree, res.Assignment, res.Delay); err != nil {
+					t.Fatalf("%s: result: %v", name, err)
 				}
 			}
 		}

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/boundcache"
 	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/exact"
@@ -341,8 +340,8 @@ func TestParallelIncumbentRace(t *testing.T) {
 }
 
 // TestParallelBnBNilContext: a nil context means no cancellation at every
-// width, with and without bound memoization — the instance is large
-// enough that every worker passes its context-poll stride.
+// width — the instance is large enough that every worker passes its
+// context-poll stride.
 func TestParallelBnBNilContext(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tree := workload.Random(rng, workload.DefaultRandomSpec(24, 3))
@@ -354,14 +353,12 @@ func TestParallelBnBNilContext(t *testing.T) {
 		t.Fatalf("instance explores %d nodes, too few to reach a context poll", seq.Explored)
 	}
 	for _, workers := range append([]int{0}, workerCounts()...) {
-		for _, bc := range []*boundcache.Cache{nil, boundcache.New()} {
-			res, err := exact.BranchAndBoundOpts(nil, tree, exact.BnBOptions{Workers: workers, Bounds: bc})
-			if err != nil {
-				t.Fatalf("workers %d memoized %v: %v", workers, bc != nil, err)
-			}
-			if !near(res.Delay, seq.Delay) {
-				t.Fatalf("workers %d memoized %v: delay %v != sequential %v", workers, bc != nil, res.Delay, seq.Delay)
-			}
+		res, err := exact.BranchAndBoundOpts(nil, tree, exact.BnBOptions{Workers: workers})
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if !near(res.Delay, seq.Delay) {
+			t.Fatalf("workers %d: delay %v != sequential %v", workers, res.Delay, seq.Delay)
 		}
 	}
 }

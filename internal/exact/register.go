@@ -39,8 +39,7 @@ func init() {
 		Budget:    true,
 		WarmStart: true,
 		Anytime:   true,
-		Bounds:    true,
-		Summary:   "Pareto DP proof, then branch-and-bound over the cut decision tree (node budget, bound memoization)",
+		Summary:   "Pareto DP proof, then branch-and-bound over the cut decision tree (node budget)",
 	}, bnbSolver(false))
 	core.Register(core.ParallelBnB, core.Capabilities{
 		Exact:     true,
@@ -48,8 +47,7 @@ func init() {
 		WarmStart: true,
 		Anytime:   true,
 		Parallel:  true,
-		Bounds:    true,
-		Summary:   "Pareto DP proof, then work-stealing parallel branch-and-bound (node budget, Request.Parallelism workers, bound memoization)",
+		Summary:   "Pareto DP proof, then work-stealing parallel branch-and-bound (node budget, Request.Parallelism workers)",
 	}, bnbSolver(true))
 }
 
@@ -75,20 +73,17 @@ func bnbSolver(parallel bool) core.SolveFunc {
 			Warm:        req.Warm,
 			OnIncumbent: req.OnIncumbent,
 			BestEffort:  req.BestEffort,
-			Bounds:      req.Bounds,
 			Workers:     workers,
 		})
 		if err != nil {
 			return core.Finding{}, err
 		}
 		return core.Finding{
-			Assignment:  res.Assignment,
-			Work:        res.Explored,
-			Partial:     res.Partial,
-			LowerBound:  res.LowerBound,
-			Pruned:      res.Pruned,
-			BoundHits:   res.BoundHits,
-			BoundMisses: res.BoundMisses,
+			Assignment: res.Assignment,
+			Work:       res.Explored,
+			Partial:    res.Partial,
+			LowerBound: res.LowerBound,
+			Pruned:     res.Pruned,
 		}, nil
 	}
 }

@@ -90,9 +90,6 @@ type search struct {
 // steal runs the top-level search r on nw workers and folds their
 // counters and stop state back into r.
 func (r *bnbRun) steal(nw int) {
-	if r.budgetHit || r.ctxErr != nil {
-		return // the pre-pass already spent the budget or the deadline
-	}
 	s := &search{
 		top:      r,
 		maxNodes: int64(r.maxNodes),
@@ -138,7 +135,7 @@ func (r *bnbRun) steal(nw int) {
 func (s *search) work(id int) {
 	top := s.top
 	r := &bnbRun{
-		ctx: top.ctx, c: top.c, res: &Result{}, sc: top.sc, extra: top.extra,
+		ctx: top.ctx, c: top.c, res: &Result{}, sc: top.sc,
 		shared: s, id: int32(id), est: s.explored.Load(),
 	}
 	for {
@@ -243,7 +240,6 @@ func (s *search) fork(st *bnbState) *bnbState {
 	f.stack = append(f.stack[:0], st.stack...)
 	f.loads = append(f.loads[:0], st.loads...)
 	f.rem = append(f.rem[:0], st.rem...)
-	f.exm = append(f.exm[:0], st.exm...)
 	f.hostTime = st.hostTime
 	f.forcedRemaining = st.forcedRemaining
 	return f

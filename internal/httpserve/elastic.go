@@ -1,13 +1,11 @@
 package httpserve
 
 import (
-	"encoding/hex"
 	"net/http"
 	"time"
 
 	"repro"
 	"repro/api"
-	"repro/internal/boundcache"
 	"repro/internal/elastic"
 )
 
@@ -33,7 +31,6 @@ func (s *server) AttachElastic(client *http.Client) *elastic.Manager {
 		Exports: elastic.Exports{
 			Results:        s.exportResults,
 			Sessions:       s.exportSessions,
-			Bounds:         s.exportBounds,
 			SessionsPushed: s.sessionRelocated,
 		},
 		// A node voted out of the view starts draining: the new ring routes
@@ -118,23 +115,6 @@ func (s *server) exportSessions(dest func(fingerprint string) string) map[string
 			out = map[string][]api.MigratedSession{}
 		}
 		out[node] = append(out[node], snap)
-	}
-	return out
-}
-
-// exportBounds renders the most valuable proven bound-cache entries in
-// wire form, for seeding a joining node.
-func (s *server) exportBounds(limit int) []api.MigratedBound {
-	exported := s.cfg.Service.Bounds().Export(limit)
-	out := make([]api.MigratedBound, 0, len(exported))
-	for i := range exported {
-		e := &exported[i]
-		out = append(out, api.MigratedBound{
-			Hash:  hex.EncodeToString(e.Key.Hash[:]),
-			Sats:  e.Key.Sats,
-			Bands: e.Key.Bands,
-			LB:    e.LB,
-		})
 	}
 	return out
 }
@@ -272,8 +252,7 @@ func (s *server) handleMigrateCache(w http.ResponseWriter, r *http.Request) {
 // handleMigrateSessions adopts pushed session snapshots: each is
 // re-opened under its original ID (so the old owner's tombstone and the
 // ID itself both keep resolving) with its revision counter and warm hint
-// restored. Compiled plans rebuild on first resolve; proven bounds
-// arrive separately over /v1/migrate/bounds.
+// restored. Compiled plans rebuild on first resolve.
 //
 //	POST /v1/migrate/sessions
 func (s *server) handleMigrateSessions(w http.ResponseWriter, r *http.Request) {
@@ -317,46 +296,6 @@ func (s *server) handleMigrateSessions(w http.ResponseWriter, r *http.Request) {
 		s.adoptSession(snap.ID, sess, snap.Defaults)
 		adopted++
 	}
-	mgr.CountAdopted(adopted)
-	writeJSON(w, http.StatusOK, &api.MigrateResponse{APIVersion: api.Version, Adopted: adopted})
-}
-
-// handleMigrateBounds adopts pushed proven bound-cache entries into the
-// Service's bound cache. Bounds are never wrong, only possibly never
-// matched again, so adoption needs no placement check — just the epoch
-// guard against superseded pushers.
-//
-//	POST /v1/migrate/bounds
-func (s *server) handleMigrateBounds(w http.ResponseWriter, r *http.Request) {
-	mgr := s.elastic
-	if mgr == nil {
-		s.fail(w, errElasticDisabled)
-		return
-	}
-	if err := mgr.CheckEpoch(r); err != nil {
-		s.fail(w, err)
-		return
-	}
-	var req api.MigrateBoundsRequest
-	body, err := s.decode(w, r, &req)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	body.release()
-	entries := make([]boundcache.Exported, 0, len(req.Entries))
-	for i := range req.Entries {
-		e := &req.Entries[i]
-		raw, err := hex.DecodeString(e.Hash)
-		if err != nil || len(raw) != 32 {
-			continue
-		}
-		var k boundcache.Key
-		copy(k.Hash[:], raw)
-		k.Sats, k.Bands = e.Sats, e.Bands
-		entries = append(entries, boundcache.Exported{Key: k, LB: e.LB})
-	}
-	adopted := s.cfg.Service.Bounds().Import(entries)
 	mgr.CountAdopted(adopted)
 	writeJSON(w, http.StatusOK, &api.MigrateResponse{APIVersion: api.Version, Adopted: adopted})
 }

@@ -432,3 +432,63 @@ func TestElasticClusterDocEpoch(t *testing.T) {
 		t.Errorf("healthz %s = %q, want \"2\"", api.EpochHeader, got)
 	}
 }
+
+// TestElasticMigratesResultsAndSessions: the migration routes are the
+// result cache and sessions. The former bound-cache push route answers
+// 404 on every node, a join still pushes warm results to the joiner,
+// and a leave still pushes the leaver's sessions to a survivor.
+func TestElasticMigratesResultsAndSessions(t *testing.T) {
+	fleet := startTestFleet(t, 2, testFleetOptions())
+	specs := make([]*repro.Spec, 32)
+	for i := range specs {
+		specs[i] = randomSpec(int64(2000+i), 10)
+		solveVia(t, fleet.Nodes[0].URL, &api.SolveRequest{Spec: specs[i]})
+	}
+	joined, err := fleet.Spawn()
+	if err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	waitForEpoch(t, fleet, 2)
+	if got := joined.Elastic.Counters().EntriesAdopted; got == 0 {
+		t.Fatal("the joined node adopted no warm results")
+	}
+	for i, n := range fleet.Nodes {
+		if status := migratePush(t, n.URL, "/v1/migrate/bounds", 2, struct{}{}); status != http.StatusNotFound {
+			t.Errorf("node %d: POST /v1/migrate/bounds answered %d, want 404", i, status)
+		}
+	}
+
+	// A session opened for an instance the joiner owns lives there, and
+	// moves to a survivor when the joiner leaves.
+	var spec *repro.Spec
+	for _, s := range specs {
+		if ownerIndex(t, fleet, s) == 2 {
+			spec = s
+			break
+		}
+	}
+	if spec == nil {
+		t.Fatal("the joined node owns none of the instances")
+	}
+	resp, body := post(t, fleet.Nodes[0].URL+"/v1/session", api.OpenSessionRequest{
+		SolveRequest: api.SolveRequest{Spec: spec},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("open: %d %s", resp.StatusCode, body)
+	}
+	var opened api.SessionResponse
+	if err := json.Unmarshal(body, &opened); err != nil {
+		t.Fatal(err)
+	}
+	id := opened.Session.SessionID
+	if !holdsSession(joined, id) {
+		t.Fatalf("session %s was not opened on the joined node", id)
+	}
+	if err := fleet.Leave(2); err != nil {
+		t.Fatalf("leave: %v", err)
+	}
+	waitForEpoch(t, fleet, 3)
+	if !holdsSession(fleet.Nodes[0], id) && !holdsSession(fleet.Nodes[1], id) {
+		t.Fatal("no survivor holds the session after the joined node left")
+	}
+}

@@ -129,7 +129,6 @@ func New(cfg Config) *Server {
 	mux.HandleFunc("POST /v1/cluster/members", s.handleMembersUpdate)
 	mux.HandleFunc("POST /v1/migrate/cache", s.handleMigrateCache)
 	mux.HandleFunc("POST /v1/migrate/sessions", s.handleMigrateSessions)
-	mux.HandleFunc("POST /v1/migrate/bounds", s.handleMigrateBounds)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /debug/vars", s.handleVars)
 	s.mux = mux
@@ -163,19 +162,16 @@ type server struct {
 	jobSubmits                                   atomic.Int64
 
 	// Search-node accounting summed over every synchronous solve served
-	// (the async job tier keeps its own in jobs.Stats): nodes explored,
-	// branches pruned, and bound-memoization hits/misses. Exposed as the
-	// "search" block of /debug/vars so a dashboard can watch the
-	// explored-per-solve trend fall as the Service's bound cache warms up.
+	// (the async job tier keeps its own in jobs.Stats): nodes explored
+	// and branches pruned, exposed as the "search" block of /debug/vars.
 	// An answer the Pareto DP proved counts its Work, frontier points
 	// rather than nodes, into dpPoints instead of explored. replayed is
 	// the nodes of outcomes served from the result cache or a joined
 	// concurrent solve, counted at their original search: no search ran
 	// for them here.
-	explored, dpPoints     atomic.Int64
-	pruned                 atomic.Int64
-	boundHits, boundMisses atomic.Int64
-	replayed               atomic.Int64
+	explored, dpPoints atomic.Int64
+	pruned             atomic.Int64
+	replayed           atomic.Int64
 }
 
 // recordOutcome folds a served outcome's node accounting into the search
@@ -199,8 +195,6 @@ func (s *server) recordOutcome(out *repro.Outcome, status repro.CacheStatus) {
 	}
 	s.explored.Add(int64(out.Work))
 	s.pruned.Add(int64(out.Pruned))
-	s.boundHits.Add(int64(out.BoundHits))
-	s.boundMisses.Add(int64(out.BoundMisses))
 }
 
 // ServeHTTP dispatches to the routed mux.
@@ -463,15 +457,12 @@ func (s *server) handleVars(w http.ResponseWriter, _ *http.Request) {
 			"rejected":     s.rejected.Load(),
 			"failed":       s.failed.Load(),
 		},
-		"jobs":        s.jobs.Stats(),
-		"bound_cache": s.cfg.Service.Bounds().Stats(),
+		"jobs": s.jobs.Stats(),
 		"search": map[string]int64{
-			"explored":     s.explored.Load(),
-			"dp_points":    s.dpPoints.Load(),
-			"pruned":       s.pruned.Load(),
-			"bound_hits":   s.boundHits.Load(),
-			"bound_misses": s.boundMisses.Load(),
-			"replayed":     s.replayed.Load(),
+			"explored":  s.explored.Load(),
+			"dp_points": s.dpPoints.Load(),
+			"pruned":    s.pruned.Load(),
+			"replayed":  s.replayed.Load(),
 		},
 		"sessions": map[string]int64{
 			"live":    int64(s.sessionCount()),

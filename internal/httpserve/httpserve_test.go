@@ -304,9 +304,8 @@ func TestAlgorithmsHealthzVars(t *testing.T) {
 
 	// Warm the cache so the vars show non-zero counters, then check the
 	// document is valid JSON carrying both expvar and crserve sections.
-	// The plain search's pre-pass proves the instance's subtrees of at
-	// least boundcache.MinSpan positions and stores them in the Service's
-	// bound cache, whose counters the document reports.
+	// The plain search reaches its search, whose nodes the "search" block
+	// counts.
 	post(t, srv.URL+"/v1/solve", api.SolveRequest{Spec: testSpec("v")})
 	post(t, srv.URL+"/v1/solve", api.SolveRequest{Spec: randomSpec(1, 16), Algorithm: string(exacttest.PlainSearch)})
 	resp, err = http.Get(srv.URL + "/debug/vars")
@@ -322,14 +321,14 @@ func TestAlgorithmsHealthzVars(t *testing.T) {
 		t.Fatal("expvar memstats missing")
 	}
 	var own struct {
-		Cache      repro.CacheStats      `json:"cache"`
-		Requests   map[string]int64      `json:"requests"`
-		BoundCache repro.BoundCacheStats `json:"bound_cache"`
+		Cache    repro.CacheStats `json:"cache"`
+		Requests map[string]int64 `json:"requests"`
+		Search   map[string]int64 `json:"search"`
 	}
 	if err := json.Unmarshal(vars["crserve"], &own); err != nil {
 		t.Fatalf("crserve section: %v", err)
 	}
-	if own.Cache.Misses < 1 || own.Requests["solve"] < 1 || own.BoundCache.Stores < 1 {
+	if own.Cache.Misses < 1 || own.Requests["solve"] < 1 || own.Search["explored"] < 1 {
 		t.Fatalf("counters not wired: %+v", own)
 	}
 }
@@ -622,7 +621,6 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 		{"/v1/cluster/members", `{"epoch":1,"members":["` + self + `"]}`},
 		{"/v1/migrate/cache", `{"entries":[]}`},
 		{"/v1/migrate/sessions", `{"sessions":[]}`},
-		{"/v1/migrate/bounds", `{"entries":[]}`},
 	} {
 		for _, tail := range []string{" garbage", "{}", "\n" + tc.body, "]", "\x00"} {
 			code, e := serve(tc.path, tc.body+tail)

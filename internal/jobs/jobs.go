@@ -127,21 +127,16 @@ type Stats struct {
 	// Work accounting summed over finished solves that ran (result-cache
 	// hits add nothing): Outcome.Work as explored, except that an answer
 	// the Pareto DP proved counts its Work, frontier points rather than
-	// search nodes, as dp_points; branches pruned, and the Service bound
-	// cache's hit/miss split.
-	Explored    int64 `json:"explored"`
-	DPPoints    int64 `json:"dp_points"`
-	Pruned      int64 `json:"pruned"`
-	BoundHits   int64 `json:"bound_hits"`
-	BoundMisses int64 `json:"bound_misses"`
+	// search nodes, as dp_points; and branches pruned.
+	Explored int64 `json:"explored"`
+	DPPoints int64 `json:"dp_points"`
+	Pruned   int64 `json:"pruned"`
 }
 
 // Manager owns the job table, the bounded queue and the worker pool. Its
-// solves run on Config.Service and so share the Service's caches with
-// every other solve there: jobs over the same (or mutated copies of the
-// same) instance read each other's proven subtree optima from the bound
-// cache, and a resubmitted identical instance whose earlier job finished
-// exact is a result-cache hit that searches no node.
+// solves run on Config.Service and so share the Service's result cache
+// with every other solve there: a resubmitted identical instance whose
+// earlier job finished exact is a hit that searches no node.
 type Manager struct {
 	cfg    Config
 	queue  chan *Job
@@ -157,9 +152,8 @@ type Manager struct {
 	expired, failed, reaped        atomic.Int64
 	running                        atomic.Int64
 
-	explored, dpPoints     atomic.Int64
-	pruned                 atomic.Int64
-	boundHits, boundMisses atomic.Int64
+	explored, dpPoints atomic.Int64
+	pruned             atomic.Int64
 }
 
 // New starts a Manager with cfg.Workers workers.
@@ -273,20 +267,18 @@ func (m *Manager) Stats() Stats {
 	live := len(m.jobs)
 	m.mu.Unlock()
 	return Stats{
-		Submitted:   m.submitted.Load(),
-		Completed:   m.completed.Load(),
-		Canceled:    m.canceled.Load(),
-		Expired:     m.expired.Load(),
-		Failed:      m.failed.Load(),
-		Reaped:      m.reaped.Load(),
-		QueueDepth:  len(m.queue),
-		Running:     int(m.running.Load()),
-		Live:        live,
-		Explored:    m.explored.Load(),
-		DPPoints:    m.dpPoints.Load(),
-		Pruned:      m.pruned.Load(),
-		BoundHits:   m.boundHits.Load(),
-		BoundMisses: m.boundMisses.Load(),
+		Submitted:  m.submitted.Load(),
+		Completed:  m.completed.Load(),
+		Canceled:   m.canceled.Load(),
+		Expired:    m.expired.Load(),
+		Failed:     m.failed.Load(),
+		Reaped:     m.reaped.Load(),
+		QueueDepth: len(m.queue),
+		Running:    int(m.running.Load()),
+		Live:       live,
+		Explored:   m.explored.Load(),
+		DPPoints:   m.dpPoints.Load(),
+		Pruned:     m.pruned.Load(),
 	}
 }
 
@@ -402,8 +394,6 @@ func (m *Manager) noteOutcome(out *repro.Outcome, how repro.CacheStatus) {
 		m.explored.Add(int64(out.Work))
 	}
 	m.pruned.Add(int64(out.Pruned))
-	m.boundHits.Add(int64(out.BoundHits))
-	m.boundMisses.Add(int64(out.BoundMisses))
 }
 
 // solveOpts assembles one solve's option list: the request parameters,

@@ -79,18 +79,6 @@ func fingerprintMemo(t *Tree) *fpMemo {
 	return m
 }
 
-// SubtreeHashes returns the per-subtree Merkle hashes of t, indexed by
-// NodeID — the building blocks of Fingerprint, exposed so the exact
-// searches can key memoized subtree bounds by content. Two equal hashes
-// (within a tree, across session revisions, or across instances of a
-// corpus) certify structurally identical subtrees: same shape and planar
-// embedding, same profiles as exact float bits, same structural
-// satellite partition. The fingerprint memo is computed on first use and
-// the returned slice aliases it; callers must treat it as read-only.
-func SubtreeHashes(t *Tree) [][sha256.Size]byte {
-	return fingerprintMemo(t).node
-}
-
 // CanonicalPlacement renders a in the fingerprint's numbering: one entry
 // per pre-order position of t, -1 for the host, otherwise the rank of the
 // node's satellite by first appearance in pre-order. Trees with equal

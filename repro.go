@@ -89,7 +89,6 @@ import (
 	"io"
 
 	_ "repro/internal/algorithms" // link every built-in solver into the registry
-	"repro/internal/boundcache"
 	"repro/internal/core"
 	"repro/internal/dwg"
 	"repro/internal/eval"
@@ -137,11 +136,6 @@ type (
 	SimConfig = sim.Config
 	// SimResult is a simulation outcome.
 	SimResult = sim.Result
-	// BoundCache memoizes proven subtree bounds across exact solves; a
-	// Service owns one (Service.Bounds).
-	BoundCache = boundcache.Cache
-	// BoundCacheStats reports a BoundCache's hit/store/eviction counters.
-	BoundCacheStats = boundcache.Stats
 )
 
 // Structured errors of the solve service, matched with errors.Is.

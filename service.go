@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"weak"
 
-	"repro/internal/boundcache"
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/dwg"
@@ -50,17 +49,11 @@ type CacheStats = cache.Stats
 // outcome only when it is Exact, never a Partial one; a warm-started
 // non-exact solve does the same, so it never stores.
 //
-// A Service also owns the bound cache of the exact searches (see
-// Bounds): every solve it runs — Solve, SolveBatch, Session resolves and
-// anytime requests alike — reads and records proven subtree optima in
-// that one store.
-//
 // A Service is safe for concurrent use; cmd/crserve exposes one over
 // HTTP with the wire DTOs of package api.
 type Service struct {
 	solver *Solver
 	cache  *cache.Cache
-	bounds *boundcache.Cache
 
 	// solve runs one uncached solve; a test seam defaulting to solveOne.
 	solve func(ctx context.Context, t *Tree, cfg settings) (*Outcome, error)
@@ -73,7 +66,7 @@ func NewService(solver *Solver, cacheSize int) *Service {
 	if solver == nil {
 		solver = NewSolver()
 	}
-	return &Service{solver: solver, cache: cache.New(cacheSize), bounds: boundcache.New(), solve: solveOne}
+	return &Service{solver: solver, cache: cache.New(cacheSize), solve: solveOne}
 }
 
 // Solver returns the wrapped Solver.
@@ -81,18 +74,6 @@ func (s *Service) Solver() *Solver { return s.solver }
 
 // Stats returns a snapshot of the cache's hit/miss/shared counters.
 func (s *Service) Stats() CacheStats { return s.cache.Stats() }
-
-// Bounds returns the Service's bound-memoization cache: the proven
-// standalone optima of subtrees, keyed by the subtrees' canonical
-// content hashes, that the exact searches (BranchBound, ParallelBnB —
-// see Capabilities.Bounds) read across every solve of this Service, so
-// re-solving a mutated instance re-searches only the subtrees the edit
-// touched. It holds no whole-instance answer: a repeated identical solve
-// is answered by the result cache or searched again. Memoized bounds
-// change the nodes explored, never an exact answer, so the cache stays
-// out of the result cache's identity. Its Export and Import move proofs
-// between nodes.
-func (s *Service) Bounds() *BoundCache { return s.bounds }
 
 // Solve is Solver.Solve behind the cache: identical instances (same
 // fingerprint and solve parameters) are answered from the store or, when
@@ -118,7 +99,6 @@ func (s *Service) solveCached(ctx context.Context, t *Tree, cfg settings) (*Outc
 	if t == nil {
 		return nil, CacheMiss, fmt.Errorf("%w: nil tree", ErrInvalidTree)
 	}
-	cfg.bounds = s.bounds
 	// The cache key is assembled into a pooled byte buffer and looked up
 	// with the allocation-free byte path first: on a warm hit (the
 	// steady-state serving regime) the whole call — fingerprint memo
@@ -334,11 +314,8 @@ var keyBufs = pool.NewArena(func() *keyBuf { return new(keyBuf) })
 // only for exact solvers, whose answer they cannot change), solve
 // parallelism is excluded (Parallel-capable solvers promise the worker
 // count changes wall time, never the answer — which is why annealing-pack
-// pins its restart width instead of consuming the hint), the bound cache
-// is excluded (Bounds-capable solvers promise memoized bounds change the
-// nodes explored, never the delay — property-tested by the parity
-// suite), parameters
-// the chosen algorithm declares it ignores are normalised away (a seed on
+// pins its restart width instead of consuming the hint), parameters the
+// chosen algorithm declares it ignores are normalised away (a seed on
 // the deterministic adapted-ssb must not fragment the cache), and zero
 // weights collapse onto the default S+B objective so both spellings
 // share a key.

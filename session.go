@@ -70,13 +70,9 @@ type Session struct {
 // Opening is cheap; the first Resolve does the cold solve. With
 // BranchBound or ParallelBnB that solve, like every later one, is first
 // tried by the Pareto DP, which proves the optimum without a search on
-// every instance whose frontiers fit the budget and deadline.
-//
-// A solve that does reach the search runs it through the Service's bound
-// cache (Bounds), which all its sessions share: exact re-solves after a
-// mutation re-search only the subtrees the edit touched, reading proven
-// subtree optima for everything else, and a session opened on an
-// instance another session already proved starts from those proofs.
+// every instance whose frontiers fit the budget and deadline. A solve
+// that reaches the search starts from the previous revision's answer,
+// projected onto the mutated tree, as its incumbent.
 func (s *Service) OpenSession(t *Tree, opts ...Option) (*Session, error) {
 	if t == nil {
 		return nil, fmt.Errorf("%w: nil tree", ErrInvalidTree)

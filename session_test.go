@@ -8,9 +8,8 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/boundcache"
 	"repro/internal/exact"
-	"repro/internal/exact/exacttest"
+	"repro/internal/model"
 	"repro/internal/workload"
 )
 
@@ -266,8 +265,8 @@ func seededSessionTrees() []*Tree {
 
 // TestSessionFirstResolveSeeded: a session's first exact resolve proves
 // the optimum (Exact, LowerBound == Delay, pareto-dp's delay and the
-// plain search's with a fresh bound cache at the same worker count, an
-// assignment that re-evaluates to it). Heuristic sessions have no hint
+// plain search's at the same worker count, an assignment that
+// re-evaluates to it). Heuristic sessions have no hint
 // on their first resolve: it is the cold solve.
 func TestSessionFirstResolveSeeded(t *testing.T) {
 	ctx := context.Background()
@@ -301,9 +300,7 @@ func TestSessionFirstResolveSeeded(t *testing.T) {
 			if err != nil || bd.Delay != out.Delay {
 				t.Fatalf("%s tree %d: re-evaluates to %v (%v), reports %v", alg, i, bd, err, out.Delay)
 			}
-			res, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{
-				Bounds: boundcache.New(), Workers: workers,
-			})
+			res, err := exact.BranchAndBoundOpts(ctx, tree, exact.BnBOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -369,42 +366,58 @@ func TestSessionFirstResolveHitSkipsSeed(t *testing.T) {
 	}
 }
 
-// TestSessionsShareServiceBounds: every session of one Service solves
-// through the Service's bound cache. With the result store off, a second
-// session on an already proven instance reaches the search again, whose
-// pre-pass reads the subtree optima the first session proved, and it
-// returns the delay proven before. The sessions run the plain search:
-// the registered branch-and-bound proves these instances with the DP
-// and never reaches its search.
-func TestSessionsShareServiceBounds(t *testing.T) {
+// TestWarmResolveFewerNodes is the perf-smoke gate on the search side of
+// the Pareto DP's gate: on pinned one-satellite trees, which the
+// registered branch-and-bound answers by searching, a session's warm
+// resolve after one ±10% host-time drift starts from the previous
+// answer and must explore at least 5x fewer nodes than a cold search of
+// the same revision, while returning its optimum. Node counts are
+// deterministic, so the gate holds on noisy shared runners too.
+func TestWarmResolveFewerNodes(t *testing.T) {
 	ctx := context.Background()
-	tree := seededSessionTrees()[0]
-	svc := NewService(nil, 0)
-	resolve := func() *Outcome {
-		t.Helper()
-		sess, err := svc.OpenSession(tree, WithAlgorithm(exacttest.PlainSearch))
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tree := workload.Random(rng, workload.DefaultRandomSpec(48, 1))
+		sess, err := NewService(nil, 16).OpenSession(tree, WithAlgorithm(BranchBound))
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, status, err := sess.Resolve(ctx)
+		if _, _, err := sess.Resolve(ctx); err != nil {
+			t.Fatalf("seed %d: first resolve: %v", seed, err)
+		}
+
+		var crus []NodeID
+		for _, id := range tree.Postorder() {
+			if tree.Node(id).Kind == model.Processing && id != tree.Root() {
+				crus = append(crus, id)
+			}
+		}
+		n := tree.Node(crus[rng.Intn(len(crus))])
+		scale := 0.9
+		if rng.Intn(2) == 1 {
+			scale = 1.1
+		}
+		if err := sess.Mutate(WeightUpdate{Node: n.Name, HostTime: fp(n.HostTime * scale)}); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		warm, rev, status, err := sess.ResolveRevision(ctx)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("seed %d: warm resolve: %v", seed, err)
 		}
-		if status != CacheMiss || !out.Exact {
-			t.Fatalf("status %v, exact %v", status, out.Exact)
+		if status != CacheMiss || warm.DP || !warm.Exact {
+			t.Fatalf("seed %d: status %v, DP %v, exact %v; want a searched exact miss", seed, status, warm.DP, warm.Exact)
 		}
-		return out
-	}
-	first := resolve()
-	if first.Work == 0 {
-		t.Fatal("first session's resolve explored no nodes")
-	}
-	second := resolve()
-	if second.BoundHits == 0 || second.Delay != first.Delay {
-		t.Fatalf("second session: bound hits %d, delay %v; want > 0, %v",
-			second.BoundHits, second.Delay, first.Delay)
-	}
-	if st := svc.Bounds().Stats(); st.Stores == 0 || st.Hits == 0 {
-		t.Fatalf("service bound cache not shared: %+v", st)
+		cold, err := exact.BranchAndBound(rev, 0)
+		if err != nil {
+			t.Fatalf("seed %d: cold search: %v", seed, err)
+		}
+		if math.Abs(warm.Delay-cold.Delay) > 1e-9*(1+cold.Delay) {
+			t.Fatalf("seed %d: warm resolve %v != cold search %v", seed, warm.Delay, cold.Delay)
+		}
+		t.Logf("seed %d: warm %d nodes, cold %d", seed, warm.Work, cold.Explored)
+		if warm.Work*5 > cold.Explored {
+			t.Fatalf("seed %d: warm resolve explored %d nodes, cold %d: want at least 5x fewer",
+				seed, warm.Work, cold.Explored)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/boundcache"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/pool"
@@ -31,9 +30,6 @@ type settings struct {
 	warm        *Assignment
 	onIncumbent func(Incumbent)
 	bestEffort  bool
-	// bounds is the owning Service's bound cache (Service.Bounds); no
-	// option sets it, so a bare Solver solves without memoization.
-	bounds *boundcache.Cache
 }
 
 // Option configures a Solver (in NewSolver) or a single call (in Solve and
@@ -160,7 +156,6 @@ func solveOne(ctx context.Context, t *Tree, cfg settings) (*Outcome, error) {
 		Warm:        cfg.warm,
 		OnIncumbent: cfg.onIncumbent,
 		BestEffort:  cfg.bestEffort,
-		Bounds:      cfg.bounds,
 	}
 	if t != nil {
 		// Compile (or fetch) the flat plan here so every dispatch — batch
